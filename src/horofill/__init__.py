@@ -3,6 +3,7 @@
 Modules, by machinery:
 
 ``coxeter``     finite reflection groups, chambers, slopes, wall gaps
+``geometry``    spans, hulls, polytopes, nearest points, tolerance policy
 ``trace``       piecewise-linear convex Busemann traces on an apartment
 ``tube``        Euclidean tube geometry around convex polytopes
 ``partitions``  filling partitions (triangulated disks) and validation

@@ -74,7 +74,7 @@ def _row_seed(base, scenario_idx, length_idx, trial):
     return int(base) + 1009 * scenario_idx + 31 * length_idx + trial
 
 
-def _run_job(scn, scenario_idx, length_idx, ell, trial, base_seed):
+def _run_job(scn, scenario_idx, length_idx, ell, trial, base_seed, keep):
     seed = _row_seed(base_seed, scenario_idx, length_idx, trial)
     t0 = time.perf_counter()
     gen = scn["generator"]
@@ -101,6 +101,8 @@ def _run_job(scn, scenario_idx, length_idx, ell, trial, base_seed):
         "seed": seed,
         "ms": f"{ms_elapsed:.3f}",
     }
+    if not keep:
+        return row, None
     artifact = {
         "loop": [[float(c) for c in p] for p in loop.vertices],
         "partition": fp.to_dict(),
@@ -111,7 +113,7 @@ def _run_job(scn, scenario_idx, length_idx, ell, trial, base_seed):
 def run_command(args):
     try:
         config = load_config(args.config)
-    except (ConfigError, ValueError) as e:
+    except (ValueError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     out_dir = os.environ.get("HOROFILL_OUT_DIR", args.out_dir)
@@ -129,7 +131,7 @@ def run_command(args):
                 for trial in range(int(scn["trials"]))
             ]
             try:
-                results = _execute(jobs, args.seed, args.jobs)
+                results = _execute(jobs, args.seed, args.jobs, args.keep_partitions)
             except Exception as e:  # partial results flushed before abort
                 print(f"scenario {scn['name']} failed: {e}", file=sys.stderr)
                 fh.flush()
@@ -151,13 +153,13 @@ def run_command(args):
     return status
 
 
-def _execute(jobs, base_seed, n_jobs):
+def _execute(jobs, base_seed, n_jobs, keep):
     if n_jobs <= 1:
-        out = [_run_job(scn, s, l, ell, t, base_seed) for scn, s, l, ell, t in jobs]
+        out = [_run_job(scn, s, l, ell, t, base_seed, keep) for scn, s, l, ell, t in jobs]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs) as pool:
             futs = [
-                pool.submit(_run_job, scn, s, l, ell, t, base_seed)
+                pool.submit(_run_job, scn, s, l, ell, t, base_seed, keep)
                 for scn, s, l, ell, t in jobs
             ]
             out = [f.result() for f in futs]

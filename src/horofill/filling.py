@@ -23,6 +23,7 @@ from .partitions import (
     PartitionError,
     compute_mesh,
     empty_partition,
+    subdivide,
     validate_partition,
 )
 from .trace import horoball_polytope, level_project, min_set
@@ -408,29 +409,16 @@ def refine_partition(fp, lam, allow_wild=False):
     if mesh <= lam or fp.area == 0:
         return fp
     levels = int(np.ceil(np.log2(mesh / lam)))
-    points = [p.copy() for p in fp.points]
+    points = list(fp.points)
     tris = [tuple(int(i) for i in t) for t in fp.triangles]
     boundary = list(fp.boundary)
     anchor = list(fp.boundary_anchor) if fp.boundary_anchor is not None else None
     for _ in range(levels):
-        cache = {}
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                points.append(0.5 * (points[i] + points[j]))
-                cache[key] = len(points) - 1
-            return cache[key]
-
-        new_tris = []
-        for a, b, c in tris:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-        tris = new_tris
+        points, tris, midpoint = subdivide(points, tris)
         new_boundary = []
         for a, b in zip(boundary, boundary[1:] + boundary[:1]):
             new_boundary.append(a)
-            new_boundary.append(cache[(min(a, b), max(a, b))])
+            new_boundary.append(midpoint[(min(a, b), max(a, b))])
         boundary = new_boundary
         if anchor is not None:
             anchor = [2 * p for p in anchor]
@@ -464,7 +452,8 @@ def dehn_exponent(lengths, areas, top_half=True):
 
     ``areas`` maps each length to one or more observed areas; the
     per-length minimum enters the fit.  By default only the top half of
-    the length range is used, suppressing additive constants.
+    the length range is used (at least three points), suppressing
+    additive constants.
     """
     lengths = np.asarray(sorted(lengths), dtype=float)
     if len(lengths) < 4:
@@ -483,7 +472,8 @@ def dehn_exponent(lengths, areas, top_half=True):
             mins,
             degenerate=True,
         )
-    sel = slice(len(lengths) // 2 - (1 if len(lengths) % 2 else 0), None) if top_half else slice(None)
+    start = min(len(lengths) // 2 - len(lengths) % 2, len(lengths) - 3)
+    sel = slice(start, None) if top_half else slice(None)
     L = np.log(lengths[sel])
     A = np.log(mins[sel])
     coef, cov = np.polyfit(L, A, 1, cov=True)

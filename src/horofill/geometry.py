@@ -1,4 +1,4 @@
-"""Shared Euclidean plumbing: spans, hulls, cones, nearest points.
+"""Shared Euclidean plumbing: spans, hulls, cone distances, nearest points.
 
 Tolerance policy (documented once, used everywhere):
 
@@ -67,32 +67,6 @@ def project_affine(x, origin, basis):
         return origin.copy()
     c = basis @ (x - origin)
     return origin + basis.T @ c
-
-
-def cone_project(u, generators):
-    """Euclidean projection of u onto the cone spanned by the generators.
-
-    Brute force over generator subsets; exact for small generator counts
-    (our cones come from rank <= 5 chambers).  Returns the projection,
-    possibly the zero vector.
-    """
-    u = np.asarray(u, dtype=float)
-    gens = [np.asarray(g, dtype=float) for g in generators]
-    best = np.zeros_like(u)
-    best_d = np.linalg.norm(u)
-    m = len(gens)
-    for size in range(1, m + 1):
-        for subset in itertools.combinations(range(m), size):
-            G = np.array([gens[i] for i in subset]).T
-            coef, *_ = np.linalg.lstsq(G, u, rcond=None)
-            if np.any(coef < -DECISION_TOL):
-                continue
-            p = G @ np.clip(coef, 0.0, None)
-            d = np.linalg.norm(u - p)
-            if d < best_d - DEDUP_TOL:
-                best_d = d
-                best = p
-    return best
 
 
 def spherical_distance_to_cone(u, generators):
@@ -177,17 +151,7 @@ class VPolytope:
     def facets(self):
         """(normal, offset) pairs in span coordinates, outward normals."""
         if self._facets is None:
-            if self.dim == 0:
-                self._facets = []
-            elif self.dim == 1:
-                lo = float(np.min(self._span_coords[:, 0]))
-                hi = float(np.max(self._span_coords[:, 0]))
-                self._facets = [(np.array([-1.0]), -lo), (np.array([1.0]), hi)]
-            else:
-                hull = ConvexHull(self._span_coords)
-                self._facets = [
-                    (eq[:-1].copy(), -float(eq[-1])) for eq in hull.equations
-                ]
+            self._facets = _facets_of(self._span_coords, self.dim)
         return self._facets
 
     def to_span(self, x):

@@ -10,23 +10,7 @@ import json
 
 import numpy as np
 
-
-def _subdivide(vertices, triangles):
-    verts = [np.asarray(v, dtype=float) for v in vertices]
-    cache = {}
-
-    def midpoint(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in cache:
-            verts.append(0.5 * (verts[i] + verts[j]))
-            cache[key] = len(verts) - 1
-        return cache[key]
-
-    tris = []
-    for a, b, c in triangles:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-    return verts, tris
+from .partitions import subdivide
 
 
 def octasphere(level=3, radius=1.0, center=None):
@@ -50,7 +34,7 @@ def octasphere(level=3, radius=1.0, center=None):
         (0, 3, 5),
     ]
     for _ in range(level):
-        verts, tris = _subdivide(verts, tris)
+        verts, tris, _ = subdivide(verts, tris)
     verts = [radius * v / np.linalg.norm(v) for v in verts]
     if center is not None:
         verts = [v + np.asarray(center, dtype=float) for v in verts]

@@ -334,29 +334,27 @@ class DiskBuilder:
         return fp
 
 
-def resample_polyline(pts, spacing, min_points=2):
-    """Uniform arclength resampling keeping endpoints exactly."""
-    pts = np.asarray(pts, dtype=float)
-    if len(pts) == 1:
-        return pts.copy()
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    total = float(np.sum(seg))
-    if total < 1e-15:
-        return pts[[0, -1]].copy()
-    n = max(min_points, int(np.ceil(total / spacing)) + 1)
-    targets = np.linspace(0.0, total, n)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    out = []
-    k = 0
-    for t in targets:
-        while k < len(seg) - 1 and cum[k + 1] < t:
-            k += 1
-        denom = seg[k] if seg[k] > 1e-15 else 1.0
-        lam = (t - cum[k]) / denom
-        out.append(pts[k] + np.clip(lam, 0.0, 1.0) * (pts[k + 1] - pts[k]))
-    out[0] = pts[0]
-    out[-1] = pts[-1]
-    return np.array(out)
+def subdivide(points, triangles):
+    """One uniform 4-way midpoint subdivision of a triangle complex.
+
+    Returns the point and triangle lists and ``midpoint``, the dict from
+    each sorted edge (i, j) to the index of its new midpoint vertex.
+    """
+    points = list(points)
+    midpoint = {}
+
+    def mid(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in midpoint:
+            points.append(0.5 * (points[i] + points[j]))
+            midpoint[key] = len(points) - 1
+        return midpoint[key]
+
+    tris = []
+    for a, b, c in triangles:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
+    return points, tris, midpoint
 
 
 def empty_partition(loop):

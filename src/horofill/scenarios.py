@@ -80,8 +80,7 @@ def tube_square_serpentine(R, ell, mesh=1.0, seed=0):
     m = m0 + amp * np.sin(2 * np.pi * t)
     band = 0.18 + 0.04 * rng.uniform(-1, 1)
     s = chart.Lu * (0.5 + band * np.cos(2 * np.pi * t + rng.uniform(0, 2 * np.pi)))
-    pts = np.array([chart.point(si, mi) for si, mi in zip(s, m)])
-    return P, Loop(pts)
+    return P, Loop(chart.points(s, m))
 
 
 def _polygon_walker(vertices_2d):

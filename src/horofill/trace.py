@@ -27,6 +27,7 @@ from .geometry import (
     HV_TOL,
     affine_span,
     angle_between,
+    dedup_rows,
     enumerate_vertices,
     unit,
 )
@@ -82,22 +83,6 @@ class BusemannTrace:
         vals = self.gradients @ x + self.offsets
         top = np.max(vals)
         return [i for i, v in enumerate(vals) if v >= top - tol]
-
-    def gradient_at(self, x):
-        """Deterministic active gradient: ties broken toward the piece
-        pointing farthest from the minimum set, then by lowest index."""
-        act = self.active_set(x)
-        if len(act) == 1:
-            return self.gradients[act[0]]
-        ref = np.asarray(x, dtype=float) - self._min_reference()
-        best = max(act, key=lambda i: (np.dot(self.gradients[i], ref), -i))
-        return self.gradients[best]
-
-    def _min_reference(self):
-        res = min_set(self)
-        if res.bounded_below and len(res.polytope.vertices):
-            return np.mean(res.polytope.vertices, axis=0)
-        return np.zeros(self.apartment_dim)
 
     # -- transforms -------------------------------------------------------
 
@@ -552,7 +537,7 @@ def _walk_level_polygon(trace, t, x, y, z):
     cx = np.zeros(2)
     cyv = np.array([float(np.dot(y - origin, b1)), 0.0])
     allpts = [cx, cyv] + list(pts2)
-    allpts = _dedup2(allpts)
+    allpts = dedup_rows(allpts, tol=1e-9)
     center = np.mean(np.array(allpts), axis=0)
     ordered = sorted(allpts, key=lambda p: np.arctan2(p[1] - center[1], p[0] - center[0]))
     n = len(ordered)
@@ -576,14 +561,6 @@ def _walk_level_polygon(trace, t, x, y, z):
     path[0] = x.copy()
     path[-1] = y.copy()
     return np.array(path)
-
-
-def _dedup2(points, tol=1e-9):
-    out = []
-    for p in points:
-        if not any(np.linalg.norm(p - q) <= tol for q in out):
-            out.append(np.asarray(p, dtype=float))
-    return out
 
 
 # -- descent rates --------------------------------------------------------------

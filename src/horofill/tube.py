@@ -22,8 +22,6 @@ from .geometry import (
 )
 from .partitions import DiskBuilder, PartitionError, empty_partition
 
-ConvexPolytope = VPolytope
-
 
 class TubeError(ValueError):
     pass
@@ -163,22 +161,20 @@ def _arc(center, v_from, v_to, radius, max_step=0.05):
         if np.dot(v_to, e1) > 0:
             return [center + v_from], 0.0
         raise TubeError("antipodal arc needs an explicit swing direction")
-    a = angle_between(v_from, v_to)
-    e2 = unit(w)
-    n = max(2, int(np.ceil(a / max_step)) + 1)
-    ts = np.linspace(0.0, a, n)
-    pts = [center + radius * (np.cos(t) * e1 + np.sin(t) * e2) for t in ts]
-    return pts, float(radius * a)
+    return _circle_arc(center, v_from, v_to, radius, angle_between(v_from, v_to), max_step)
 
 
-def _half_circle(center, v_from, swing, radius, max_step=0.05):
-    """Half circle from center+v_from to center-v_from through swing."""
+def _circle_arc(center, v_from, toward, radius, angle, max_step=0.05):
+    """Arc of the given angle from center+v_from, turning toward ``toward``.
+
+    Returns (points, length), sampled at most max_step radians apart.
+    """
     e1 = unit(v_from)
-    e2 = unit(swing - np.dot(swing, e1) * e1)
-    n = max(2, int(np.ceil(np.pi / max_step)) + 1)
-    ts = np.linspace(0.0, np.pi, n)
+    e2 = unit(toward - np.dot(toward, e1) * e1)
+    n = max(2, int(np.ceil(angle / max_step)) + 1)
+    ts = np.linspace(0.0, angle, n)
     pts = [center + radius * (np.cos(t) * e1 + np.sin(t) * e2) for t in ts]
-    return pts, float(radius * np.pi)
+    return pts, float(radius * angle)
 
 
 def _outward_in_span(P, z):
@@ -279,7 +275,7 @@ def tube_path(P, R, x, y, max_step=0.05):
         poly.append(x2)
         total += float(np.linalg.norm(poly[-2] - x2))
         swing = _outward_in_span(P, z)
-        half, hlen = _half_circle(z, vx, swing, R, max_step)
+        half, hlen = _circle_arc(z, vx, swing, R, np.pi, max_step)
         poly.extend(half[1:])
         total += hlen
         y2 = z + vy
@@ -291,7 +287,7 @@ def tube_path(P, R, x, y, max_step=0.05):
         w = vy - np.dot(vy, e1) * e1
         if np.linalg.norm(w) < 1e-9 * R and np.dot(vx, vy) < 0:
             perp = _perpendicular_vertical(P, vx)
-            arc, alen = _half_circle(x.base, vx, perp, R, max_step)
+            arc, alen = _circle_arc(x.base, vx, perp, R, np.pi, max_step)
         else:
             arc, alen = _arc(x.base, vx, vy, R, max_step)
         poly.extend(arc[1:])
@@ -396,42 +392,31 @@ class SandwichProjection:
             raise SandwichError("point lies inside the inner tube")
         return base + self.radius * (np.asarray(x, dtype=float) - base) / d
 
-    def inverse(self, x):
-        """Fiber point of the body boundary over a tube point x."""
-        base, d = nearest_point(self.core, x)
-        ray = (np.asarray(x, dtype=float) - base) / d
-        t_hi = np.inf
-        c0 = self.body.to_span(base)
-        c1 = self.body.basis @ ray
-        for n, off in self.body.facets:
-            dv = float(np.dot(n, c1))
-            v0 = float(np.dot(n, c0)) - off
-            if dv > 1e-12:
-                t_hi = min(t_hi, -v0 / dv)
-        if not np.isfinite(t_hi) or t_hi <= 0:
-            raise SandwichError("fiber ray does not exit the body")
-        return base + t_hi * ray
-
     def inverse_batch(self, X):
-        """Vectorized inverse for a point core (falls back otherwise)."""
+        """Fiber points of the body boundary over the tube points X (rows).
+
+        Each fiber leaves its base, the nearest core point, along the ray
+        through x and ends where that ray exits the body.  A point core
+        is the one shared base.
+        """
         X = np.asarray(X, dtype=float)
-        if self.core.dim != 0:
-            return np.array([self.inverse(x) for x in X])
-        c = self.core.vertices[0]
-        D = X - c
+        if self.core.dim == 0:
+            bases = self.core.vertices[:1]
+        else:
+            bases = np.array([self.core.nearest_point(x) for x in X])
+        D = X - bases
         d = np.linalg.norm(D, axis=1)
         rays = D / d[:, None]
         N = np.array([n for n, _ in self.body.facets])
         offs = np.array([off for _, off in self.body.facets])
-        c0 = self.body.to_span(c)
-        v0 = N @ c0 - offs
+        v0 = N @ (self.body.basis @ (bases - self.body.origin).T) - offs[:, None]
         dv = (N @ self.body.basis) @ rays.T  # (facets, points)
         with np.errstate(divide="ignore", invalid="ignore"):
-            tt = np.where(dv > 1e-12, -v0[:, None] / dv, np.inf)
+            tt = np.where(dv > 1e-12, -v0 / dv, np.inf)
         t_hi = np.min(tt, axis=0)
         if np.any(~np.isfinite(t_hi)) or np.any(t_hi <= 0):
             raise SandwichError("a fiber ray does not exit the body")
-        return c + t_hi[:, None] * rays
+        return bases + t_hi[:, None] * rays
 
     def path_ratio(self, path_on_body):
         mapped = np.array([self.map(p) for p in path_on_body])
@@ -548,7 +533,29 @@ class ChartError(TubeError):
     pass
 
 
-class RevolutionChart:
+class _Chart:
+    """Exact on-tube coordinates (t, phi), phi periodic.
+
+    Array contract: ``points(t, phi)`` maps equal-length parameter
+    arrays to an (n, dim) array of tube points, and ``lift(points)``
+    maps an (n, dim) point sequence back to parameter arrays with phi
+    unwrapped continuously along the sequence.  ``point``, ``coords``
+    and ``param_path`` are views of these two.
+    """
+
+    def point(self, t, phi):
+        return self.points([t], [phi])[0]
+
+    def coords(self, x):
+        ts, phis = self.lift([x])
+        return float(ts[0]), float(phis[0])
+
+    def param_path(self, p0, p1, n):
+        """n points along the straight parameter segment from p0 to p1."""
+        return self.points(np.linspace(p0[0], p1[0], n), np.linspace(p0[1], p1[1], n))
+
+
+class RevolutionChart(_Chart):
     """Tube of a point or segment in E^3 as a surface of revolution.
 
     Parameters are (t, phi): t is arclength along the profile curve from
@@ -578,72 +585,44 @@ class RevolutionChart:
         self.e2 = np.cross(self.axis, self.e1)
         self.T = np.pi * self.R + self.L  # total profile length
 
-    def _profile(self, t):
-        R, L = self.R, self.L
-        t = float(np.clip(t, 0.0, self.T))
-        if L == 0.0:
-            th = t / R
-            return -R * np.cos(th), R * np.sin(th)
-        if t <= np.pi * R / 2:
-            th = t / R
-            return -R * np.cos(th), R * np.sin(th)
-        if t <= np.pi * R / 2 + L:
-            return t - np.pi * R / 2, R
-        s = (t - np.pi * R / 2 - L) / R
-        return L + R * np.sin(s), R * np.cos(s)
-
-    def _profile_arrays(self, t):
+    def points(self, t, phi):
+        """Tube points at profile arclengths t (clipped to [0, T]) and angles phi."""
         R, L = self.R, self.L
         t = np.clip(np.asarray(t, dtype=float), 0.0, self.T)
+        ph = np.asarray(phi, dtype=float)
         if L == 0.0:
-            th = t / R
-            return -R * np.cos(th), R * np.sin(th)
-        a = np.where(
-            t <= np.pi * R / 2,
-            -R * np.cos(t / R),
-            np.where(
-                t <= np.pi * R / 2 + L,
-                t - np.pi * R / 2,
-                L + R * np.sin((t - np.pi * R / 2 - L) / R),
-            ),
-        )
-        rho = np.where(
-            t <= np.pi * R / 2,
-            R * np.sin(t / R),
-            np.where(
-                t <= np.pi * R / 2 + L,
-                R,
-                R * np.cos((t - np.pi * R / 2 - L) / R),
-            ),
-        )
-        return a, rho
-
-    def point(self, t, phi):
-        a, rho = self._profile(t)
-        return self.c + a * self.axis + rho * (
-            np.cos(phi) * self.e1 + np.sin(phi) * self.e2
-        )
-
-    def coords(self, x, prev_phi=None):
-        v = np.asarray(x, dtype=float) - self.c
-        a = float(np.dot(v, self.axis))
-        w = v - a * self.axis
-        rho = float(np.linalg.norm(w))
-        R, L = self.R, self.L
-        if L == 0.0 or a < 0:
-            t = R * float(np.arctan2(rho, -a))
-        elif a <= L:
-            t = np.pi * R / 2 + a
+            a, rho = -R * np.cos(t / R), R * np.sin(t / R)
         else:
-            t = np.pi * R / 2 + L + R * float(np.arctan2(a - L, rho))
-        if rho < 1e-9:
-            phi = prev_phi if prev_phi is not None else 0.0
-        else:
-            phi = float(np.arctan2(np.dot(w, self.e2), np.dot(w, self.e1)))
-        return t, phi
+            a = np.where(
+                t <= np.pi * R / 2,
+                -R * np.cos(t / R),
+                np.where(
+                    t <= np.pi * R / 2 + L,
+                    t - np.pi * R / 2,
+                    L + R * np.sin((t - np.pi * R / 2 - L) / R),
+                ),
+            )
+            rho = np.where(
+                t <= np.pi * R / 2,
+                R * np.sin(t / R),
+                np.where(
+                    t <= np.pi * R / 2 + L,
+                    R,
+                    R * np.cos((t - np.pi * R / 2 - L) / R),
+                ),
+            )
+        return (
+            self.c
+            + a[:, None] * self.axis
+            + rho[:, None] * (np.cos(ph)[:, None] * self.e1 + np.sin(ph)[:, None] * self.e2)
+        )
 
     def lift(self, points):
-        """Chart coordinates with the angle unwrapped along the sequence."""
+        """Chart coordinates with the angle unwrapped along the sequence.
+
+        On the axis (the poles) the angle is undefined and repeats the
+        previous one (0 for the first point).
+        """
         V = np.asarray(points, dtype=float) - self.c
         a = V @ self.axis
         W = V - np.outer(a, self.axis)
@@ -667,22 +646,12 @@ class RevolutionChart:
             phis[i] = phis[i - 1] if i > 0 else 0.0
         return ts, np.unwrap(phis)
 
-    def param_path(self, p0, p1, n):
-        ts = np.linspace(p0[0], p1[0], n)
-        ph = np.linspace(p0[1], p1[1], n)
-        a, rho = self._profile_arrays(ts)
-        return (
-            self.c
-            + a[:, None] * self.axis
-            + rho[:, None] * (np.cos(ph)[:, None] * self.e1 + np.sin(ph)[:, None] * self.e2)
-        )
-
     def param_distance(self, p0, p1):
         return abs(p0[0] - p1[0]) + self.R * abs(p0[1] - p1[1])
 
 
-class PlanarCircleChart:
-    """Tube of a point in E^2: a circle, parametrized by angle."""
+class PlanarCircleChart(_Chart):
+    """Tube of a point in E^2: a circle, parametrized by angle (t is unused)."""
 
     def __init__(self, P, R):
         if P.ambient_dim != 2 or P.dim != 0:
@@ -690,34 +659,28 @@ class PlanarCircleChart:
         self.c = P.vertices[0]
         self.R = float(R)
 
-    def point(self, t, phi):
-        return self.c + self.R * np.array([np.cos(phi), np.sin(phi)])
-
-    def coords(self, x, prev_phi=None):
-        v = np.asarray(x, dtype=float) - self.c
-        return 0.0, float(np.arctan2(v[1], v[0]))
+    def points(self, t, phi):
+        ph = np.asarray(phi, dtype=float)
+        return self.c + self.R * np.stack([np.cos(ph), np.sin(ph)], axis=1)
 
     def lift(self, points):
         V = np.asarray(points, dtype=float) - self.c
         phis = np.arctan2(V[:, 1], V[:, 0])
-        return np.zeros(len(points)), np.unwrap(phis)
-
-    def param_path(self, p0, p1, n):
-        ph = np.linspace(p0[1], p1[1], n)
-        return self.c + self.R * np.stack([np.cos(ph), np.sin(ph)], axis=1)
+        return np.zeros(len(V)), np.unwrap(phis)
 
     def param_distance(self, p0, p1):
         return self.R * abs(p0[1] - p1[1])
 
 
-class StadiumChart:
+class StadiumChart(_Chart):
     """Tube of a rectangle in E^3 over its central band.
 
     Cross sections orthogonal to the first edge direction are offset
     stadia; parameters are (s, m) with s the station along the edge and
     m the meridian arclength around the stadium, measured from the top
-    face.  Exact while 0 < s < edge length, so loops must keep away from
-    the two far ends where corner effects change the cross section.
+    face and periodic with period M.  Exact while 0 < s < edge length,
+    so loops must keep away from the two far ends where corner effects
+    change the cross section; ``lift`` rejects points outside that band.
     """
 
     def __init__(self, P, R):
@@ -738,55 +701,8 @@ class StadiumChart:
         self.R = float(R)
         self.M = 2 * self.Lw + 2 * np.pi * self.R
 
-    def point(self, s, m):
-        R, Lw = self.R, self.Lw
-        m = m % self.M
-        base = self.o + s * self.u
-        if m <= Lw:
-            return base + m * self.w + R * self.n
-        m -= Lw
-        if m <= np.pi * R:
-            eta = m / R
-            return base + Lw * self.w + R * (
-                np.cos(eta) * self.n + np.sin(eta) * self.w
-            )
-        m -= np.pi * R
-        if m <= Lw:
-            return base + (Lw - m) * self.w - R * self.n
-        eta = (m - Lw) / R
-        return base + R * (-np.cos(eta) * self.n - np.sin(eta) * self.w)
-
-    def coords(self, x, prev_phi=None):
-        v = np.asarray(x, dtype=float) - self.o
-        s = float(np.dot(v, self.u))
-        if not 0.0 < s < self.Lu:
-            raise ChartError("point is outside the central band of the stadium chart")
-        tau = float(np.dot(v, self.w))
-        h = float(np.dot(v, self.n))
-        R, Lw = self.R, self.Lw
-        if 0.0 <= tau <= Lw:
-            m = tau if h >= 0 else 2 * Lw + np.pi * R - tau
-        elif tau > Lw:
-            eta = float(np.arctan2(tau - Lw, h))  # in [0, pi] on the tube
-            m = Lw + R * eta
-        else:
-            eta = float(np.arctan2(-tau, -h))  # in [0, pi] on the tube
-            m = 2 * Lw + np.pi * R + R * eta
-        return s, float(m % self.M)
-
-    def lift(self, points):
-        ss, ms = [], []
-        for p in points:
-            s, m = self.coords(p)
-            ss.append(s)
-            ms.append(m)
-        out = [ms[0]]
-        for m in ms[1:]:
-            k = round((out[-1] - m) / self.M)
-            out.append(m + k * self.M)
-        return np.array(ss), np.array(out)
-
-    def _points_arrays(self, s, m):
+    def points(self, s, m):
+        """Tube points at stations s and meridian arclengths m (taken mod M)."""
         R, Lw = self.R, self.Lw
         s = np.asarray(s, dtype=float)
         m = np.asarray(m, dtype=float) % self.M
@@ -809,10 +725,26 @@ class StadiumChart:
         )
         return out
 
-    def param_path(self, p0, p1, n):
-        ss = np.linspace(p0[0], p1[0], n)
-        ms = np.linspace(p0[1], p1[1], n)
-        return self._points_arrays(ss, ms)
+    def lift(self, points):
+        """Chart coordinates with m unwrapped by whole periods along the sequence."""
+        V = np.asarray(points, dtype=float) - self.o
+        s = V @ self.u
+        if not np.all((0.0 < s) & (s < self.Lu)):
+            raise ChartError("point is outside the central band of the stadium chart")
+        tau = V @ self.w
+        h = V @ self.n
+        R, Lw = self.R, self.Lw
+        m = np.where(
+            (0.0 <= tau) & (tau <= Lw),
+            np.where(h >= 0, tau, 2 * Lw + np.pi * R - tau),
+            np.where(
+                tau > Lw,
+                Lw + R * np.arctan2(tau - Lw, h),  # eta in [0, pi] on the tube
+                2 * Lw + np.pi * R + R * np.arctan2(-tau, -h),
+            ),
+        ) % self.M
+        turns = np.concatenate([[0.0], np.cumsum(np.round((m[:-1] - m[1:]) / self.M))])
+        return s, m + turns * self.M
 
     def param_distance(self, p0, p1):
         return abs(p0[0] - p1[0]) + abs(p0[1] - p1[1])
@@ -881,11 +813,8 @@ def loop_case(P, loop):
 
 def loop_degree(chart, vertices):
     """Winding number of the loop in the chart's periodic coordinate."""
-    _, phis = chart.lift(vertices)
-    period = chart_period(chart)
-    _, phi_close = chart.coords(vertices[0], prev_phi=phis[-1])
-    phi_close += round((phis[-1] - phi_close) / period) * period
-    return int(round((phi_close - phis[0]) / period))
+    _, phis = chart.lift(np.vstack([vertices, vertices[:1]]))
+    return int(round((phis[-1] - phis[0]) / chart_period(chart)))
 
 
 def fill_tube_loop(P, R, loop, mesh, max_attempts=6):

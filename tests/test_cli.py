@@ -43,6 +43,10 @@ def test_config_validation_errors(tmp_path, capsys):
     assert cli.main(["run", bad2, "--out-dir", str(tmp_path / "o2")]) == 2
     assert "strictly increasing" in capsys.readouterr().err
 
+    missing = str(tmp_path / "no-such-config.json")
+    assert cli.main(["run", missing, "--out-dir", str(tmp_path / "o2b")]) == 2
+    assert "config error" in capsys.readouterr().err
+
 
 def test_config_bad_theta_certificate(tmp_path, capsys):
     trace = {
@@ -70,14 +74,20 @@ def test_empty_scenario_list(tmp_path, capsys):
 
 
 def test_run_and_fit(tmp_path, capsys):
-    cfg = write_config(tmp_path / "c5.json", [small_scenario(trials=2)])
+    # four lengths spanning a decade: the fit uses the top three
+    four = dict(small_scenario("four"), generator="tube-square", lengths=[4, 8, 16, 48])
+    cfg = write_config(tmp_path / "c5.json", [small_scenario(trials=2), four])
     out = tmp_path / "o5"
     assert cli.main(["run", cfg, "--seed", "5", "--out-dir", str(out)]) == 0
     rows = read_rows(out / "runs.csv")
-    assert len(rows) == 4  # 2 lengths x 2 trials
-    assert (out / "mini.svg").exists()
-    svg = (out / "mini.svg").read_text()
-    assert svg.startswith("<svg") and "2^" in svg
+    assert len(rows) == 4 + 4  # 2 lengths x 2 trials, then 4 lengths
+    for name in ("mini", "four"):
+        svg = (out / f"{name}.svg").read_text()
+        assert svg.startswith("<svg") and "2^" in svg
+    assert "fitted slope nan" not in (out / "four.svg").read_text()
+    capsys.readouterr()
+    assert cli.main(["fit", str(out / "runs.csv")]) == 0
+    assert "four: slope" in capsys.readouterr().out
 
 
 def test_run_determinism_excluding_ms(tmp_path):

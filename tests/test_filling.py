@@ -227,11 +227,11 @@ def test_refine_noop_when_fine_enough():
 
 
 def test_dehn_exponent_exact_quadratic():
-    lengths = [8, 16, 32, 64, 128]
-    areas = {l: [3.0 * l**2] for l in lengths}
-    fit = fl.dehn_exponent(lengths, areas)
-    assert abs(fit.slope - 2.0) < 1e-9
-    assert not fit.degenerate
+    for lengths in ([8, 16, 32, 64, 128], [4, 8, 16, 40]):
+        areas = {l: [3.0 * l**2] for l in lengths}
+        fit = fl.dehn_exponent(lengths, areas)
+        assert abs(fit.slope - 2.0) < 1e-9
+        assert not fit.degenerate
 
 
 def test_dehn_exponent_uses_min_per_length():

@@ -189,7 +189,7 @@ def test_radial_projection_validates_surface(segment3):
         tb.radial_project_path(segment3, 2.0, 1.0, np.array([[0.5, 0.5, 0.0]]))
 
 
-def test_sandwich_cube_over_ball(point3):
+def test_sandwich_cube_over_ball(point3, segment3):
     a = np.sqrt(3.0)
     c = 1.0
     cube = tb.VPolytope(
@@ -200,8 +200,19 @@ def test_sandwich_cube_over_ball(point3):
     x = np.array([c, c, c])
     mapped = proj.map(x)
     assert abs(np.linalg.norm(mapped) - 1.0) < 1e-12
-    back = proj.inverse(mapped)
-    assert np.allclose(back, x, atol=1e-9)
+    back = proj.inverse_batch([mapped])
+    assert np.allclose(back, [x], atol=1e-9)
+    # a segment core gives every fiber its own base
+    box = tb.VPolytope(
+        [np.array([sx, sy, sz]) for sx in (-2.0, 3.0) for sy in (-2.0, 2.0) for sz in (-2.0, 2.0)]
+    )
+    proj = tb.sandwich_project(box, segment3, 1.0)
+    X = np.array(
+        [[3.0, 0.5, 0.3], [0.5, 2.0, -1.0], [-2.0, -1.0, 1.5], [0.2, -0.7, -2.0], [3.0, 2.0, 2.0]]
+    )
+    mapped = np.array([proj.map(x) for x in X])
+    assert all(abs(tb.tube_distance(segment3, p) - 1.0) < 1e-12 for p in mapped)
+    assert np.allclose(proj.inverse_batch(mapped), X, atol=1e-9)
 
 
 def test_sandwich_inclusion_failure(point3):
@@ -264,6 +275,12 @@ def test_charts_roundtrip(point3, segment3, square3):
                 assert abs(s - s2) < 1e-9
                 assert abs((m - m2 + chart.M / 2) % chart.M - chart.M / 2) < 1e-9
             assert abs(tb.tube_distance(P, p) - R) < 1e-9
+    # a stadium sequence crossing the m = M seam lifts continuously
+    chart = tb.StadiumChart(square3, 1.1)
+    ms = np.linspace(chart.M - 1.0, chart.M + 1.0, 41)
+    ss, lifted = chart.lift(chart.points(np.full(41, 0.5), ms))
+    assert np.allclose(ss, 0.5, atol=1e-9)
+    assert np.allclose(lifted, ms, atol=1e-9)
 
 
 def test_stadium_band_guard(square3):
@@ -272,7 +289,7 @@ def test_stadium_band_guard(square3):
         chart.coords(np.array([2.0, 0.5, 1.0]))
 
 
-def test_loop_degree_detection(point3, segment3):
+def test_loop_degree_detection(point3, segment3, square3):
     t = np.linspace(0, 1, 128, endpoint=False)
     wrap2 = np.stack(
         [np.cos(4 * np.pi * t), np.sin(4 * np.pi * t), 0.2 * np.sin(2 * np.pi * t)],
@@ -281,6 +298,16 @@ def test_loop_degree_detection(point3, segment3):
     wrap2 /= np.linalg.norm(wrap2, axis=1)[:, None]
     chart = tb.chart_for(point3, 1.0, wrap2)
     assert abs(tb.loop_degree(chart, wrap2)) == 2
+    # segment wrap: three turns around the axis while drifting along it
+    wrap3 = tb.RevolutionChart(segment3, 1.0).points(
+        np.pi / 2 + 0.5 + 0.3 * np.sin(2 * np.pi * t), 6 * np.pi * t
+    )
+    assert tb.loop_degree(tb.chart_for(segment3, 1.0, wrap3), wrap3) == 3
+    # stadium serpentine: sweeps past the seam several times, winds zero
+    stadium = tb.StadiumChart(square3, 1.0)
+    serp = stadium.points(np.full(128, 0.5), 0.3 + 2.5 * stadium.M * np.sin(2 * np.pi * t))
+    assert tb.loop_degree(stadium, serp) == 0
+    assert tb.loop_degree(stadium, stadium.points(np.full(128, 0.5), stadium.M * t)) == 1
 
 
 def test_fill_wrapped_and_validate(point3, segment3):
