@@ -116,56 +116,70 @@ def run_command(args):
     except (ValueError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    out_dir = os.environ.get("HOROFILL_OUT_DIR", args.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "runs.csv")
+    os.makedirs(args.out_dir, exist_ok=True)
+    csv_path = os.path.join(args.out_dir, "runs.csv")
+    jobs = [
+        (scn, s_idx, l_idx, ell, trial)
+        for s_idx, scn in enumerate(config["scenarios"])
+        for l_idx, ell in enumerate(scn["lengths"])
+        for trial in range(int(scn["trials"]))
+    ]
     rows = []
     status = 0
     with open(csv_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
-        for s_idx, scn in enumerate(config["scenarios"]):
-            jobs = [
-                (scn, s_idx, l_idx, ell, trial)
-                for l_idx, ell in enumerate(scn["lengths"])
-                for trial in range(int(scn["trials"]))
-            ]
-            try:
-                results = _execute(jobs, args.seed, args.jobs, args.keep_partitions)
-            except Exception as e:  # partial results flushed before abort
-                print(f"scenario {scn['name']} failed: {e}", file=sys.stderr)
-                fh.flush()
+        for (scn, s_idx, l_idx, ell, trial), outcome in _execute(
+            jobs, args.seed, args.jobs, args.keep_partitions
+        ):
+            if isinstance(outcome, Exception):
+                seed = _row_seed(args.seed, s_idx, l_idx, trial)
+                print(
+                    f"job failed: scenario {scn['name']} length {ell} trial {trial} "
+                    f"seed {seed}: {type(outcome).__name__}: {outcome}",
+                    file=sys.stderr,
+                )
                 status = 1
-                break
-            for row, artifact in results:
-                writer.writerow(row)
-                rows.append(row)
-                if args.keep_partitions:
-                    pdir = os.path.join(out_dir, "partitions")
-                    os.makedirs(pdir, exist_ok=True)
-                    name = f"{row['scenario']}-l{row['length']}-t{row['trial']}.json"
-                    with open(os.path.join(pdir, name), "w") as pf:
-                        json.dump(artifact, pf)
+                continue
+            row, artifact = outcome
+            writer.writerow(row)
             fh.flush()
+            rows.append(row)
+            if args.keep_partitions:
+                pdir = os.path.join(args.out_dir, "partitions")
+                os.makedirs(pdir, exist_ok=True)
+                name = f"{row['scenario']}-l{row['length']}-t{row['trial']}.json"
+                with open(os.path.join(pdir, name), "w") as pf:
+                    json.dump(artifact, pf)
     if rows:
-        _emit_svg(rows, out_dir)
+        _emit_svg(rows, args.out_dir)
     print(f"wrote {csv_path} ({len(rows)} rows)")
     return status
 
 
 def _execute(jobs, base_seed, n_jobs, keep):
+    """Yield (job, (row, artifact) or the exception it raised) in job order.
+
+    A pool takes all jobs at once, longest loops first.
+    """
     if n_jobs <= 1:
-        out = [_run_job(scn, s, l, ell, t, base_seed, keep) for scn, s, l, ell, t in jobs]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            futs = [
-                pool.submit(_run_job, scn, s, l, ell, t, base_seed, keep)
-                for scn, s, l, ell, t in jobs
-            ]
-            out = [f.result() for f in futs]
-    # deterministic order regardless of completion order
-    out.sort(key=lambda ra: (ra[0]["scenario"], float(ra[0]["length"]), ra[0]["trial"]))
-    return out
+        for job in jobs:
+            yield job, _outcome(_run_job, *job, base_seed, keep)
+        return
+    with concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        futs = {}
+        for k in sorted(range(len(jobs)), key=lambda k: -jobs[k][3]):
+            futs[k] = pool.submit(_run_job, *jobs[k], base_seed, keep)
+        for k, job in enumerate(jobs):
+            yield job, _outcome(futs[k].result)
+
+
+def _outcome(call, *args):
+    """The call's result, or the exception it raised (reported by the caller)."""
+    try:
+        return call(*args)
+    except Exception as e:  # contained so that the other jobs still run
+        return e
 
 
 def _emit_svg(rows, out_dir):

@@ -16,12 +16,14 @@ from scipy.optimize import linprog
 from .coxeter import ort_distance, wall_margin
 from .geometry import VPolytope
 from .partitions import (
+    MESH_ATTEMPTS,
     BrickCensus,
     DiskBuilder,
     FillingPartition,
     Loop,
     PartitionError,
     compute_mesh,
+    edge_keys,
     empty_partition,
     subdivide,
     validate_partition,
@@ -51,7 +53,7 @@ class FillingError(ValueError):
 # -- cone fill in a convex flat region ----------------------------------------
 
 
-def cone_fill(loop, mesh, basepoint_index=0, max_attempts=5):
+def cone_fill(loop, mesh, basepoint_index=0):
     """Fan fill of a loop inside a convex flat region.
 
     Spokes run from a loop vertex to every other sample; convexity keeps
@@ -64,7 +66,7 @@ def cone_fill(loop, mesh, basepoint_index=0, max_attempts=5):
         return empty_partition(loop)
     spacing = mesh / 3.0
     fp = None
-    for _ in range(max_attempts):
+    for _ in range(MESH_ATTEMPTS):
         fp = _cone_fill_once(loop, spacing, basepoint_index)
         if fp.mesh <= mesh + 1e-12:
             fp.census = BrickCensus(flat_bricks=fp.area, wild_bricks=0)
@@ -74,7 +76,7 @@ def cone_fill(loop, mesh, basepoint_index=0, max_attempts=5):
 
 
 def _cone_fill_once(loop, spacing, basepoint_index):
-    res, orig_pos = loop.resampled(spacing, return_map=True)
+    res, orig_pos = loop.resampled(spacing)
     roll = orig_pos[int(basepoint_index) % len(orig_pos)]
     verts = np.roll(res.vertices, -roll, axis=0)
     s = len(verts)
@@ -143,10 +145,6 @@ class AnnulusStrip:
     def area(self):
         return int(len(self.triangles))
 
-    @property
-    def mesh(self):
-        return compute_mesh(self.points, self.triangles) if len(self.triangles) else 0.0
-
 
 def cylinder_descend(loop, beta, rs, theta, delta1, mesh=1.0, height=None):
     """Flow a flat loop to a transverse hyperplane along a good slope.
@@ -165,7 +163,7 @@ def cylinder_descend(loop, beta, rs, theta, delta1, mesh=1.0, height=None):
             "slope fails the good-slope recheck (orthogonal-set or wall margin)"
         )
     spacing = mesh / 4.0
-    res, orig_pos = loop.resampled(spacing, return_map=True)
+    res, orig_pos = loop.resampled(spacing)
     P = res.vertices
     u = beta.direction
     ell = loop.length
@@ -183,11 +181,7 @@ def cylinder_descend(loop, beta, rs, theta, delta1, mesh=1.0, height=None):
     if np.max(t) <= 1e-12:
         # loop already lies in the target hyperplane: empty cylinder
         strip = AnnulusStrip(
-            np.array(builder._points),
-            np.zeros((0, 3), dtype=int),
-            outer_idx,
-            outer_idx,
-            outer_anchor=orig_pos,
+            builder.points, builder.triangles, outer_idx, outer_idx, outer_anchor=orig_pos
         )
         return inner, strip
     inner_idx = builder.add_chain(N)
@@ -201,11 +195,7 @@ def cylinder_descend(loop, beta, rs, theta, delta1, mesh=1.0, height=None):
     for k in range(s):
         builder.add_ladder(chains[k], chains[(k + 1) % s])
     strip = AnnulusStrip(
-        np.array(builder._points),
-        np.array(builder._triangles, dtype=int).reshape(-1, 3),
-        outer_idx,
-        inner_idx,
-        outer_anchor=orig_pos,
+        builder.points, builder.triangles, outer_idx, inner_idx, outer_anchor=orig_pos
     )
     return inner, strip
 
@@ -218,24 +208,18 @@ def close_cylinder(strip, mesh):
     the cone's resampling spacing, so the shared ring matches edge for
     edge.  Returns a FillingPartition bounded by the strip's outer loop.
     """
-    inner_pts = strip.points[strip.inner]
-    cap = cone_fill(Loop(inner_pts), mesh)
+    inner = np.asarray(strip.inner)
+    cap = cone_fill(Loop(strip.points[inner]), mesh)
     builder = DiskBuilder(strip.points.shape[1])
-    for p in strip.points:
-        builder.add_point(p)
-    for tri in strip.triangles:
-        builder.add_triangle(*tri)
-    remap = {}
-    for bidx in cap.boundary:
-        for k in strip.inner:
-            if np.linalg.norm(cap.points[bidx] - strip.points[k]) <= 1e-9:
-                remap[bidx] = k
-                break
-    for i, p in enumerate(cap.points):
-        if i not in remap:
-            remap[i] = builder.add_point(p)
-    for tri in cap.triangles:
-        builder.add_triangle(*(remap[int(i)] for i in tri))
+    builder.add_chain(strip.points)
+    builder.add_triangles(strip.triangles)
+    # the cap's anchored boundary vertices are the inner strip vertices;
+    # the other cap vertices are appended
+    lookup = np.full(len(cap.points), -1)
+    lookup[np.asarray(cap.boundary)[cap.boundary_anchor]] = inner
+    rest = lookup < 0
+    lookup[rest] = builder.add_chain(cap.points[rest])
+    builder.add_triangles(lookup[cap.triangles])
     return builder.build(strip.outer, anchor=strip.outer_anchor)
 
 
@@ -268,7 +252,7 @@ def brick_census(trace, fp, tol=1e-6):
     return BrickCensus(flat_bricks=flat, wild_bricks=fp.area - flat)
 
 
-def fill_flat_loop(trace, loop, mesh=1.0, max_attempts=4):
+def fill_flat_loop(trace, loop, mesh=1.0):
     """Fill a loop in an apartment outside the open horoball.
 
     Pipeline: cone fill when the loop's hull clears the horoball;
@@ -313,7 +297,7 @@ def fill_flat_loop(trace, loop, mesh=1.0, max_attempts=4):
     tube_mesh = mesh / 1.4
     spacing = mesh / 3.0
     fp = None
-    for _ in range(max_attempts):
+    for _ in range(MESH_ATTEMPTS):
         fp, census, info = _flat_pipeline(trace, loop, proj, core, m, spacing, tube_mesh)
         if fp.mesh <= mesh + 1e-12:
             info["route"] = "sandwich"
@@ -325,7 +309,7 @@ def fill_flat_loop(trace, loop, mesh=1.0, max_attempts=4):
 
 
 def _flat_pipeline(trace, loop, proj, core, m, spacing, tube_mesh):
-    res, orig_pos = loop.resampled(spacing, return_map=True)
+    res, orig_pos = loop.resampled(spacing)
     V = res.vertices
     s = len(V)
     if np.any(trace.values(V) < -1e-6):
@@ -336,57 +320,39 @@ def _flat_pipeline(trace, loop, proj, core, m, spacing, tube_mesh):
     level_pts = np.array([level_project(trace, v, 0.0) for v in V])
     tube_pts = np.array([proj.map(p) for p in level_pts])
     disk, tube_info = fill_tube_loop(core, m, Loop(tube_pts), tube_mesh)
-    ring_positions = tube_info["ring_positions"]  # boundary position of ring k
+    ring_positions = disk.boundary_anchor  # boundary position of ring vertex k
     builder = DiskBuilder(V.shape[1])
     outer_idx = builder.add_chain(V)
-    pos_to_ring = {pos: k for k, pos in enumerate(ring_positions)}
     # pull the tube disk back to the level set along sandwich fibers;
-    # ring vertices pull back to their exact level projections
-    pulled = {}
-    for pos, bidx in enumerate(disk.boundary):
-        if pos in pos_to_ring:
-            pulled[bidx] = builder.add_point(level_pts[pos_to_ring[pos]])
-    rest = [i for i in range(len(disk.points)) if i not in pulled]
-    if rest:
-        back = proj.inverse_batch(disk.points[rest])
-        for i, q in zip(rest, back):
-            pulled[i] = builder.add_point(q)
-    for tri in disk.triangles:
-        builder.add_triangle(*(pulled[int(i)] for i in tri))
+    # ring vertices pull back to their exact level projections.  The
+    # ring positions increase, so the ring is placed in boundary order.
+    lookup = np.full(len(disk.points), -1)
+    lookup[np.asarray(disk.boundary)[ring_positions]] = builder.add_chain(level_pts)
+    rest = np.flatnonzero(lookup < 0)
+    if len(rest):
+        lookup[rest] = builder.add_chain(proj.inverse_batch(disk.points[rest]))
+    builder.add_triangles(lookup[disk.triangles])
     # radial chains from each loop vertex down to its level projection
-    radial = {}
+    rim = lookup[np.asarray(disk.boundary)]
+    radial = []
     for k in range(s):
         seg = float(np.linalg.norm(V[k] - level_pts[k]))
         n = max(2, int(np.ceil(seg / spacing)) + 1)
         pts = V[k] + np.linspace(0.0, 1.0, n)[1:-1, None] * (level_pts[k] - V[k])
         interior = builder.add_chain(pts) if n > 2 else []
-        tgt = pulled[disk.boundary[ring_positions[k]]]
-        radial[k] = [outer_idx[k]] + interior + [tgt]
+        radial.append([outer_idx[k]] + interior + [int(rim[ring_positions[k]])])
+    # between radial chains k and k + 1 the ladder runs along the pulled
+    # boundary arc from ring vertex k to ring vertex k + 1
+    nb = len(rim)
+    twice = np.concatenate([rim, rim]).tolist()
     for k in range(s):
-        k2 = (k + 1) % s
-        arc = _boundary_arc(
-            disk.boundary, ring_positions[k], ring_positions[k2]
-        )
-        arc_idx = [pulled[b] for b in arc]
-        builder.add_ladder(radial[k][:-1] + arc_idx, radial[k2])
+        p1, p2 = ring_positions[k], ring_positions[(k + 1) % s]
+        arc = twice[p1 : p1 + (p2 - p1) % nb + 1]
+        builder.add_ladder(radial[k][:-1] + arc, radial[(k + 1) % s])
     fp = builder.build(outer_idx, anchor=orig_pos)
     census = brick_census(trace, fp)
     fp.census = census
     return fp, census, {"tube": tube_info}
-
-
-def _boundary_arc(boundary, p1, p2):
-    nb = len(boundary)
-    arc = []
-    k = p1
-    while True:
-        arc.append(boundary[k])
-        if k == p2:
-            break
-        k = (k + 1) % nb
-        if len(arc) > nb + 1:
-            raise PartitionError("boundary arc did not close")
-    return arc
 
 
 # -- refinement ------------------------------------------------------------------------
@@ -409,22 +375,16 @@ def refine_partition(fp, lam, allow_wild=False):
     if mesh <= lam or fp.area == 0:
         return fp
     levels = int(np.ceil(np.log2(mesh / lam)))
-    points = list(fp.points)
-    tris = [tuple(int(i) for i in t) for t in fp.triangles]
-    boundary = list(fp.boundary)
-    anchor = list(fp.boundary_anchor) if fp.boundary_anchor is not None else None
+    points, tris = fp.points, fp.triangles
+    boundary = np.asarray(fp.boundary, dtype=int)
     for _ in range(levels):
         points, tris, midpoint = subdivide(points, tris)
-        new_boundary = []
-        for a, b in zip(boundary, boundary[1:] + boundary[:1]):
-            new_boundary.append(a)
-            new_boundary.append(midpoint[(min(a, b), max(a, b))])
-        boundary = new_boundary
-        if anchor is not None:
-            anchor = [2 * p for p in anchor]
-    out = FillingPartition(
-        np.array(points), np.array(tris, dtype=int), boundary, boundary_anchor=anchor
-    )
+        mids = midpoint(boundary, np.roll(boundary, -1))
+        boundary = np.stack([boundary, mids], axis=1).ravel()
+    anchor = fp.boundary_anchor
+    if anchor is not None:
+        anchor = [p * 2**levels for p in anchor]
+    out = FillingPartition(points, tris, boundary.tolist(), boundary_anchor=anchor)
     if fp.census is not None:
         factor = 4**levels
         out.census = BrickCensus(
@@ -502,29 +462,25 @@ def brute_force_area(vertices, triangles, cycle):
     the solution space is tiny, so the minimum-weight solution is exact.
     Rejects complexes above 10^3 cells or with a large solution space.
     """
-    triangles = np.asarray(triangles, dtype=int)
+    triangles = np.asarray(triangles, dtype=int).reshape(-1, 3)
     F = len(triangles)
     if F > MAX_ORACLE_CELLS:
         raise FillingError(f"oracle limited to {MAX_ORACLE_CELLS} cells, got {F}")
-    edges = {}
-    for t_idx, t in enumerate(triangles):
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            key = (min(int(a), int(b)), max(int(a), int(b)))
-            edges.setdefault(key, []).append(t_idx)
-    edge_index = {e: i for i, e in enumerate(sorted(edges))}
-    E = len(edge_index)
-    B = np.zeros((E, F), dtype=np.uint8)
-    for e, faces in edges.items():
-        for f in faces:
-            B[edge_index[e], f] ^= 1
-    target = np.zeros(E, dtype=np.uint8)
-    cycle = [int(i) for i in cycle]
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        key = (min(a, b), max(a, b))
-        if key not in edge_index:
-            raise FillingError(f"loop edge {key} is not a mesh edge")
-        target[edge_index[key]] ^= 1
-    sol, null = _gf2_solve(B, target)
+    cycle = np.asarray(cycle, dtype=int)
+    n = int(max(triangles.max(initial=0), cycle.max(initial=0))) + 1
+    keys, inverse = np.unique(
+        edge_keys(triangles, np.roll(triangles, -1, axis=1), n).ravel(), return_inverse=True
+    )
+    B = np.zeros((len(keys), F), dtype=np.uint8)
+    np.add.at(B, (inverse.ravel(), np.repeat(np.arange(F), 3)), 1)
+    loop_keys = edge_keys(cycle, np.roll(cycle, -1), n)
+    on_mesh = np.isin(loop_keys, keys)
+    if not np.all(on_mesh):
+        k = loop_keys[np.argmin(on_mesh)]
+        raise FillingError(f"loop edge {(int(k // n), int(k % n))} is not a mesh edge")
+    target = np.zeros(len(keys), dtype=np.uint8)
+    np.add.at(target, np.searchsorted(keys, loop_keys), 1)
+    sol, null = _gf2_solve(B % 2, target % 2)
     if sol is None:
         raise FillingError("loop does not bound in this complex")
     if len(null) > 20:

@@ -9,6 +9,10 @@ length, and the area is the brick count.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+
+MESH_ATTEMPTS = 6  # sampling attempts per fill to reach the requested mesh
 
 
 class PartitionError(ValueError):
@@ -36,31 +40,26 @@ class Loop:
     def is_constant(self):
         return bool(np.all(np.linalg.norm(self.vertices - self.vertices[0], axis=1) < 1e-12))
 
-    def resampled(self, spacing, return_map=False):
+    def resampled(self, spacing):
         """Insert points so consecutive vertices are at most spacing apart.
 
-        With return_map, also returns the positions of the original
+        Returns the refined loop and the positions of the original
         vertices inside the refined cycle.
         """
         if spacing <= 0:
             raise PartitionError("spacing must be positive")
-        out = []
-        orig_pos = []
         v = self.vertices
-        s = len(v)
-        for i in range(s):
-            a, b = v[i], v[(i + 1) % s]
-            orig_pos.append(len(out))
-            out.append(a)
-            d = float(np.linalg.norm(b - a))
-            if d > spacing:
-                k = int(np.ceil(d / spacing))
-                for j in range(1, k):
-                    out.append(a + (j / k) * (b - a))
-        loop = Loop(np.array(out), host=self.host)
-        if return_map:
-            return loop, orig_pos
-        return loop
+        step = np.roll(v, -1, axis=0) - v
+        # row-wise dot products through matmul: each length is the float
+        # that np.linalg.norm gives for the row alone
+        d = np.sqrt((step[:, None, :] @ step[:, :, None])[:, 0, 0])
+        k = np.where(d > spacing, np.ceil(d / spacing), 1).astype(int)
+        pos = np.cumsum(k) - k
+        seg = np.repeat(np.arange(len(v)), k)
+        j = np.arange(len(seg)) - pos[seg]
+        out = v[seg] + (j / k[seg])[:, None] * step[seg]
+        out[pos] = v  # exact copies: a + 0 * step would turn -0.0 into 0.0
+        return Loop(out, host=self.host), pos.tolist()
 
 
 @dataclass
@@ -91,11 +90,7 @@ class FillingPartition:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
-        self.triangles = (
-            np.asarray(self.triangles, dtype=int)
-            if len(self.triangles)
-            else np.zeros((0, 3), dtype=int)
-        )
+        self.triangles = np.asarray(self.triangles, dtype=int).reshape(-1, 3)
         if self.mesh is None and len(self.triangles):
             self.mesh = compute_mesh(self.points, self.triangles)
 
@@ -133,131 +128,115 @@ def compute_mesh(points, triangles):
     return float(np.max(e0 + e1 + e2))
 
 
+def edge_keys(a, b, n):
+    """One integer per undirected edge {a, b} of a complex on n vertices."""
+    return np.minimum(a, b) * n + np.maximum(a, b)
+
+
+def _component_labels(keys, n):
+    """Connected-component label of each vertex of the graph on these edges."""
+    graph = coo_matrix((np.ones(len(keys)), (keys // n, keys % n)), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
 def validate_partition(loop, fp, tol=1e-6):
     """Recompute mesh and area after checking the disk invariants.
 
     Raises PartitionError naming the violated invariant: euler count,
     edge manifoldness, boundary cycle shape, or boundary/loop mismatch.
-    Returns (mesh, area).
+    The edges that lie in a single brick must be exactly the consecutive
+    pairs of the declared ``fp.boundary``.  Returns (mesh, area).
     """
     tris = fp.triangles
     if len(tris) == 0:
         if not loop.is_constant:
             raise PartitionError("boundary mismatch: empty partition for a nonconstant loop")
         return 0.0, 0
-    if np.any(tris < 0) or np.any(tris >= len(fp.points)):
+    n = len(fp.points)
+    if np.any(tris < 0) or np.any(tris >= n):
         raise PartitionError("triangle index out of range")
-    for t in tris:
-        if len(set(int(i) for i in t)) != 3:
-            raise PartitionError("degenerate triangle (repeated vertex)")
-    edges = {}
-    for t in tris:
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            key = (min(int(a), int(b)), max(int(a), int(b)))
-            edges[key] = edges.get(key, 0) + 1
-    if any(c > 2 for c in edges.values()):
+    a, b, c = tris.T
+    if np.any((a == b) | (b == c) | (c == a)):
+        raise PartitionError("degenerate triangle (repeated vertex)")
+    keys, counts = np.unique(
+        edge_keys(np.concatenate([a, b, c]), np.concatenate([b, c, a]), n),
+        return_counts=True,
+    )
+    if np.any(counts > 2):
         raise PartitionError("edge manifoldness violated: an edge lies in >2 bricks")
-    used = sorted({int(i) for t in tris for i in t})
-    V = len(used)
-    E = len(edges)
-    F = len(tris)
-    if V - E + F != 1:
-        raise PartitionError(f"euler check failed: V-E+F = {V - E + F} != 1")
-    boundary_edges = [e for e, c in edges.items() if c == 1]
-    nxt = {}
-    for a, b in boundary_edges:
-        nxt.setdefault(a, []).append(b)
-        nxt.setdefault(b, []).append(a)
-    if any(len(v) != 2 for v in nxt.values()):
+    used = np.unique(tris)
+    euler = len(used) - len(keys) + len(tris)
+    if euler != 1:
+        raise PartitionError(f"euler check failed: V-E+F = {euler} != 1")
+    rim = keys[counts == 1]
+    degree = np.bincount(np.concatenate([rim // n, rim % n]), minlength=n)
+    if np.any((degree != 0) & (degree != 2)):
         raise PartitionError("boundary is not a simple cycle")
-    start = boundary_edges[0][0]
-    cycle = [start]
-    prev, cur = None, start
-    while True:
-        a, b = nxt[cur]
-        nxt_v = a if a != prev else b
-        if nxt_v == start:
-            break
-        cycle.append(nxt_v)
-        prev, cur = cur, nxt_v
-        if len(cycle) > len(boundary_edges) + 1:
-            raise PartitionError("boundary is not a single cycle")
-    if len(cycle) != len(boundary_edges):
+    if len(np.unique(_component_labels(rim, n)[degree == 2])) > 1:
         raise PartitionError("boundary has more than one cycle")
-    # connectedness of the disk
-    comp = {used[0]}
-    frontier = [used[0]]
-    adj = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    while frontier:
-        v = frontier.pop()
-        for w in adj.get(v, []):
-            if w not in comp:
-                comp.add(w)
-                frontier.append(w)
-    if len(comp) != V:
+    boundary = np.asarray(fp.boundary, dtype=int)
+    if len(np.unique(boundary)) != len(boundary):
+        raise PartitionError("boundary is not a single cycle")
+    declared = np.sort(edge_keys(boundary, np.roll(boundary, -1), n))
+    if not np.array_equal(declared, rim):
+        raise PartitionError("boundary cycle disagrees with the declared boundary")
+    if len(np.unique(_component_labels(keys, n)[used])) != 1:
         raise PartitionError("complex is disconnected")
     # boundary placements must traverse the loop (refinement allowed)
-    got = fp.points[cycle]
+    got = fp.points[boundary]
     if len(got) < len(loop.vertices):
         raise PartitionError(
             f"boundary mismatch: {len(got)} boundary vertices cannot refine "
             f"{len(loop.vertices)} loop vertices"
         )
     if fp.boundary_anchor is not None:
-        _check_anchored_boundary(loop, fp, cycle, tol)
+        _check_anchored_boundary(loop, got, fp.boundary_anchor, tol)
     else:
         _check_boundary_by_search(loop, got, tol)
     return compute_mesh(fp.points, tris), int(len(tris))
 
 
-def _check_anchored_boundary(loop, fp, cycle, tol):
+def _check_anchored_boundary(loop, got, boundary_anchor, tol):
     """Boundary vs loop using the partition's declared vertex anchors.
 
-    The anchors name positions inside the boundary cycle list; the
-    extracted cycle may start anywhere and run either way, so align it
-    to fp.boundary first.
+    ``got`` holds the boundary placements in boundary order and the
+    anchors name positions in it.  The placements after anchor k, up to
+    anchor k + 1, must lie on loop segment k in order; the first
+    offending placement, segment by segment, names the error.
     """
-    boundary = list(fp.boundary)
-    if sorted(cycle) != sorted(boundary):
-        raise PartitionError("boundary cycle disagrees with the declared boundary")
-    anchors = list(fp.boundary_anchor)
+    anchors = np.asarray(boundary_anchor, dtype=int)
     want = loop.vertices
     s = len(want)
     if len(anchors) != s:
         raise PartitionError(
             f"anchor count {len(anchors)} differs from loop vertex count {s}"
         )
-    nb = len(boundary)
-    for k in range(s):
-        p = fp.points[boundary[anchors[k]]]
-        if np.linalg.norm(p - want[k]) > tol:
-            raise PartitionError("an anchored boundary vertex is off its loop vertex")
-    for k in range(s):
-        k2 = (k + 1) % s
-        a_pos, b_pos = anchors[k], anchors[k2]
-        seg = want[k2] - want[k]
-        L2 = float(np.dot(seg, seg))
-        t_prev = 0.0
-        pos = a_pos
-        while pos != b_pos:
-            pos = (pos + 1) % nb
-            p = fp.points[boundary[pos]]
-            if L2 < 1e-18:
-                if np.linalg.norm(p - want[k]) > tol:
-                    raise PartitionError("refinement point off a degenerate segment")
-                continue
-            t = float(np.dot(p - want[k], seg) / L2)
-            q = want[k] + np.clip(t, 0.0, 1.0) * seg
-            if np.linalg.norm(p - q) > tol:
-                raise PartitionError("a boundary vertex lies off the loop")
-            if t < t_prev - 1e-9:
-                raise PartitionError(
-                    "boundary vertices do not traverse the loop in order"
-                )
-            t_prev = min(t, 1.0)
+    if np.any(np.linalg.norm(got[anchors] - want, axis=1) > tol):
+        raise PartitionError("an anchored boundary vertex is off its loop vertex")
+    nb = len(got)
+    run = (np.roll(anchors, -1) - anchors) % nb  # placements checked on segment k
+    seg = np.repeat(np.arange(s), run)
+    start = np.cumsum(run) - run
+    p = got[(anchors[seg] + np.arange(len(seg)) - start[seg] + 1) % nb]
+    w = want[seg]
+    d = want[(seg + 1) % s] - w
+    L2 = np.sum(d * d, axis=1)
+    flat = L2 < 1e-18
+    t = np.sum((p - w) * d, axis=1) / np.where(flat, 1.0, L2)
+    q = w + np.clip(t, 0.0, 1.0)[:, None] * d
+    t_prev = np.minimum(np.concatenate([[0.0], t]), 1.0)[:-1]
+    t_prev[start[run > 0]] = 0.0
+    off_flat = flat & (np.linalg.norm(p - w, axis=1) > tol)
+    off_loop = ~flat & (np.linalg.norm(p - q, axis=1) > tol)
+    backward = ~flat & (t < t_prev - 1e-9)
+    bad = off_flat | off_loop | backward
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        if off_flat[k]:
+            raise PartitionError("refinement point off a degenerate segment")
+        if off_loop[k]:
+            raise PartitionError("a boundary vertex lies off the loop")
+        raise PartitionError("boundary vertices do not traverse the loop in order")
 
 
 def _check_boundary_by_search(loop, got, tol):
@@ -278,27 +257,46 @@ def _check_boundary_by_search(loop, got, tol):
 
 
 class DiskBuilder:
-    """Incremental triangle-complex builder with an explicit vertex pool."""
+    """Triangle-complex builder over one growing vertex array.
+
+    Points are placed in chains, whose indices are consecutive rows of
+    ``points``; bricks are rows of vertex indices in ``triangles``.
+    """
 
     def __init__(self, dim):
         self.dim = dim
-        self._points = []
-        self._triangles = []
+        self._pts, self._n = np.empty((0, dim)), 0
+        self._tris = []
 
-    def add_point(self, p):
-        p = np.asarray(p, dtype=float)
-        if p.shape != (self.dim,):
-            raise PartitionError(f"point of dim {p.shape} in builder of dim {self.dim}")
-        self._points.append(p)
-        return len(self._points) - 1
+    @property
+    def points(self):
+        return self._pts[: self._n]
+
+    @property
+    def triangles(self):
+        return np.concatenate(self._tris) if self._tris else np.zeros((0, 3), dtype=int)
 
     def add_chain(self, pts):
-        return [self.add_point(p) for p in pts]
+        """Append points in order; returns the list of their indices."""
+        pts = np.asarray(pts, dtype=float)
+        if pts.size == 0:
+            return []
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise PartitionError(f"points of shape {pts.shape} in builder of dim {self.dim}")
+        first, self._n = self._n, self._n + len(pts)
+        if self._n > len(self._pts):  # at least double the capacity; rows past _n are scratch
+            self._pts = np.resize(self._pts, (max(self._n, 2 * len(self._pts)), self.dim))
+        self._pts[first : self._n] = pts
+        return list(range(first, self._n))
 
-    def add_triangle(self, a, b, c):
-        if len({a, b, c}) != 3:
-            return  # drop degenerate combinatorial triangles
-        self._triangles.append((int(a), int(b), int(c)))
+    def add_point(self, p):
+        return self.add_chain(np.asarray(p, dtype=float)[None])[0]
+
+    def add_triangles(self, tris):
+        """Append index rows, dropping degenerate ones (chains sharing an end)."""
+        T = np.asarray(tris, dtype=int).reshape(-1, 3)
+        keep = (T[:, 0] != T[:, 1]) & (T[:, 1] != T[:, 2]) & (T[:, 2] != T[:, 0])
+        self._tris.append(T[keep])
 
     def add_ladder(self, chain_a, chain_b):
         """Zip-triangulate between two index chains (shared ends allowed).
@@ -307,54 +305,65 @@ class DiskBuilder:
         placed diagonal, which keeps bricks close to the chain spacing.
         """
         A, B = list(chain_a), list(chain_b)
+        pa, pb = list(self._pts[A]), list(self._pts[B])
+        tris = []
         i = j = 0
-        pts = self._points
         while i < len(A) - 1 or j < len(B) - 1:
             adv_a = i < len(A) - 1
             adv_b = j < len(B) - 1
             if adv_a and adv_b:
-                da = pts[A[i + 1]] - pts[B[j]]
-                db = pts[B[j + 1]] - pts[A[i]]
+                da = pa[i + 1] - pb[j]
+                db = pb[j + 1] - pa[i]
                 adv_a = float(da @ da) <= float(db @ db)
             if adv_a:
-                self.add_triangle(A[i], A[i + 1], B[j])
+                tris.append((A[i], A[i + 1], B[j]))
                 i += 1
             else:
-                self.add_triangle(A[i], B[j], B[j + 1])
+                tris.append((A[i], B[j], B[j + 1]))
                 j += 1
+        self.add_triangles(tris)
 
     def build(self, boundary, mesh=None, anchor=None):
-        fp = FillingPartition(
-            np.array(self._points) if self._points else np.zeros((0, self.dim)),
-            np.array(self._triangles, dtype=int).reshape(-1, 3),
+        return FillingPartition(
+            self.points.copy(),
+            self.triangles,
             list(boundary),
             mesh=mesh,
             boundary_anchor=list(anchor) if anchor is not None else None,
         )
-        return fp
 
 
 def subdivide(points, triangles):
     """One uniform 4-way midpoint subdivision of a triangle complex.
 
-    Returns the point and triangle lists and ``midpoint``, the dict from
-    each sorted edge (i, j) to the index of its new midpoint vertex.
+    Midpoints are numbered after the old points in the order in which
+    their edges first occur (triangle by triangle, edges ab, bc, ca).
+    Returns the point and triangle arrays and ``midpoint(i, j)``, which
+    maps index arrays of edge ends to the indices of the edge midpoints.
     """
-    points = list(points)
-    midpoint = {}
+    points = np.asarray(points, dtype=float)
+    tris = np.asarray(triangles, dtype=int).reshape(-1, 3)
+    n = len(points)
+    ends = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    keys, first, inverse = np.unique(
+        edge_keys(ends[:, 0], ends[:, 1], n), return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    number = np.empty(len(keys), dtype=int)
+    number[order] = n + np.arange(len(keys))
+    ab, bc, ca = number[inverse].reshape(-1, 3).T
+    a, b, c = tris.T
+    out = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
+    e = ends[first[order]]
+    points = np.vstack([points, 0.5 * (points[e[:, 0]] + points[e[:, 1]])])
 
-    def mid(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in midpoint:
-            points.append(0.5 * (points[i] + points[j]))
-            midpoint[key] = len(points) - 1
-        return midpoint[key]
+    def midpoint(i, j):
+        want = edge_keys(np.asarray(i), np.asarray(j), n)
+        if not np.all(np.isin(want, keys)):
+            raise PartitionError("midpoint of a pair that is no edge of the complex")
+        return number[np.searchsorted(keys, want)]
 
-    tris = []
-    for a, b, c in triangles:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-    return points, tris, midpoint
+    return points, out, midpoint
 
 
 def empty_partition(loop):

@@ -25,7 +25,6 @@ from .coxeter import (
 from .geometry import (
     DECISION_TOL,
     HV_TOL,
-    affine_span,
     angle_between,
     dedup_rows,
     enumerate_vertices,
@@ -155,21 +154,13 @@ def symmetric_trace(rs, theta, level=0.0):
 
 @dataclass
 class HPolytope:
-    """Halfspace intersection with cached vertices and affine-span data."""
+    """Halfspace intersection with cached vertices."""
 
     normals: np.ndarray
     bounds: np.ndarray
     vertices: np.ndarray
     is_empty: bool
     is_bounded: bool
-    span_origin: np.ndarray = None
-    span_basis: np.ndarray = None
-
-    @property
-    def codim(self):
-        if self.span_basis is None:
-            return None
-        return self.normals.shape[1] - self.span_basis.shape[0]
 
     def contains(self, x, tol=HV_TOL):
         return bool(
@@ -215,10 +206,7 @@ def _build_hpolytope(normals, bounds):
     unbounded = _recession_nontrivial(normals)
     verts = enumerate_vertices(normals, bounds)
     verts = np.array(verts) if verts else np.zeros((0, normals.shape[1]))
-    origin = basis = None
-    if not unbounded and len(verts):
-        origin, basis = affine_span(verts)
-    return HPolytope(normals, bounds, verts, False, not unbounded, origin, basis)
+    return HPolytope(normals, bounds, verts, False, not unbounded)
 
 
 def horoball_polytope(trace, t):

@@ -20,7 +20,7 @@ from .geometry import (
     segment_hits_polytope,
     unit,
 )
-from .partitions import DiskBuilder, PartitionError, empty_partition
+from .partitions import MESH_ATTEMPTS, DiskBuilder, PartitionError, empty_partition
 
 
 class TubeError(ValueError):
@@ -817,7 +817,7 @@ def loop_degree(chart, vertices):
     return int(round((phis[-1] - phis[0]) / chart_period(chart)))
 
 
-def fill_tube_loop(P, R, loop, mesh, max_attempts=6):
+def fill_tube_loop(P, R, loop, mesh):
     """Loop filling on the R-tube of the core polytope.
 
     The loop is fanned from an interior hub along chart-parameter spokes
@@ -854,16 +854,10 @@ def fill_tube_loop(P, R, loop, mesh, max_attempts=6):
     case = loop_case(P, loop)
     spacing = mesh / 2.05
     achieved = None
-    for _ in range(max_attempts):
-        fp, ring_positions = _chart_fan(P, chart, loop, spacing, case, degree)
+    for _ in range(MESH_ATTEMPTS):
+        fp = _chart_fan(P, chart, loop, spacing, degree)
         if fp.mesh <= mesh + 1e-12:
-            return fp, {
-                "case": case,
-                "strip": strip,
-                "spacing": spacing,
-                "degree": degree,
-                "ring_positions": ring_positions,
-            }
+            return fp, {"case": case, "strip": strip, "spacing": spacing, "degree": degree}
         achieved = fp.mesh
         spacing *= 0.9 * mesh / fp.mesh
     raise PartitionError(
@@ -871,7 +865,7 @@ def fill_tube_loop(P, R, loop, mesh, max_attempts=6):
     )
 
 
-def _chart_fan(P, chart, loop, spacing, case, degree):
+def _chart_fan(P, chart, loop, spacing, degree):
     """Fan over the lifted loop from an interior hub at the median lift.
 
     The hub sits at the median of the lifted coordinates, so spokes
@@ -880,12 +874,10 @@ def _chart_fan(P, chart, loop, spacing, case, degree):
     directly; a loop winding the core d times leaves a d-times wrapped
     fiber circle between them, which is laddered in (the wedge) and then
     capped by coning it to the profile pole, where all lifted angles
-    share one placement.
-
-    Returns (partition, ring_positions): ring_positions[k] is the
+    share one placement.  The partition's boundary anchor k is the
     boundary position of the k-th input loop vertex.
     """
-    res, orig_pos = loop.resampled(spacing, return_map=True)
+    res, orig_pos = loop.resampled(spacing)
     verts = res.vertices
     s = len(verts)
     ts, phis = chart.lift(verts)
@@ -923,7 +915,7 @@ def _chart_fan(P, chart, loop, spacing, case, degree):
         for j in range(len(wedge) - 1):
             builder.add_ladder(wedge[j], wedge[j + 1])
         _pole_cap(builder, chart, fiber_chain, fiber_params, spacing)
-    return builder.build(bidx, anchor=list(orig_pos)), list(orig_pos)
+    return builder.build(bidx, anchor=orig_pos)
 
 
 def _wrapped_fiber_chain(builder, chart, q0, degree, spacing, hub_idx):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from horofill import cli
+from horofill import coxeter as cx
 from horofill import meshes as ms
+from horofill import trace as tr
 from horofill.filling import validate_partition
 from horofill.partitions import FillingPartition, Loop
 
@@ -132,13 +134,33 @@ def test_keep_partitions_revalidates(tmp_path):
         assert mesh <= float(row["mesh"]) + 1e-9
 
 
-def test_out_dir_env_override(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path / "c9.json", [])
-    env_out = tmp_path / "env_out"
-    monkeypatch.setenv("HOROFILL_OUT_DIR", str(env_out))
-    assert cli.main(["run", cfg, "--out-dir", str(tmp_path / "ignored")]) == 0
-    assert (env_out / "runs.csv").exists()
-    assert not (tmp_path / "ignored").exists()
+def test_run_contains_job_failures(tmp_path, capsys):
+    # a slab trace passes the config check, but its loop generator raises
+    pp = cx.build_root_system("product", factors=[1, 1])
+    th = cx.project_to_chamber(pp, np.array([1.0, 0.0]))
+    slab = tr.BusemannTrace(
+        pp, th, np.array([[1.0, 0], [-1.0, 0]]), np.array([-1.0, -1.0])
+    )
+    broken = {
+        "name": "slab",
+        "generator": "custom-trace",
+        "trace": slab.to_dict(),
+        "lengths": [8, 16],
+    }
+    cfg = write_config(tmp_path / "c9.json", [broken, small_scenario(trials=2)])
+    for jobs in ("1", "2"):
+        out = tmp_path / f"o9_{jobs}"
+        argv = ["run", cfg, "--seed", "4", "--jobs", jobs, "--out-dir", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        rows = read_rows(out / "runs.csv")
+        assert [(r["scenario"], r["trial"]) for r in rows] == [("mini", "0"), ("mini", "1")] * 2
+        assert (out / "mini.svg").exists()
+        for l_idx, ell in enumerate([8, 16]):
+            seed = cli._row_seed(4, 0, l_idx, 0)
+            assert f"scenario slab length {ell} trial 0 seed {seed}: " in err
+        assert err.count("job failed") == 2
+        assert "bounded" in err
 
 
 def test_fit_command(tmp_path, capsys):

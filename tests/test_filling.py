@@ -153,6 +153,17 @@ def test_fill_flat_loop_sandwich_route(a2):
     assert float(np.min(trace.values(fp.points))) >= -1e-6
 
 
+def test_fill_flat_loop_a3_needs_more_pipeline_attempts():
+    """This loop's pullback reaches the mesh only at the fifth attempt."""
+    from horofill import scenarios as sc
+
+    trace, loop = sc.trace_a3_wrap(4, 1.0, 0)
+    fp, census, info = fl.fill_flat_loop(trace, loop, mesh=1.0)
+    mesh, area = validate_partition(loop, fp)
+    assert mesh <= 1.0 + 1e-12
+    assert census.total == area
+
+
 def test_fill_flat_loop_census_tags_facet_bricks(a2):
     from horofill import scenarios as sc
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from horofill.partitions import (
     DiskBuilder,
@@ -25,7 +27,7 @@ def fan_partition(loop):
 def test_loop_length_and_resample():
     loop = square_loop()
     assert abs(loop.length - 4.0) < 1e-12
-    res, pos = loop.resampled(0.3, return_map=True)
+    res, pos = loop.resampled(0.3)
     assert len(res.vertices) == 16
     assert pos == [0, 4, 8, 12]
     assert abs(res.length - 4.0) < 1e-12
@@ -105,6 +107,10 @@ def test_validate_rejects_boundary_mismatch():
     fp = fan_partition(loop)
     with pytest.raises(PartitionError):
         validate_partition(other, fp)
+    # the disk's boundary edges are 01, 12, 23, 30, not the declared cycle's
+    bad = FillingPartition(fp.points, fp.triangles, [0, 2, 1, 3])
+    with pytest.raises(PartitionError, match="declared boundary"):
+        validate_partition(loop, bad)
 
 
 def test_validate_rejects_disconnected():
@@ -136,7 +142,7 @@ def test_validate_accepts_reversed_and_rotated():
 
 def test_anchored_refinement_boundary():
     loop = square_loop()
-    res, pos = loop.resampled(0.5, return_map=True)
+    res, pos = loop.resampled(0.5)
     builder = DiskBuilder(2)
     bidx = builder.add_chain(res.vertices)
     hub = builder.add_point([0.5, 0.5])
@@ -150,7 +156,7 @@ def test_anchored_refinement_boundary():
 
 def test_anchor_off_loop_rejected():
     loop = square_loop()
-    res, pos = loop.resampled(0.5, return_map=True)
+    res, pos = loop.resampled(0.5)
     pts = res.vertices.copy()
     pts[1] = pts[1] + np.array([0.0, 0.3])  # push a refinement point off the edge
     builder = DiskBuilder(2)
@@ -182,3 +188,69 @@ def test_serialization_roundtrip(tmp_path):
     back = FillingPartition.from_dict(data)
     validate_partition(loop, back)
     assert back.boundary_anchor == [0, 1, 2, 3]
+
+
+# -- properties of the array path ------------------------------------------------
+
+
+@st.composite
+def spoke_fans(draw):
+    """A fan from a hub over a star-shaped polygon.
+
+    Spokes are sampled at one spacing, as cone_fill samples them, and
+    neighbouring spokes are less than 60 degrees apart, so that no ladder
+    lays a brick along a spoke.  Returns (loop, partition, bricks built).
+    """
+    s = draw(st.integers(8, 14))
+    gaps = np.array(draw(st.lists(st.floats(0.8, 1.0), min_size=s, max_size=s)))
+    angles = 2 * np.pi * np.cumsum(gaps) / np.sum(gaps)
+    radii = np.array(draw(st.lists(st.floats(1.0, 3.0), min_size=s, max_size=s)))
+    spacing = draw(st.floats(0.1, 1.0))
+    rim = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    builder = DiskBuilder(2)
+    bidx = builder.add_chain(rim)
+    hub = builder.add_point([0.0, 0.0])
+    chains = []
+    for i in range(s):
+        n = max(2, int(np.ceil(radii[i] / spacing)) + 1)
+        interior = builder.add_chain(np.linspace(0.0, 1.0, n)[1:-1, None] * rim[i])
+        chains.append([hub] + interior + [bidx[i]])
+    built = 0
+    for i in range(s):
+        a, b = chains[i], chains[(i + 1) % s]
+        built += len(a) + len(b) - 3  # the step off the shared hub is degenerate
+        builder.add_ladder(a, b)
+    return Loop(rim), builder.build(bidx, anchor=range(s)), built
+
+
+@given(spoke_fans())
+def test_random_fans_validate(fan):
+    loop, fp, built = fan
+    mesh, area = validate_partition(loop, fp)
+    assert area == built == len(fp.triangles)
+    assert mesh == fp.mesh
+
+
+@given(spoke_fans(), st.randoms(use_true_random=False))
+def test_triangle_order_is_irrelevant(fan, rnd):
+    loop, fp, _ = fan
+    perm = np.array(rnd.sample(range(fp.area), fp.area))
+    shuffled = FillingPartition(
+        fp.points, fp.triangles[perm], fp.boundary, boundary_anchor=fp.boundary_anchor
+    )
+    assert validate_partition(loop, shuffled) == validate_partition(loop, fp)
+
+
+@given(spoke_fans(), st.integers(0, 10**6), st.booleans())
+def test_one_triangle_more_or_less_is_rejected(fan, pick, duplicate):
+    loop, fp, _ = fan
+    k = pick % fp.area
+    if duplicate:
+        tris = np.vstack([fp.triangles, fp.triangles[k : k + 1]])
+    else:
+        tris = np.delete(fp.triangles, k, axis=0)
+    bad = FillingPartition(
+        fp.points, tris, fp.boundary, boundary_anchor=fp.boundary_anchor
+    )
+    with pytest.raises(PartitionError):
+        validate_partition(loop, bad)

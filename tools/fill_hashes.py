@@ -1,0 +1,76 @@
+"""Print SHA-256 digests of a fixed set of fills, one line per fill.
+
+Each line hashes a partition's points, triangles, boundary and boundary
+anchor (as float64 / int64 bytes); the last line is the digest of all
+lines.  Two checkouts that print the same last line build the same
+disks bit for bit.  Run from the root of a checkout:
+
+    PYTHONPATH=src python3 tools/fill_hashes.py
+"""
+
+import hashlib
+
+import numpy as np
+
+from horofill import coxeter as cx
+from horofill import filling as fl
+from horofill import meshes as ms
+from horofill import scenarios as sc
+from horofill import trace as tr
+from horofill.partitions import Loop
+
+SEEDS = (0, 1)
+LENGTHS = {"trace-a3": (8, 16, 32)}
+DEFAULT_LENGTHS = (8, 16, 32, 64)
+
+
+def digest(points, triangles, boundary=(), anchor=None):
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(points, dtype=np.float64).tobytes())
+    h.update(np.ascontiguousarray(triangles, dtype=np.int64).tobytes())
+    h.update(np.asarray(list(boundary), dtype=np.int64).tobytes())
+    if anchor is not None:
+        h.update(np.asarray(list(anchor), dtype=np.int64).tobytes())
+    return h.hexdigest()[:16]
+
+
+def fills():
+    for gen, make in sc.GENERATORS.items():
+        for ell in LENGTHS.get(gen, DEFAULT_LENGTHS):
+            for seed in SEEDS:
+                host, loop = make(ell, 1.0, seed)
+                if isinstance(host, tr.BusemannTrace):
+                    fp = fl.fill_flat_loop(host, loop, mesh=1.0)[0]
+                else:
+                    fp = fl.fill_tube_loop(host, 1.0, loop, 1.0)[0]
+                yield f"{gen} l={ell} seed={seed}", fp
+    t = np.linspace(0, 2 * np.pi, 40, endpoint=False)
+    circle = Loop(np.stack([3 * np.cos(t), 2 * np.sin(t)], axis=1))
+    cone = fl.cone_fill(circle, 1.0)
+    yield "cone_fill", cone
+    yield "refine_partition", fl.refine_partition(cone, cone.mesh / 3)
+    a3 = cx.build_root_system("A", rank=3)
+    theta = cx.project_to_chamber(a3, a3.coweights.sum(axis=0))
+    slope = cx.find_good_slope(a3, theta, 0.05).slope
+    sq = Loop(np.array([[0.0, 0, 0], [2, 0, 0], [2, 2, 0], [0, 2, 0]]))
+    _, strip = fl.cylinder_descend(sq, slope, a3, theta, 0.05, mesh=2.0)
+    yield "close_cylinder", fl.close_cylinder(strip, 2.0)
+
+
+def main():
+    lines = []
+    for name, fp in fills():
+        lines.append(
+            f"{name}: area={fp.area} "
+            f"{digest(fp.points, fp.triangles, fp.boundary, fp.boundary_anchor)}"
+        )
+        print(lines[-1], flush=True)
+    verts, tris = ms.octasphere(3)
+    lines.append(f"octasphere(3): {digest(verts, tris)}")
+    print(lines[-1])
+    total = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    print(f"all: {total}")
+
+
+if __name__ == "__main__":
+    main()
