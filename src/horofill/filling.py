@@ -14,7 +14,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .coxeter import ort_distance, wall_margin
-from .geometry import VPolytope
 from .partitions import (
     MESH_ATTEMPTS,
     BrickCensus,
@@ -284,14 +283,13 @@ def fill_flat_loop(trace, loop, mesh=1.0):
     hb = horoball_polytope(trace, 0.0)
     if not hb.is_bounded:
         raise FillingError("horoball trace unbounded; scenario not supported")
-    body = VPolytope(hb.vertices)
-    core = VPolytope(ms.polytope.vertices)
+    core = ms.polytope
     strip_class = classify_strip(core)
     if strip_class.case == "fails":
         raise FillingError(
             "strip classification failed; the apartment-change remedy is out of scope"
         )
-    proj = sandwich_project(body, core, m)
+    proj = sandwich_project(hb, core, m)
     # optimistic start: the retry shrinks the tube mesh only where the
     # fiber pullback actually stretches bricks
     tube_mesh = mesh / 1.4

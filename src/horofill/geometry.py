@@ -1,11 +1,11 @@
-"""Shared Euclidean plumbing: spans, hulls, cone distances, nearest points.
+"""Shared Euclidean plumbing: spans, polytopes, cone distances, projection.
 
 Tolerance policy (documented once, used everywhere):
 
-``DECISION_TOL``  1e-9   sign / membership decisions
-``DEDUP_TOL``     1e-12  deduplication of numerically equal vectors
+``DECISION_TOL``  1e-9   sign / membership decisions, span ranks
+``DEDUP_TOL``     1e-12  numerically equal vectors, zero pivots, stalled steps
 ``SURFACE_TOL``   1e-6   "on the surface" checks for tubes and level sets
-``HV_TOL``        1e-7   H-rep vs V-rep mutual containment
+``HV_TOL``        1e-7   halfspace vs vertex containment, tight facets
 """
 
 import itertools
@@ -17,6 +17,8 @@ DECISION_TOL = 1e-9
 DEDUP_TOL = 1e-12
 SURFACE_TOL = 1e-6
 HV_TOL = 1e-7
+
+MAX_PIECES_FOR_PROJECTION = 40
 
 
 def unit(v):
@@ -43,7 +45,7 @@ def dedup_rows(rows, tol=DEDUP_TOL):
     return out
 
 
-def affine_span(points, tol=1e-9):
+def affine_span(points, tol=DECISION_TOL):
     """Orthonormal basis of the affine hull of a point set.
 
     Returns (origin, basis) with basis of shape (k, n); k may be 0 for a
@@ -109,50 +111,143 @@ def enumerate_vertices(normals, bounds, tol=HV_TOL):
     verts = []
     for subset in itertools.combinations(range(m), n):
         sub = A[list(subset)]
-        if abs(np.linalg.det(sub)) < 1e-12:
+        if abs(np.linalg.det(sub)) < DEDUP_TOL:
             continue
         x = np.linalg.solve(sub, b[list(subset)])
         if np.all(A @ x <= b + tol):
             verts.append(x)
-    return dedup_rows(verts, tol=1e-7)
+    return dedup_rows(verts, tol=HV_TOL)
+
+
+class ProjectionError(RuntimeError):
+    pass
+
+
+def _kkt_candidate(G, b, x, subset):
+    A = G[list(subset)]
+    rhs = A @ x - b[list(subset)]
+    M = A @ A.T
+    try:
+        mu = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        return None, None
+    y = x - A.T @ mu
+    return y, mu
+
+
+def project_to_polytope(G, b, x, tol=HV_TOL):
+    """Exact nearest point of {y : G y <= b} to x by KKT enumeration.
+
+    A fast pass reads the active set off an iterative projection and the
+    KKT conditions certify it; full enumeration over active sets is the
+    fallback.  Intended for a few dozen halfspaces in rank <= 4.
+    """
+    G = np.asarray(G, dtype=float)
+    b = np.asarray(b, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if np.all(G @ x <= b + tol):
+        return x.copy()
+    m, n = G.shape
+    if m > MAX_PIECES_FOR_PROJECTION:
+        raise ProjectionError(
+            f"too many halfspaces for exact projection ({m} > {MAX_PIECES_FOR_PROJECTION})"
+        )
+    y = x.copy()
+    for _ in range(200):
+        viol = G @ y - b
+        k = int(np.argmax(viol))
+        if viol[k] <= DEDUP_TOL:
+            break
+        y = y - viol[k] * G[k] / np.dot(G[k], G[k])
+    guess = tuple(i for i in range(m) if abs(np.dot(G[i], y) - b[i]) <= SURFACE_TOL)
+    if 0 < len(guess) <= n:
+        cand, mu = _kkt_candidate(G, b, x, guess)
+        if (
+            cand is not None
+            and np.all(mu >= -DECISION_TOL)
+            and np.all(G @ cand <= b + tol)
+        ):
+            return cand
+    best, best_d = None, np.inf
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(m), size):
+            cand, mu = _kkt_candidate(G, b, x, subset)
+            if cand is None or np.any(mu < -DECISION_TOL):
+                continue
+            if not np.all(G @ cand <= b + tol):
+                continue
+            d = np.linalg.norm(cand - x)
+            if d < best_d:
+                best, best_d = cand, d
+    if best is None:
+        raise ProjectionError("no KKT point found (infeasible target set?)")
+    return best
 
 
 class VPolytope:
-    """Convex polytope from vertices, with facets computed in its span.
+    """Convex polytope: its affine span, its vertices and its facets.
 
-    Used for the bounded bodies (tube cores, horoball traces).  Exposes
-    exact nearest-point projection and membership tests.
+    The facets are the rows of ``normals @ c <= bounds`` in span
+    coordinates ``c = to_span(x)``, with outward unit normals.
+    ``VPolytope(vertices)`` is the hull of a point set, with facets from
+    qhull in its span; ``VPolytope.from_halfspaces`` is the solution set
+    of a halfspace system.  ``nearest_point`` runs the one exact
+    projection, ``project_to_polytope``, in span coordinates.
     """
+
+    is_empty = False
+    is_bounded = True
 
     def __init__(self, vertices):
         pts = np.asarray(vertices, dtype=float)
         if pts.ndim != 2 or len(pts) == 0:
             raise ValueError("vertices must be a nonempty (m, n) array")
-        self.ambient_dim = pts.shape[1]
-        self.origin, self.basis = affine_span(pts)
-        self.dim = self.basis.shape[0]
-        self.codim = self.ambient_dim - self.dim
+        self._set_span(*affine_span(pts))
         coords = (pts - self.origin) @ self.basis.T
-        self.vertices = self._hull_vertices(pts, coords)
-        self._span_coords = (self.vertices - self.origin) @ self.basis.T
-        self._facets = None  # lazy (normal, offset) pairs in span coords
-
-    def _hull_vertices(self, pts, coords):
         if self.dim == 0:
-            return pts[:1].copy()
-        if self.dim == 1:
-            i_min = int(np.argmin(coords[:, 0]))
-            i_max = int(np.argmax(coords[:, 0]))
-            return pts[[i_min, i_max]].copy()
-        hull = ConvexHull(coords)
-        return pts[hull.vertices].copy()
+            keep = [0]
+        elif self.dim == 1:
+            keep = [int(np.argmin(coords[:, 0])), int(np.argmax(coords[:, 0]))]
+        else:
+            keep = ConvexHull(coords).vertices
+        self.vertices = pts[keep]
+        span_coords = (self.vertices - self.origin) @ self.basis.T
+        if self.dim == 0:
+            self.normals, self.bounds = np.zeros((0, 0)), np.zeros(0)
+        elif self.dim == 1:
+            lo, hi = np.min(span_coords[:, 0]), np.max(span_coords[:, 0])
+            self.normals, self.bounds = np.array([[-1.0], [1.0]]), np.array([-lo, hi])
+        else:
+            eq = ConvexHull(span_coords).equations
+            self.normals = np.ascontiguousarray(eq[:, :-1])
+            self.bounds = -eq[:, -1]
 
-    @property
-    def facets(self):
-        """(normal, offset) pairs in span coordinates, outward normals."""
-        if self._facets is None:
-            self._facets = _facets_of(self._span_coords, self.dim)
-        return self._facets
+    @classmethod
+    def from_halfspaces(cls, normals, bounds, is_empty, is_bounded):
+        """{x : normals @ x <= bounds}, given whether it is empty and bounded.
+
+        A bounded nonempty set comes back as the hull of its enumerated
+        vertices; an empty or unbounded set keeps its halfspaces, in the
+        ambient space as its span, and the vertices it has.
+        """
+        normals = np.asarray(normals, dtype=float)
+        bounds = np.asarray(bounds, dtype=float)
+        n = normals.shape[1]
+        verts = [] if is_empty else enumerate_vertices(normals, bounds)
+        if is_bounded and not is_empty:
+            return cls(np.array(verts))
+        P = cls.__new__(cls)
+        P._set_span(np.zeros(n), np.eye(n))
+        P.vertices = np.array(verts).reshape(-1, n)
+        P.normals, P.bounds = normals, bounds
+        P.is_empty, P.is_bounded = is_empty, False
+        return P
+
+    def _set_span(self, origin, basis):
+        self.origin, self.basis = origin, basis
+        self.ambient_dim = basis.shape[1]
+        self.dim = basis.shape[0]
+        self.codim = self.ambient_dim - self.dim
 
     def to_span(self, x):
         return self.basis @ (np.asarray(x, dtype=float) - self.origin)
@@ -165,63 +260,14 @@ class VPolytope:
         foot = project_affine(x, self.origin, self.basis)
         if np.linalg.norm(x - foot) > tol:
             return False
-        c = self.to_span(x)
-        return all(np.dot(n, c) <= off + tol for n, off in self.facets)
+        return bool(np.all(self.normals @ self.to_span(x) <= self.bounds + tol))
 
     def nearest_point(self, x):
         """Unique Euclidean nearest point of the polytope to x."""
-        x = np.asarray(x, dtype=float)
-        c = self.to_span(x)
-        best = _nearest_in_hull(self._span_coords, self.facets, c, self.dim)
-        return self.from_span(best)
-
-    def support(self, direction):
-        """Support value max over the polytope of <., direction>."""
-        return float(np.max(self.vertices @ np.asarray(direction, dtype=float)))
-
-
-def _nearest_in_hull(coords, facets, c, dim):
-    """Nearest point to c within the full-dim hull of coords (span coords)."""
-    if dim == 0:
-        return coords[0]
-    if dim == 1:
-        lo = float(np.min(coords[:, 0]))
-        hi = float(np.max(coords[:, 0]))
-        return np.array([min(max(c[0], lo), hi)])
-    if all(np.dot(n, c) <= off + 1e-12 for n, off in facets):
-        return np.asarray(c, dtype=float)
-    best = None
-    best_d = np.inf
-    hull = ConvexHull(coords)
-    for simplex, eq in zip(hull.simplices, hull.equations):
-        n = eq[:-1]
-        foot = c - (np.dot(n, c) + eq[-1]) * n
-        face_pts = coords[simplex]
-        origin, basis = affine_span(face_pts)
-        if basis.shape[0] == 0:
-            cand = face_pts[0]
-        else:
-            sub_coords = (face_pts - origin) @ basis.T
-            sub_c = basis @ (foot - origin)
-            sub_facets = _facets_of(sub_coords, basis.shape[0])
-            sub_best = _nearest_in_hull(sub_coords, sub_facets, sub_c, basis.shape[0])
-            cand = origin + basis.T @ sub_best
-        d = np.linalg.norm(cand - c)
-        if d < best_d:
-            best_d = d
-            best = cand
-    return best
-
-
-def _facets_of(coords, dim):
-    if dim <= 0:
-        return []
-    if dim == 1:
-        lo = float(np.min(coords[:, 0]))
-        hi = float(np.max(coords[:, 0]))
-        return [(np.array([-1.0]), -lo), (np.array([1.0]), hi)]
-    hull = ConvexHull(coords)
-    return [(eq[:-1].copy(), -float(eq[-1])) for eq in hull.equations]
+        if self.dim == 0:
+            return self.vertices[0].copy()
+        c = project_to_polytope(self.normals, self.bounds, self.to_span(x))
+        return self.from_span(c)
 
 
 def segment_hits_polytope(a, b, poly, tol=DECISION_TOL):
@@ -233,26 +279,17 @@ def segment_hits_polytope(a, b, poly, tol=DECISION_TOL):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    fa = project_affine(a, poly.origin, poly.basis)
-    fb = project_affine(b, poly.origin, poly.basis)
-    va, vb = a - fa, b - fb
-    ca, cb = poly.to_span(a), poly.to_span(b)
-    lo, hi = 0.0, 1.0
-    for n, off in poly.facets:
-        ga, gb = np.dot(n, ca) - off, np.dot(n, cb) - off
-        dv = gb - ga
-        if abs(dv) < 1e-15:
-            if ga > tol:
-                return False
-            continue
-        t = -ga / dv
-        if dv > 0:
-            hi = min(hi, t)
-        else:
-            lo = max(lo, t)
-    if lo > hi + tol:
+    va = a - project_affine(a, poly.origin, poly.basis)
+    vb = b - project_affine(b, poly.origin, poly.basis)
+    ga = poly.normals @ poly.to_span(a) - poly.bounds
+    dg = poly.normals @ poly.to_span(b) - poly.bounds - ga
+    flat = np.abs(dg) < 1e-15
+    if np.any(ga[flat] > tol):
         return False
-    lo, hi = max(lo, 0.0), min(hi, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -ga / dg
+    lo = float(np.max(t[~flat & (dg < 0)], initial=0.0))
+    hi = float(np.min(t[~flat & (dg > 0)], initial=1.0))
     if lo > hi + tol:
         return False
     dv = vb - va

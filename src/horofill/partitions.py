@@ -303,15 +303,21 @@ class DiskBuilder:
 
         Chains run in the same direction; advancing picks the shorter
         placed diagonal, which keeps bricks close to the chain spacing.
+        Off a shared start h, the second step goes along the other chain:
+        a brick (h, a1, a2) lies on one chain, and the ladder on that
+        chain's other side would lay it too.
         """
         A, B = list(chain_a), list(chain_b)
         pa, pb = list(self._pts[A]), list(self._pts[B])
+        shared = A[0] == B[0]
         tris = []
         i = j = 0
         while i < len(A) - 1 or j < len(B) - 1:
             adv_a = i < len(A) - 1
             adv_b = j < len(B) - 1
-            if adv_a and adv_b:
+            if adv_a and adv_b and shared and (i == 0) != (j == 0):
+                adv_a = i == 0
+            elif adv_a and adv_b:
                 da = pa[i + 1] - pb[j]
                 db = pb[j + 1] - pa[i]
                 adv_a = float(da @ da) <= float(db @ db)

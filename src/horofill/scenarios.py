@@ -141,11 +141,9 @@ def trace_a3_wrap(ell, mesh=1.0, seed=0, rs=None):
     a = 1.0 / np.sin(prof.delta0)
     m = ell / 9.0
     trace = tr.symmetric_trace(rs, theta).shifted(-m)
-    hb = tr.horoball_polytope(trace, 0.0)
-    body = tb.VPolytope(hb.vertices)
-    core_pt = tr.min_set(trace).polytope.vertices[0]
-    core = tb.point_polytope(core_pt)
-    proj = tb.sandwich_project(body, core, m)
+    core = tr.min_set(trace).polytope
+    core_pt = core.vertices[0]
+    proj = tb.sandwich_project(tr.horoball_polytope(trace, 0.0), core, m)
     target_tube = ell / a  # pullback stretches by up to a on average
     k = max(1, int(round(target_tube / (2 * np.pi * m * 0.97))))
     wobble = 0.25 + 0.05 * rng.uniform(-1, 1)
@@ -204,9 +202,7 @@ def custom_trace_loop(trace, ell, mesh=1.0, seed=0):
         return trace, Loop(np.array([walker(sg) for sg in sigma]))
     if trace.apartment_dim == 3 and len(ms.polytope.vertices) == 1:
         m = -ms.min_value
-        body = tb.VPolytope(hb.vertices)
-        core = tb.point_polytope(ms.polytope.vertices[0])
-        proj = tb.sandwich_project(body, core, m)
+        proj = tb.sandwich_project(hb, ms.polytope, m)
         amp = min(ell / (4.0 * m), 8.0) * 0.9
         n = _loop_samples(ell, mesh, SERPENTINE_SAFETY)
         t = np.linspace(0.0, 1.0, n, endpoint=False)

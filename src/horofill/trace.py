@@ -25,13 +25,14 @@ from .coxeter import (
 from .geometry import (
     DECISION_TOL,
     HV_TOL,
+    ProjectionError,
+    VPolytope,
     angle_between,
     dedup_rows,
     enumerate_vertices,
+    project_to_polytope,
     unit,
 )
-
-MAX_PIECES_FOR_PROJECTION = 40
 
 
 class TraceError(ValueError):
@@ -152,22 +153,6 @@ def symmetric_trace(rs, theta, level=0.0):
 # -- sublevel polytopes ------------------------------------------------------
 
 
-@dataclass
-class HPolytope:
-    """Halfspace intersection with cached vertices."""
-
-    normals: np.ndarray
-    bounds: np.ndarray
-    vertices: np.ndarray
-    is_empty: bool
-    is_bounded: bool
-
-    def contains(self, x, tol=HV_TOL):
-        return bool(
-            np.all(self.normals @ np.asarray(x, dtype=float) <= self.bounds + tol)
-        )
-
-
 def _feasible(normals, bounds):
     n = normals.shape[1]
     res = linprog(
@@ -193,31 +178,28 @@ def _recession_nontrivial(normals):
                 bounds=[(-1, 1)] * n,
                 method="highs",
             )
-            if res.status == 0 and -res.fun > 1e-7:
+            if res.status == 0 and -res.fun > HV_TOL:
                 return True
     return False
 
 
-def _build_hpolytope(normals, bounds):
-    normals = np.asarray(normals, dtype=float)
-    bounds = np.asarray(bounds, dtype=float)
+def _sublevel_polytope(normals, bounds):
+    """{x : normals @ x <= bounds}; bounded sets come back as vertex hulls."""
     if not _feasible(normals, bounds):
-        return HPolytope(normals, bounds, np.zeros((0, normals.shape[1])), True, False)
+        return VPolytope.from_halfspaces(normals, bounds, True, False)
     unbounded = _recession_nontrivial(normals)
-    verts = enumerate_vertices(normals, bounds)
-    verts = np.array(verts) if verts else np.zeros((0, normals.shape[1]))
-    return HPolytope(normals, bounds, verts, False, not unbounded)
+    return VPolytope.from_halfspaces(normals, bounds, False, not unbounded)
 
 
 def horoball_polytope(trace, t):
-    """Sublevel set {value <= t} as a halfspace intersection."""
-    return _build_hpolytope(trace.gradients, t - trace.offsets)
+    """Sublevel set {value <= t} as a polytope."""
+    return _sublevel_polytope(trace.gradients, t - trace.offsets)
 
 
 @dataclass
 class MinSetResult:
     bounded_below: bool
-    polytope: HPolytope = None
+    polytope: VPolytope = None
     min_value: float = None
 
 
@@ -257,95 +239,26 @@ def min_set(trace):
     if res.status != 0:
         raise TraceError(f"min-set LP failed with status {res.status}")
     s_star = float(res.x[-1])
-    poly = _build_hpolytope(trace.gradients, s_star - trace.offsets)
+    poly = _sublevel_polytope(trace.gradients, s_star - trace.offsets)
     trace._min_cache = MinSetResult(True, poly, s_star)
     return trace._min_cache
 
 
-def min_set_edge_directions(result, tol=1e-7):
+def min_set_edge_directions(result, tol=HV_TOL):
     """Unit directions of the edges of a bounded min set."""
     poly = result.polytope
     verts = poly.vertices
     dirs = []
-    n = poly.normals.shape[1]
     for i, j in itertools.combinations(range(len(verts)), 2):
-        mid = 0.5 * (verts[i] + verts[j])
-        tight = np.abs(poly.normals @ mid - poly.bounds) <= tol
-        if not np.any(tight):
-            continue
-        A = poly.normals[tight]
-        # an edge midpoint's tight set has rank exactly n-1
-        if np.linalg.matrix_rank(A, tol=1e-9) == n - 1:
+        mid = poly.to_span(0.5 * (verts[i] + verts[j]))
+        A = poly.normals[np.abs(poly.normals @ mid - poly.bounds) <= tol]
+        # an edge midpoint's tight facets have rank exactly dim - 1
+        if np.linalg.matrix_rank(A, tol=DECISION_TOL) == poly.dim - 1:
             dirs.append(unit(verts[j] - verts[i]))
     return dirs
 
 
 # -- level projection ---------------------------------------------------------
-
-
-class ProjectionError(RuntimeError):
-    pass
-
-
-def _kkt_candidate(G, b, x, subset):
-    A = G[list(subset)]
-    rhs = A @ x - b[list(subset)]
-    M = A @ A.T
-    try:
-        mu = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        return None, None
-    y = x - A.T @ mu
-    return y, mu
-
-
-def project_to_polytope(G, b, x, tol=HV_TOL):
-    """Exact nearest point of {y : G y <= b} to x by KKT enumeration.
-
-    A fast pass reads the active set off an iterative projection and the
-    KKT conditions certify it; full enumeration over active sets is the
-    fallback.  Intended for a few dozen halfspaces in rank <= 4.
-    """
-    G = np.asarray(G, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.all(G @ x <= b + tol):
-        return x.copy()
-    m, n = G.shape
-    if m > MAX_PIECES_FOR_PROJECTION:
-        raise ProjectionError(
-            f"too many halfspaces for exact projection ({m} > {MAX_PIECES_FOR_PROJECTION})"
-        )
-    y = x.copy()
-    for _ in range(200):
-        viol = G @ y - b
-        k = int(np.argmax(viol))
-        if viol[k] <= 1e-12:
-            break
-        y = y - viol[k] * G[k] / np.dot(G[k], G[k])
-    guess = tuple(i for i in range(m) if abs(np.dot(G[i], y) - b[i]) <= 1e-6)
-    if 0 < len(guess) <= n:
-        cand, mu = _kkt_candidate(G, b, x, guess)
-        if (
-            cand is not None
-            and np.all(mu >= -DECISION_TOL)
-            and np.all(G @ cand <= b + tol)
-        ):
-            return cand
-    best, best_d = None, np.inf
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(m), size):
-            cand, mu = _kkt_candidate(G, b, x, subset)
-            if cand is None or np.any(mu < -DECISION_TOL):
-                continue
-            if not np.all(G @ cand <= b + tol):
-                continue
-            d = np.linalg.norm(cand - x)
-            if d < best_d:
-                best, best_d = cand, d
-    if best is None:
-        raise ProjectionError("no KKT point found (infeasible target set?)")
-    return best
 
 
 def level_project(trace, x, t):
@@ -359,11 +272,10 @@ def level_project(trace, x, t):
     s = trace.value(x)
     if s <= t + DECISION_TOL:
         return x.copy()
-    G = trace.gradients
-    b = t - trace.offsets
-    if not _feasible(G, b):
+    ms = min_set(trace)
+    if ms.bounded_below and t < ms.min_value:
         raise ProjectionError(f"sublevel set at t={t} is empty")
-    return project_to_polytope(G, b, x)
+    return project_to_polytope(trace.gradients, t - trace.offsets, x)
 
 
 def projection_bound(trace, s, t):
@@ -425,7 +337,7 @@ def check_sandwich(trace, samples=1000, seed=0):
             else:
                 hi = mid
         bd = base + hi * d
-        foot = project_to_polytope(res.polytope.normals, res.polytope.bounds, bd)
+        foot = res.polytope.nearest_point(bd)
         worst_outer = max(worst_outer, float(np.linalg.norm(bd - foot)))
     return {
         "max_value_inner": worst_inner,

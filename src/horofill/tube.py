@@ -12,6 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    DECISION_TOL,
+    DEDUP_TOL,
+    HV_TOL,
     SURFACE_TOL,
     VPolytope,
     angle_between,
@@ -179,11 +182,10 @@ def _circle_arc(center, v_from, toward, radius, angle, max_step=0.05):
 
 def _outward_in_span(P, z):
     """A span direction in the normal cone of the boundary point z."""
-    zc = P.to_span(z)
-    dirs = [n for n, off in P.facets if abs(np.dot(n, zc) - off) <= 1e-7]
-    if not dirs:
+    tight = np.abs(P.normals @ P.to_span(z) - P.bounds) <= HV_TOL
+    if not np.any(tight):
         raise TubeError("swing point is not on the boundary of the core")
-    return P.basis.T @ unit(np.sum(dirs, axis=0))
+    return P.basis.T @ unit(np.sum(P.normals[tight], axis=0))
 
 
 def _min_distance_sum_on_boundary(P, a, b):
@@ -197,25 +199,24 @@ def _min_distance_sum_on_boundary(P, a, b):
     if P.dim == 0:
         return P.vertices[0].copy()
     best, best_val = None, np.inf
-    for n, off in P.facets:
-        tight = [
-            v for v in P.vertices if abs(np.dot(n, P.to_span(v)) - off) <= 1e-7
-        ]
-        if not tight:
+    span_verts = (P.vertices - P.origin) @ P.basis.T
+    on_facet = np.abs(span_verts @ P.normals.T - P.bounds) <= HV_TOL
+    for tight in on_facet.T:
+        if not np.any(tight):
             continue
-        f = VPolytope(tight)
+        f = VPolytope(P.vertices[tight])
         z = f.nearest_point(0.5 * (a + b))
         for _ in range(150):
             da, db = z - a, z - b
             na, nb = np.linalg.norm(da), np.linalg.norm(db)
-            g = (da / na if na > 1e-12 else 0.0) + (db / nb if nb > 1e-12 else 0.0)
-            step = 0.2 * max(na, nb, 1e-6)
+            g = (da / na if na > DEDUP_TOL else 0.0) + (db / nb if nb > DEDUP_TOL else 0.0)
+            step = 0.2 * max(na, nb, SURFACE_TOL)
             z_new = f.nearest_point(z - step * np.asarray(g))
-            if np.linalg.norm(z_new - z) < 1e-12:
+            if np.linalg.norm(z_new - z) < DEDUP_TOL:
                 break
             z = z_new
         val = np.linalg.norm(z - a) + np.linalg.norm(z - b)
-        if val < best_val - 1e-12:
+        if val < best_val - DEDUP_TOL:
             best_val, best = val, z
     if best is None:
         raise TubeError("core has no boundary facets")
@@ -407,12 +408,11 @@ class SandwichProjection:
         D = X - bases
         d = np.linalg.norm(D, axis=1)
         rays = D / d[:, None]
-        N = np.array([n for n, _ in self.body.facets])
-        offs = np.array([off for _, off in self.body.facets])
-        v0 = N @ (self.body.basis @ (bases - self.body.origin).T) - offs[:, None]
+        N = self.body.normals
+        v0 = N @ (self.body.basis @ (bases - self.body.origin).T) - self.body.bounds[:, None]
         dv = (N @ self.body.basis) @ rays.T  # (facets, points)
         with np.errstate(divide="ignore", invalid="ignore"):
-            tt = np.where(dv > 1e-12, -v0 / dv, np.inf)
+            tt = np.where(dv > DEDUP_TOL, -v0 / dv, np.inf)
         t_hi = np.min(tt, axis=0)
         if np.any(~np.isfinite(t_hi)) or np.any(t_hi <= 0):
             raise SandwichError("a fiber ray does not exit the body")
@@ -439,18 +439,18 @@ def sandwich_project(body, core, R):
     if body.codim != 0:
         raise SandwichError("sandwich body must be full-dimensional")
     a = max(tube_distance(core, v) for v in body.vertices) / R
-    if a < 1.0 - 1e-9:
+    if a < 1.0 - DECISION_TOL:
         raise SandwichError("body is strictly inside the R-tube")
-    for n, off in body.facets:
-        direction = body.basis.T @ n
-        body_support = float(np.max(body.vertices @ direction))
-        tube_support = core.support(direction) + R
-        if tube_support > body_support + 1e-7:
-            witness_idx = int(np.argmax(core.vertices @ direction))
-            witness = core.vertices[witness_idx] + R * direction
-            raise SandwichError(
-                f"inner inclusion fails: witness point {np.round(witness, 6).tolist()}"
-            )
+    directions = body.normals @ body.basis
+    body_support = np.max(body.vertices @ directions.T, axis=0)
+    core_support = core.vertices @ directions.T
+    bad = np.flatnonzero(np.max(core_support, axis=0) + R > body_support + HV_TOL)
+    if len(bad):
+        k = bad[0]
+        witness = core.vertices[np.argmax(core_support[:, k])] + R * directions[k]
+        raise SandwichError(
+            f"inner inclusion fails: witness point {np.round(witness, 6).tolist()}"
+        )
     return SandwichProjection(body, core, R, max(float(a), 1.0))
 
 

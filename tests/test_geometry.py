@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from horofill import coxeter as cx
+from horofill import trace as tr
 from horofill.geometry import (
     VPolytope,
     affine_span,
@@ -93,3 +97,60 @@ def test_polyline_length():
 def test_angle_between():
     assert abs(angle_between([1, 0], [0, 2]) - np.pi / 2) < 1e-12
     assert abs(angle_between([1, 0], [-1, 0]) - np.pi) < 1e-12
+
+
+# -- the exact projection, certified without a reference solver -----------------
+
+
+@st.composite
+def point_hulls(draw):
+    """Hull of 1-12 half-integer lattice points of a random flat in E^2 or E^3.
+
+    The flat's dimension is drawn too, so points, segments, polygons
+    (planar ones in E^3) and solids all occur.
+    """
+    n = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, n))
+    m = draw(st.integers(1, 12))
+    coef = draw(st.lists(st.integers(-4, 4), min_size=m * k, max_size=m * k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    frame = np.linalg.qr(rng.normal(size=(n, n)))[0][:k]
+    pts = rng.normal(size=n) + 0.5 * np.reshape(coef, (m, k)) @ frame
+    return VPolytope(pts), rng
+
+
+@st.composite
+def horoball_traces(draw):
+    """Horoball polytope of a translated, scaled, shifted A2 or A3 symmetric trace."""
+    rank = draw(st.sampled_from([2, 3]))
+    rs = cx.build_root_system("A", rank=rank)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    theta = cx.project_to_chamber(rs, rs.coweights[rng.integers(rank)])
+    trace = (
+        tr.symmetric_trace(rs, theta)
+        .shifted(-rng.uniform(0.5, 2.0))
+        .translated(rng.normal(size=rank) * 3.0)
+        .scaled(rng.uniform(0.5, 2.0))
+    )
+    return tr.horoball_polytope(trace, 0.0), rng
+
+
+def assert_nearest_point_certified(P, x):
+    """y = P.nearest_point(x) lies in P and (x - y).(v - y) <= 0 at every vertex v."""
+    y = P.nearest_point(x)
+    assert P.contains(y)
+    scale = max(1.0, float(np.linalg.norm(x - y))) * max(
+        1.0, float(np.max(np.linalg.norm(P.vertices - y, axis=1)))
+    )
+    assert np.max((P.vertices - y) @ (x - y)) <= 1e-9 * scale
+
+
+@given(st.one_of(point_hulls(), horoball_traces()))
+def test_nearest_point_is_certified_projection(case):
+    P, rng = case
+    assert P.is_bounded and not P.is_empty
+    for _ in range(10):
+        assert_nearest_point_certified(P, rng.normal(size=P.ambient_dim) * 6)
+    inside = rng.dirichlet(np.ones(len(P.vertices)), size=5) @ P.vertices
+    for x in inside:
+        assert np.allclose(P.nearest_point(x), x, atol=1e-9)

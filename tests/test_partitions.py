@@ -197,14 +197,17 @@ def test_serialization_roundtrip(tmp_path):
 def spoke_fans(draw):
     """A fan from a hub over a star-shaped polygon.
 
-    Spokes are sampled at one spacing, as cone_fill samples them, and
-    neighbouring spokes are less than 60 degrees apart, so that no ladder
-    lays a brick along a spoke.  Returns (loop, partition, bricks built).
+    Each spoke carries its n points at fractions ``(k / (n - 1)) ** power``
+    of its length: power 1 is the even spacing of cone_fill, other powers
+    crowd the points towards the hub or towards the rim, so that one
+    spoke's first points can lie far closer to the hub than its
+    neighbours'.  Returns (loop, partition, bricks built).
     """
     s = draw(st.integers(8, 14))
     gaps = np.array(draw(st.lists(st.floats(0.8, 1.0), min_size=s, max_size=s)))
     angles = 2 * np.pi * np.cumsum(gaps) / np.sum(gaps)
     radii = np.array(draw(st.lists(st.floats(1.0, 3.0), min_size=s, max_size=s)))
+    powers = draw(st.lists(st.floats(0.3, 3.0), min_size=s, max_size=s))
     spacing = draw(st.floats(0.1, 1.0))
     rim = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     builder = DiskBuilder(2)
@@ -213,7 +216,8 @@ def spoke_fans(draw):
     chains = []
     for i in range(s):
         n = max(2, int(np.ceil(radii[i] / spacing)) + 1)
-        interior = builder.add_chain(np.linspace(0.0, 1.0, n)[1:-1, None] * rim[i])
+        fractions = np.linspace(0.0, 1.0, n)[1:-1] ** powers[i]
+        interior = builder.add_chain(fractions[:, None] * rim[i])
         chains.append([hub] + interior + [bidx[i]])
     built = 0
     for i in range(s):
@@ -221,6 +225,23 @@ def spoke_fans(draw):
         built += len(a) + len(b) - 3  # the step off the shared hub is degenerate
         builder.add_ladder(a, b)
     return Loop(rim), builder.build(bidx, anchor=range(s)), built
+
+
+def test_hub_fan_with_uneven_spokes_validates():
+    """Spoke 0 has two points near the hub; the others start at 1."""
+    angles = np.pi / 3 * np.arange(6)
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    builder = DiskBuilder(2)
+    hub = builder.add_point([0.0, 0.0])
+    chains = []
+    for k in range(6):
+        dists = [0.1, 0.2, 1.0, 2.0] if k == 0 else [1.0, 2.0]
+        chains.append([hub] + builder.add_chain(np.outer(dists, dirs[k])))
+    for k in range(6):
+        builder.add_ladder(chains[k], chains[(k + 1) % 6])
+    fp = builder.build([c[-1] for c in chains])
+    mesh, area = validate_partition(Loop(2.0 * dirs), fp)
+    assert area == 22  # len(a) + len(b) - 3 per ladder: 5 + 3 + 3 + 3 + 3 + 5
 
 
 @given(spoke_fans())

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from horofill import meshes as ms
 from horofill import tube as tb
@@ -281,6 +283,48 @@ def test_charts_roundtrip(point3, segment3, square3):
     ss, lifted = chart.lift(chart.points(np.full(41, 0.5), ms))
     assert np.allclose(ss, 0.5, atol=1e-9)
     assert np.allclose(lifted, ms, atol=1e-9)
+
+
+@st.composite
+def charts(draw):
+    """A chart, the length of its t-domain and a generator for parameters.
+
+    Revolution charts of a point and of a segment in E^3, the circle
+    chart of a point in E^2 (t unused, domain length 0), and the stadium
+    chart of a rectangle, whose domain is its central band 0 < s < Lu.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    R = draw(st.floats(0.2, 3.0))
+    kind = draw(st.sampled_from(["point", "segment", "circle", "stadium"]))
+    if kind == "point":
+        chart = tb.RevolutionChart(tb.point_polytope(rng.normal(size=3)), R, rng.normal(size=3))
+        return chart, chart.T, rng
+    if kind == "segment":
+        a = rng.normal(size=3)
+        chart = tb.RevolutionChart(tb.segment_polytope(a, a + rng.normal(size=3)), R)
+        return chart, chart.T, rng
+    if kind == "circle":
+        return tb.PlanarCircleChart(tb.point_polytope(rng.normal(size=2)), R), 0.0, rng
+    lu, lw = rng.uniform(0.3, 3.0, size=2)
+    rect = tb.rectangle_polytope(rng.normal(size=3), [lu, 0.0, 0.0], [0.0, lw, 0.0])
+    chart = tb.StadiumChart(rect, R)
+    return chart, chart.Lu, rng
+
+
+@given(charts())
+def test_chart_coords_roundtrip(case):
+    """coords(point(t, phi)) gives back t, and phi modulo the chart period.
+
+    t stays 1 % of the domain away from its ends: the poles of a
+    revolution chart, where phi is undefined, and the far ends of the
+    stadium band.
+    """
+    chart, T, rng = case
+    period = tb.chart_period(chart)
+    for t, phi in zip(rng.uniform(0.01, 0.99, 20) * T, rng.uniform(-50, 50, 20)):
+        t2, phi2 = chart.coords(chart.point(t, phi))
+        assert abs(t2 - t) <= 1e-9 * max(1.0, T)
+        assert abs((phi2 - phi + period / 2) % period - period / 2) <= 1e-9 * max(1.0, abs(phi))
 
 
 def test_stadium_band_guard(square3):
