@@ -1,7 +1,7 @@
 """Experiment harness: scenario configs to CSV rows and SVG plots.
 
 Subcommands: ``run`` executes a scenario config, ``fit`` refits slopes
-from a CSV, ``oracle`` evaluates the exact minimal area on a mesh file,
+from a CSV, ``oracle`` evaluates the least integral filling area on a mesh file,
 ``bootstrap`` prints the exponent-improvement iteration.
 """
 
@@ -328,7 +328,7 @@ def build_parser():
     fitp.add_argument("csv")
     fitp.set_defaults(func=fit_command)
 
-    orp = sub.add_parser("oracle", help="exact minimal area on a mesh")
+    orp = sub.add_parser("oracle", help="least integral filling area on an orientable mesh")
     orp.add_argument("mesh_file")
     orp.add_argument("loop_file")
     orp.set_defaults(func=oracle_command)

@@ -1,19 +1,20 @@
 """Loop filling machinery: cone fills, descent cylinders, the flat-loop
-pipeline, partition refinement, exponent fits, and the exact small-scale
-area oracle.
+pipeline, partition refinement, exponent fits, and the exact area oracle.
 
-Areas are brick counts of the partitions this engine constructs; the
-oracle provides a lower-bound witness on small frozen instances, but no
-claim of global minimality is made.
+Areas are brick counts of the partitions this engine constructs; no claim
+of global minimality is made.  The oracle, one sparse LP whose optimum is
+integral on orientable meshes, gives the least filling area of a mesh
+loop and so a lower-bound witness for the constructed fills.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_matrix, hstack
 
 from .coxeter import ort_distance, wall_margin
+from .geometry import DECISION_TOL, DEDUP_TOL, SURFACE_TOL
 from .partitions import (
     MESH_ATTEMPTS,
     BrickCensus,
@@ -67,7 +68,7 @@ def cone_fill(loop, mesh, basepoint_index=0):
     fp = None
     for _ in range(MESH_ATTEMPTS):
         fp = _cone_fill_once(loop, spacing, basepoint_index)
-        if fp.mesh <= mesh + 1e-12:
+        if fp.mesh <= mesh + DEDUP_TOL:
             fp.census = BrickCensus(flat_bricks=fp.area, wild_bricks=0)
             return fp
         spacing *= 0.9 * mesh / fp.mesh
@@ -124,7 +125,7 @@ def convex_region_clear(trace, loop, level=0.0):
     )
     if res.status != 0:
         raise FillingError(f"hull LP failed with status {res.status}")
-    return res.fun >= level - 1e-9
+    return res.fun >= level - DECISION_TOL
 
 
 # -- descent cylinders -----------------------------------------------------------
@@ -168,16 +169,16 @@ def cylinder_descend(loop, beta, rs, theta, delta1, mesh=1.0, height=None):
     ell = loop.length
     h = ell * (1.0 + 1.0 / np.sin(delta1)) if height is None else float(height)
     t = h - (P - P[0]) @ u
-    if np.any(t < -1e-9):
+    if np.any(t < -DECISION_TOL):
         raise FillingError("hyperplane height does not clear the loop")
     t = np.clip(t, 0.0, None)
     N = P + t[:, None] * u
     inner = Loop(N)
-    if inner.length > loop.length + 1e-6:
+    if inner.length > loop.length + SURFACE_TOL:
         raise FillingError("inner loop came out longer than the outer loop")
     builder = DiskBuilder(P.shape[1])
     outer_idx = builder.add_chain(P)
-    if np.max(t) <= 1e-12:
+    if np.max(t) <= DEDUP_TOL:
         # loop already lies in the target hyperplane: empty cylinder
         strip = AnnulusStrip(
             builder.points, builder.triangles, outer_idx, outer_idx, outer_anchor=orig_pos
@@ -225,7 +226,7 @@ def close_cylinder(strip, mesh):
 # -- the flat-loop pipeline ---------------------------------------------------------
 
 
-def brick_census(trace, fp, tol=1e-6):
+def brick_census(trace, fp, tol=SURFACE_TOL):
     """Flat bricks are Euclidean triangles clear of the open horoball.
 
     A brick counts as flat when a 7-point probe (vertices, edge
@@ -261,7 +262,7 @@ def fill_flat_loop(trace, loop, mesh=1.0):
     (partition, census, info).
     """
     vals = trace.values(loop.vertices)
-    if np.any(vals < -1e-6):
+    if np.any(vals < -SURFACE_TOL):
         raise FillingError("loop enters the open horoball")
     if loop.is_constant:
         fp = empty_partition(loop)
@@ -297,7 +298,7 @@ def fill_flat_loop(trace, loop, mesh=1.0):
     fp = None
     for _ in range(MESH_ATTEMPTS):
         fp, census, info = _flat_pipeline(trace, loop, proj, core, m, spacing, tube_mesh)
-        if fp.mesh <= mesh + 1e-12:
+        if fp.mesh <= mesh + DEDUP_TOL:
             info["route"] = "sandwich"
             info["strip"] = strip_class
             info["a"] = proj.a
@@ -310,7 +311,7 @@ def _flat_pipeline(trace, loop, proj, core, m, spacing, tube_mesh):
     res, orig_pos = loop.resampled(spacing)
     V = res.vertices
     s = len(V)
-    if np.any(trace.values(V) < -1e-6):
+    if np.any(trace.values(V) < -SURFACE_TOL):
         raise FillingError(
             "resampling the loop chordwise dips into the open horoball; "
             "sample the loop on its host at spacing <= mesh/3 first"
@@ -446,94 +447,44 @@ def dehn_exponent(lengths, areas, top_half=True):
     )
 
 
-# -- the exact small-scale oracle ------------------------------------------------------------
-
-
-MAX_ORACLE_CELLS = 1000
+# -- the area oracle -------------------------------------------------------------------------
 
 
 def brute_force_area(vertices, triangles, cycle):
-    """Minimal number of mesh 2-cells in a filling of the vertex cycle.
+    """Least number of mesh 2-cells in an integral filling of the vertex cycle.
 
-    Solves the boundary equation over GF(2): a filling is a 2-chain
-    whose boundary is the loop.  On the genus-zero complexes used here
-    the solution space is tiny, so the minimum-weight solution is exact.
-    Rejects complexes above 10^3 cells or with a large solution space.
+    The optimal bounding chain LP: minimize |x|_1 over real 2-chains with
+    d2 x = c, where edges run from the lower to the higher vertex index and
+    c sums the loop's oriented edges (a loop wound k times counts k times).
+    d2 is totally unimodular on orientable surfaces, so the optimum is
+    integral; a loop that bounds only mod 2, such as the rim of a Moebius
+    band, does not bound.
     """
     triangles = np.asarray(triangles, dtype=int).reshape(-1, 3)
     F = len(triangles)
-    if F > MAX_ORACLE_CELLS:
-        raise FillingError(f"oracle limited to {MAX_ORACLE_CELLS} cells, got {F}")
     cycle = np.asarray(cycle, dtype=int)
+    if len(cycle) == 0:
+        return 0
     n = int(max(triangles.max(initial=0), cycle.max(initial=0))) + 1
-    keys, inverse = np.unique(
-        edge_keys(triangles, np.roll(triangles, -1, axis=1), n).ravel(), return_inverse=True
-    )
-    B = np.zeros((len(keys), F), dtype=np.uint8)
-    np.add.at(B, (inverse.ravel(), np.repeat(np.arange(F), 3)), 1)
+    heads = np.roll(triangles, -1, axis=1)
+    keys, rows = np.unique(edge_keys(triangles, heads, n).ravel(), return_inverse=True)
+    signs = np.where(triangles < heads, 1.0, -1.0).ravel()
+    D = coo_matrix((signs, (rows, np.repeat(np.arange(F), 3))), shape=(len(keys), F))
     loop_keys = edge_keys(cycle, np.roll(cycle, -1), n)
     on_mesh = np.isin(loop_keys, keys)
     if not np.all(on_mesh):
         k = loop_keys[np.argmin(on_mesh)]
         raise FillingError(f"loop edge {(int(k // n), int(k % n))} is not a mesh edge")
-    target = np.zeros(len(keys), dtype=np.uint8)
-    np.add.at(target, np.searchsorted(keys, loop_keys), 1)
-    sol, null = _gf2_solve(B % 2, target % 2)
-    if sol is None:
+    target = np.zeros(len(keys))
+    np.add.at(target, np.searchsorted(keys, loop_keys), np.sign(np.roll(cycle, -1) - cycle))
+    res = linprog(
+        np.ones(2 * F), A_eq=hstack([D, -D]), b_eq=target, bounds=(0, None), method="highs"
+    )
+    if res.status == 2:
         raise FillingError("loop does not bound in this complex")
-    if len(null) > 20:
-        raise FillingError("solution space too large for exact minimization")
-    best = int(np.sum(sol))
-    for r in range(1, len(null) + 1):
-        for combo in itertools.combinations(null, r):
-            x = sol.copy()
-            for n_vec in combo:
-                x = x ^ n_vec
-            best = min(best, int(np.sum(x)))
-    return best
-
-
-def _gf2_solve(A, b):
-    """Particular solution and null-space basis of A x = b over GF(2)."""
-    A = A.copy().astype(np.uint8)
-    b = b.copy().astype(np.uint8)
-    rows, cols = A.shape
-    pivot_col_of_row = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for rr in range(r, rows):
-            if A[rr, c]:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            A[[r, pivot]] = A[[pivot, r]]
-            b[[r, pivot]] = b[[pivot, r]]
-        mask = A[:, c].astype(bool)
-        mask[r] = False
-        A[mask] ^= A[r]
-        b[mask] ^= b[r]
-        pivot_col_of_row.append(c)
-        r += 1
-        if r == rows:
-            break
-    for rr in range(r, rows):
-        if b[rr]:
-            return None, []
-    x = np.zeros(cols, dtype=np.uint8)
-    for row, c in enumerate(pivot_col_of_row):
-        x[c] = b[row]
-    pivots = set(pivot_col_of_row)
-    null = []
-    for c in range(cols):
-        if c in pivots:
-            continue
-        v = np.zeros(cols, dtype=np.uint8)
-        v[c] = 1
-        for row, pc in enumerate(pivot_col_of_row):
-            if A[row, c]:
-                v[pc] = 1
-        null.append(v)
-    return x, null
+    if res.status != 0:
+        raise FillingError(f"oracle LP failed with status {res.status}")
+    area = int(round(res.fun))
+    if abs(res.fun - area) > SURFACE_TOL:
+        raise FillingError(f"oracle LP optimum {res.fun} is not integral")
+    return area

@@ -4,7 +4,7 @@ Tolerance policy (documented once, used everywhere):
 
 ``DECISION_TOL``  1e-9   sign / membership decisions, span ranks
 ``DEDUP_TOL``     1e-12  numerically equal vectors, zero pivots, stalled steps
-``SURFACE_TOL``   1e-6   "on the surface" checks for tubes and level sets
+``SURFACE_TOL``   1e-6   "on the surface" checks (tubes, level sets), LP integrality
 ``HV_TOL``        1e-7   halfspace vs vertex containment, tight facets
 """
 

@@ -1,4 +1,4 @@
-"""Triangulated reference surfaces for the brute-force area oracle.
+"""Triangulated orientable reference surfaces for the area oracle.
 
 Geodesic spheres are built from the octahedron (subdivision keeps the
 equator on mesh edges, which the oracle's loop-on-mesh requirement

@@ -12,6 +12,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from .geometry import DECISION_TOL, DEDUP_TOL, SURFACE_TOL
+
 MESH_ATTEMPTS = 6  # sampling attempts per fill to reach the requested mesh
 
 
@@ -38,7 +40,7 @@ class Loop:
 
     @property
     def is_constant(self):
-        return bool(np.all(np.linalg.norm(self.vertices - self.vertices[0], axis=1) < 1e-12))
+        return bool(np.all(np.linalg.norm(self.vertices - self.vertices[0], axis=1) < DEDUP_TOL))
 
     def resampled(self, spacing):
         """Insert points so consecutive vertices are at most spacing apart.
@@ -139,7 +141,7 @@ def _component_labels(keys, n):
     return connected_components(graph, directed=False)[1]
 
 
-def validate_partition(loop, fp, tol=1e-6):
+def validate_partition(loop, fp, tol=SURFACE_TOL):
     """Recompute mesh and area after checking the disk invariants.
 
     Raises PartitionError naming the violated invariant: euler count,
@@ -228,7 +230,7 @@ def _check_anchored_boundary(loop, got, boundary_anchor, tol):
     t_prev[start[run > 0]] = 0.0
     off_flat = flat & (np.linalg.norm(p - w, axis=1) > tol)
     off_loop = ~flat & (np.linalg.norm(p - q, axis=1) > tol)
-    backward = ~flat & (t < t_prev - 1e-9)
+    backward = ~flat & (t < t_prev - DECISION_TOL)
     bad = off_flat | off_loop | backward
     if np.any(bad):
         k = int(np.argmax(bad))

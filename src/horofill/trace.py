@@ -216,6 +216,14 @@ def gradients_surround_origin(trace):
 
 def min_set(trace):
     """Argmin polytope of the envelope, or an unbounded-below flag."""
+    ms = _envelope_minimum(trace)
+    if ms.bounded_below and ms.polytope is None:
+        ms.polytope = _sublevel_polytope(trace.gradients, ms.min_value - trace.offsets)
+    return ms
+
+
+def _envelope_minimum(trace):
+    """The min-set result without its polytope: two LPs, cached on the trace."""
     if trace._min_cache is not None:
         return trace._min_cache
     if not gradients_surround_origin(trace):
@@ -238,9 +246,7 @@ def min_set(trace):
         return trace._min_cache
     if res.status != 0:
         raise TraceError(f"min-set LP failed with status {res.status}")
-    s_star = float(res.x[-1])
-    poly = _sublevel_polytope(trace.gradients, s_star - trace.offsets)
-    trace._min_cache = MinSetResult(True, poly, s_star)
+    trace._min_cache = MinSetResult(True, min_value=float(res.x[-1]))
     return trace._min_cache
 
 
@@ -272,7 +278,7 @@ def level_project(trace, x, t):
     s = trace.value(x)
     if s <= t + DECISION_TOL:
         return x.copy()
-    ms = min_set(trace)
+    ms = _envelope_minimum(trace)
     if ms.bounded_below and t < ms.min_value:
         raise ProjectionError(f"sublevel set at t={t} is empty")
     return project_to_polytope(trace.gradients, t - trace.offsets, x)

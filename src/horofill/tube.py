@@ -50,7 +50,7 @@ def rectangle_polytope(origin, u, w):
     origin = np.asarray(origin, dtype=float)
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    if abs(np.dot(u, w)) > 1e-9:
+    if abs(np.dot(u, w)) > DECISION_TOL:
         raise TubeError("rectangle edge vectors must be orthogonal")
     return VPolytope([origin, origin + u, origin + w, origin + u + w])
 
@@ -144,7 +144,7 @@ def make_tube_point(P, x, R=None, tol=SURFACE_TOL):
 def beta_angle(x, y):
     """Angle between the vertical components of two tube points."""
     nx, ny = np.linalg.norm(x.vertical), np.linalg.norm(y.vertical)
-    if nx < 1e-12 or ny < 1e-12:
+    if nx < DEDUP_TOL or ny < DEDUP_TOL:
         return 0.0
     return angle_between(x.vertical, y.vertical)
 
@@ -160,7 +160,7 @@ def _arc(center, v_from, v_to, radius, max_step=0.05):
     """
     e1 = unit(v_from)
     w = v_to - np.dot(v_to, e1) * e1
-    if np.linalg.norm(w) < 1e-9 * radius:
+    if np.linalg.norm(w) < DECISION_TOL * radius:
         if np.dot(v_to, e1) > 0:
             return [center + v_from], 0.0
         raise TubeError("antipodal arc needs an explicit swing direction")
@@ -259,13 +259,13 @@ def tube_path(P, R, x, y, max_step=0.05):
     total = 0.0
     case = "A"
     vx, vy = x.vertical.copy(), y.vertical.copy()
-    if np.linalg.norm(x.lateral) > 1e-9:
+    if np.linalg.norm(x.lateral) > DECISION_TOL:
         case = "B"
         vx = _vertical_target(P, x, y)
         arc, alen = _arc(x.base, x.point - x.base, vx, R, max_step)
         poly.extend(arc[1:])
         total += alen
-    if np.linalg.norm(y.lateral) > 1e-9:
+    if np.linalg.norm(y.lateral) > DECISION_TOL:
         case = "C" if case == "B" else "B"
         vy = _vertical_target(P, y, x)
     # verticalized endpoints: px over x.base, py over y.base
@@ -286,7 +286,7 @@ def tube_path(P, R, x, y, max_step=0.05):
     else:
         e1 = unit(vx)
         w = vy - np.dot(vy, e1) * e1
-        if np.linalg.norm(w) < 1e-9 * R and np.dot(vx, vy) < 0:
+        if np.linalg.norm(w) < DECISION_TOL * R and np.dot(vx, vy) < 0:
             perp = _perpendicular_vertical(P, vx)
             arc, alen = _circle_arc(x.base, vx, perp, R, np.pi, max_step)
         else:
@@ -296,7 +296,7 @@ def tube_path(P, R, x, y, max_step=0.05):
         py = y.base + vy
         total += float(np.linalg.norm(np.asarray(arc[-1]) - py))
         poly.append(py)
-    if np.linalg.norm(y.lateral) > 1e-9:
+    if np.linalg.norm(y.lateral) > DECISION_TOL:
         arc, alen = _arc(y.base, vy, y.point - y.base, R, max_step)
         poly.extend(arc[1:])
         total += alen
@@ -309,10 +309,10 @@ def tube_path(P, R, x, y, max_step=0.05):
 def _vertical_target(P, tp, other):
     """Vertical of norm R at tp.base, per the verticalization rule."""
     v = tp.vertical
-    if np.linalg.norm(v) > 1e-9:
+    if np.linalg.norm(v) > DECISION_TOL:
         return tp.radius * unit(v)
     ov = other.vertical
-    if np.linalg.norm(ov) > 1e-9:
+    if np.linalg.norm(ov) > DECISION_TOL:
         return tp.radius * unit(ov)
     return tp.radius * _perpendicular_vertical(P, None)
 
@@ -325,14 +325,14 @@ def _perpendicular_vertical(P, v):
         e = np.zeros(n)
         e[k] = 1.0
         w = e - basis.T @ (basis @ e) if P.dim else e
-        if v is not None and np.linalg.norm(v) > 1e-12:
+        if v is not None and np.linalg.norm(v) > DEDUP_TOL:
             w = w - np.dot(w, unit(v)) * unit(v)
-        if np.linalg.norm(w) > 1e-9:
+        if np.linalg.norm(w) > DECISION_TOL:
             return unit(w)
     raise TubeError("no orthogonal direction available (codim 0 core?)")
 
 
-def _dedup_consecutive(pts, tol=1e-12):
+def _dedup_consecutive(pts, tol=DEDUP_TOL):
     out = [np.asarray(pts[0], dtype=float)]
     for p in pts[1:]:
         if np.linalg.norm(np.asarray(p) - out[-1]) > tol:
@@ -498,7 +498,7 @@ def classify_strip(P, n_grid=360):
         best_d, best_w = None, np.inf
         for d in _span_directions(P, n_grid):
             w = _width_along(P, d)
-            if w < best_w - 1e-12:
+            if w < best_w - DEDUP_TOL:
                 best_w, best_d = w, d
         return StripClass("codim2-in-1strip", float(best_w), float("nan"), (best_d,))
     if P.codim == 1:
@@ -511,7 +511,7 @@ def classify_strip(P, n_grid=360):
             ang = min(ang, np.pi - ang)
             if ang < np.pi / 4:
                 continue
-            if widths[j] < best_w2 - 1e-12:
+            if widths[j] < best_w2 - DEDUP_TOL:
                 best_w2, best_j = widths[j], j
         if best_j is None:
             return StripClass("fails", float("nan"), float("nan"))
@@ -641,7 +641,7 @@ class RevolutionChart(_Chart):
                 ),
             )
         phis = np.arctan2(W @ self.e2, W @ self.e1)
-        bad = rho < 1e-9
+        bad = rho < DECISION_TOL
         for i in np.nonzero(bad)[0]:
             phis[i] = phis[i - 1] if i > 0 else 0.0
         return ts, np.unwrap(phis)
@@ -693,7 +693,7 @@ class StadiumChart(_Chart):
         others = [i for i in range(3) if i != far]
         u = rel[others[0]]
         w = rel[others[1]]
-        if abs(np.dot(u, w)) > 1e-7:
+        if abs(np.dot(u, w)) > HV_TOL:
             raise ChartError("core is not a rectangle")
         self.u, self.Lu = unit(u), float(np.linalg.norm(u))
         self.w, self.Lw = unit(w), float(np.linalg.norm(w))
@@ -783,7 +783,7 @@ def _fit_axis(loop_vertices, center):
     mom = np.zeros(3)
     for i in range(len(v)):
         mom += np.cross(v[i], v[(i + 1) % len(v)])
-    if np.linalg.norm(mom) > 1e-9:
+    if np.linalg.norm(mom) > DECISION_TOL:
         return unit(mom)
     _, _, vt = np.linalg.svd(v - v.mean(axis=0))
     return unit(vt[-1])
@@ -800,7 +800,7 @@ def loop_case(P, loop):
     """
     feet = [project_affine(v, P.origin, P.basis) for v in loop.vertices]
     for f in feet:
-        if P.contains(f, tol=1e-7):
+        if P.contains(f, tol=HV_TOL):
             return 1
     s = len(feet)
     step = max(1, s // 64)
@@ -856,7 +856,7 @@ def fill_tube_loop(P, R, loop, mesh):
     achieved = None
     for _ in range(MESH_ATTEMPTS):
         fp = _chart_fan(P, chart, loop, spacing, degree)
-        if fp.mesh <= mesh + 1e-12:
+        if fp.mesh <= mesh + DEDUP_TOL:
             return fp, {"case": case, "strip": strip, "spacing": spacing, "degree": degree}
         achieved = fp.mesh
         spacing *= 0.9 * mesh / fp.mesh

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from horofill import coxeter as cx
 from horofill import filling as fl
@@ -297,10 +299,51 @@ def test_oracle_cylinder_waist(frozen):
     )
 
 
-def test_oracle_rejects_too_large():
+def test_oracle_doubly_wound_equator():
+    v, t = ms.octasphere(3)
+    eq = ms.equator_cycle(v)
+    assert fl.brute_force_area(v, t, eq + eq) == 512  # 0 mod 2, but 2 x 256 over Z
+
+
+def test_oracle_octasphere4_equator():
     v, t = ms.octasphere(4)  # 2048 faces
-    with pytest.raises(fl.FillingError, match="limited"):
-        fl.brute_force_area(v, t, ms.equator_cycle(v))
+    assert fl.brute_force_area(v, t, ms.equator_cycle(v)) == 1024
+
+
+@given(st.data())
+def test_oracle_grid_rectangles(data):
+    """A rectangle wound k times bounds k times the triangles inside it."""
+    n = data.draw(st.integers(2, 6))
+    i0 = data.draw(st.integers(0, n - 1))
+    i1 = data.draw(st.integers(i0 + 1, n))
+    j0 = data.draw(st.integers(0, n - 1))
+    j1 = data.draw(st.integers(j0 + 1, n))
+    k = data.draw(st.integers(1, 2))
+    ring = (
+        [(i, j0) for i in range(i0, i1)]
+        + [(i1, j) for j in range(j0, j1)]
+        + [(i, j1) for i in range(i1, i0, -1)]
+        + [(i0, j) for j in range(j1, j0, -1)]
+    )
+    cycle = np.roll([j * (n + 1) + i for i, j in ring], data.draw(st.integers(0, 20)))
+    if data.draw(st.booleans()):
+        cycle = cycle[::-1]
+    v, t, _ = ms.grid_square(n)
+    c = v[t].mean(axis=1) * n
+    inside = (c[:, 0] > i0) & (c[:, 0] < i1) & (c[:, 1] > j0) & (c[:, 1] < j1)
+    assert fl.brute_force_area(v, t, np.tile(cycle, k)) == k * int(np.sum(inside))
+
+
+def test_oracle_rejects_moebius_rim():
+    """The rim of a Moebius band bounds mod 2 but not over the integers."""
+    n = 5
+    bottom = list(range(n)) + [n]  # the strip closes with a half twist
+    top = list(range(n, 2 * n)) + [0]
+    t = []
+    for i in range(n):
+        t += [(bottom[i], bottom[i + 1], top[i + 1]), (bottom[i], top[i + 1], top[i])]
+    with pytest.raises(fl.FillingError, match="does not bound"):
+        fl.brute_force_area(np.zeros((2 * n, 3)), t, list(range(2 * n)))
 
 
 def test_oracle_rejects_non_mesh_edge():

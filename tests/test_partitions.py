@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from horofill.filling import cone_fill, refine_partition
 from horofill.partitions import (
     DiskBuilder,
     FillingPartition,
@@ -275,3 +276,23 @@ def test_one_triangle_more_or_less_is_rejected(fan, pick, duplicate):
     )
     with pytest.raises(PartitionError):
         validate_partition(loop, bad)
+
+
+@st.composite
+def cone_fills(draw):
+    """A cone fill of a star-shaped polygon; returns (loop, partition, None)."""
+    s = draw(st.integers(3, 9))
+    gaps = np.array(draw(st.lists(st.floats(0.5, 1.0), min_size=s, max_size=s)))
+    angles = 2 * np.pi * np.cumsum(gaps) / np.sum(gaps)
+    radii = np.array(draw(st.lists(st.floats(1.0, 3.0), min_size=s, max_size=s)))
+    loop = Loop(radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1))
+    return loop, cone_fill(loop, draw(st.floats(0.5, 2.0))), None
+
+
+@given(st.one_of(spoke_fans(), cone_fills()), st.integers(1, 2))
+def test_refinement_keeps_the_anchored_boundary(disk, levels):
+    loop, fp, _ = disk
+    fine = refine_partition(fp, fp.mesh / 2**levels)
+    validate_partition(loop, fine)
+    assert fine.boundary_anchor == [p * 2**levels for p in fp.boundary_anchor]
+    assert fine.area == 4**levels * fp.area

@@ -201,6 +201,23 @@ def test_level_project_random_bound_and_contraction(a2, a3):
             ), "projection must not expand distances"
 
 
+def test_level_project_builds_no_min_set_polytope(a3, monkeypatch):
+    """level_project needs only the minimum value, not the min-set polytope."""
+    import horofill.geometry as geo
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("level_project enumerated polytope vertices")
+
+    monkeypatch.setattr(geo, "enumerate_vertices", no_enumeration)
+    theta = cx.project_to_chamber(a3, unit(a3.coweights.sum(axis=0)))
+    trace = tr.symmetric_trace(a3, theta).shifted(-1.0).translated([0.3, -0.2, 0.5])
+    x = np.array([4.0, 1.0, -2.0])
+    y = tr.level_project(trace, x, 0.0)
+    assert abs(trace.value(y)) < 1e-9
+    with pytest.raises(tr.ProjectionError, match="is empty"):
+        tr.level_project(trace.translated([1.0, 0.0, 0.0]), x, -5.0)
+
+
 def test_level_project_segment_stays_outside(tri):
     rng = np.random.default_rng(9)
     for _ in range(50):

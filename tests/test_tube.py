@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from horofill import meshes as ms
 from horofill import tube as tb
-from horofill.filling import brute_force_area
 from horofill.partitions import Loop, validate_partition
 from horofill.tube import _min_distance_sum_on_boundary
 
