@@ -14,6 +14,7 @@ import numpy as np
 from .geometry import (
     DECISION_TOL,
     DEDUP_TOL,
+    HV_TOL,
     angle_between,
     dedup_rows,
     spherical_distance_to_cone,
@@ -49,7 +50,7 @@ class Slope:
     """Unit direction in the closed fundamental chamber.
 
     ``chamber_certificate`` stores the minimal inner product with the
-    simple roots; validity requires it to be >= -1e-9.
+    simple roots; validity requires it to be >= -DECISION_TOL.
     """
 
     direction: np.ndarray
@@ -57,7 +58,7 @@ class Slope:
 
     def __post_init__(self):
         object.__setattr__(self, "direction", np.asarray(self.direction, dtype=float))
-        if abs(np.linalg.norm(self.direction) - 1.0) > 1e-7:
+        if abs(np.linalg.norm(self.direction) - 1.0) > HV_TOL:
             raise ValueError("slope direction must be a unit vector")
         if self.chamber_certificate < -DECISION_TOL:
             raise ValueError(
@@ -99,7 +100,7 @@ class RootSystem:
             block = _gram_a(f)
             expected[pos : pos + f, pos : pos + f] = block
             pos += f
-        if not np.allclose(gram, expected, atol=1e-9):
+        if not np.allclose(gram, expected, atol=DECISION_TOL):
             raise UnsupportedRootSystem("Cartan data does not match the declared family")
 
     def _reflection_closure(self):
@@ -113,7 +114,7 @@ class RootSystem:
                     img = refl @ m
                     if img[np.argmax(np.abs(img))] < 0:
                         img = -img  # hyperplane normal, sign-canonical
-                    if not any(np.linalg.norm(img - q) <= 1e-9 for q in normals):
+                    if not any(np.linalg.norm(img - q) <= DECISION_TOL for q in normals):
                         normals.append(img)
                         nxt.append(img)
             frontier = nxt
@@ -221,12 +222,12 @@ def weyl_orbit(rs, v):
     """Orbit of a unit vector under the group, in canonical (sorted) order."""
     v = unit(v)
     pts = [w @ v for w in rs.weyl_elements]
-    orbit = dedup_rows(pts, tol=1e-9)
+    orbit = dedup_rows(pts, tol=DECISION_TOL)
     orbit.sort(key=lambda p: tuple(np.round(p, 9)))
     return orbit
 
 
-def orbit_index(orbit, v, tol=1e-7):
+def orbit_index(orbit, v, tol=HV_TOL):
     for i, p in enumerate(orbit):
         if np.linalg.norm(p - np.asarray(v, dtype=float)) <= tol:
             return i

@@ -282,8 +282,6 @@ def fill_flat_loop(trace, loop, mesh=1.0):
     if m <= 0:
         raise FillingError("horoball has empty interior along this apartment")
     hb = horoball_polytope(trace, 0.0)
-    if not hb.is_bounded:
-        raise FillingError("horoball trace unbounded; scenario not supported")
     core = ms.polytope
     strip_class = classify_strip(core)
     if strip_class.case == "fails":

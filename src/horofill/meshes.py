@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 
+from .geometry import DECISION_TOL
 from .partitions import subdivide
 
 
@@ -41,7 +42,7 @@ def octasphere(level=3, radius=1.0, center=None):
     return np.array(verts), np.array(tris, dtype=int)
 
 
-def equator_cycle(vertices, tol=1e-9):
+def equator_cycle(vertices, tol=DECISION_TOL):
     """Vertex cycle of the z = 0 equator of an octasphere, in angle order."""
     idx = [i for i, v in enumerate(vertices) if abs(v[2]) <= tol]
     idx.sort(key=lambda i: np.arctan2(vertices[i][1], vertices[i][0]))

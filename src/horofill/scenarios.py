@@ -25,7 +25,11 @@ def _loop_samples(ell, mesh, safety):
 
 
 def tube_point_wrap(R, ell, mesh=1.0, seed=0):
-    """Wrapped loop around a point core in E^3 (winding prices the area)."""
+    """Wrapped loop around a point core in E^3 (winding prices the area).
+
+    The target rounds to whole turns of about 2*pi*R, so shorter targets
+    give one turn: at R = 1, l = 8 realizes a loop of length 6.28.
+    """
     rng = np.random.default_rng(seed)
     k = max(1, int(round(ell / (2 * np.pi * R * 0.97))))
     n = _loop_samples(ell, mesh, WRAP_SAFETY)
@@ -41,7 +45,11 @@ def tube_point_wrap(R, ell, mesh=1.0, seed=0):
 
 
 def tube_segment_wrap(R, ell, mesh=1.0, seed=0):
-    """Wrapped loop around the unit segment core in E^3."""
+    """Wrapped loop around the unit segment core in E^3.
+
+    The target rounds to whole turns of about 2*pi*R, so shorter targets
+    give one turn, as in ``tube_point_wrap``.
+    """
     rng = np.random.default_rng(seed)
     P = tb.standard_shape("segment")
     a, b = P.vertices[0], P.vertices[-1]
@@ -191,7 +199,7 @@ def custom_trace_loop(trace, ell, mesh=1.0, seed=0):
     if not ms.bounded_below or not ms.polytope.is_bounded:
         raise ValueError("custom trace needs a bounded minimum set")
     hb = tr.horoball_polytope(trace, 0.0)
-    if hb.is_empty or not hb.is_bounded:
+    if hb.is_empty:
         raise ValueError("custom trace needs a bounded nonempty horoball trace")
     if trace.apartment_dim == 2:
         walker, total = _polygon_walker(hb.vertices)

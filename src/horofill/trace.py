@@ -5,6 +5,10 @@ one Weyl orbit (the orbit of the opposition image of the defining slope).
 Sublevel sets model the horoball trace on the apartment; the argmin
 polytope models the minimum set; level projection, sandwich radii and
 the corner path construction live here.
+
+Emptiness and boundedness of sublevel sets are per-trace facts, decided
+by one cached LP beside the cached minimum value; sublevel polytopes
+solve no LP of their own.
 """
 
 import itertools
@@ -24,7 +28,9 @@ from .coxeter import (
 )
 from .geometry import (
     DECISION_TOL,
+    DEDUP_TOL,
     HV_TOL,
+    SURFACE_TOL,
     ProjectionError,
     VPolytope,
     angle_between,
@@ -61,7 +67,7 @@ class BusemannTrace:
         )
         self.piece_orbit_indices = []
         for g in G:
-            if abs(np.linalg.norm(g) - 1.0) > 1e-7:
+            if abs(np.linalg.norm(g) - 1.0) > HV_TOL:
                 raise TraceError("gradients must be unit vectors")
             self.piece_orbit_indices.append(orbit_index(self.orbit, g))
         self.gradients = G
@@ -153,115 +159,70 @@ def symmetric_trace(rs, theta, level=0.0):
 # -- sublevel polytopes ------------------------------------------------------
 
 
-def _feasible(normals, bounds):
-    n = normals.shape[1]
-    res = linprog(
-        np.zeros(n),
-        A_ub=normals,
-        b_ub=bounds,
-        bounds=[(None, None)] * n,
-        method="highs",
-    )
-    return res.status == 0
-
-
-def _recession_nontrivial(normals):
-    n = normals.shape[1]
-    for k in range(n):
-        for sign in (1.0, -1.0):
-            c = np.zeros(n)
-            c[k] = -sign
-            res = linprog(
-                c,
-                A_ub=normals,
-                b_ub=np.zeros(len(normals)),
-                bounds=[(-1, 1)] * n,
-                method="highs",
-            )
-            if res.status == 0 and -res.fun > HV_TOL:
-                return True
-    return False
-
-
-def _sublevel_polytope(normals, bounds):
-    """{x : normals @ x <= bounds}; bounded sets come back as vertex hulls."""
-    if not _feasible(normals, bounds):
-        return VPolytope.from_halfspaces(normals, bounds, True, False)
-    unbounded = _recession_nontrivial(normals)
-    return VPolytope.from_halfspaces(normals, bounds, False, not unbounded)
-
-
 def horoball_polytope(trace, t):
-    """Sublevel set {value <= t} as a polytope."""
-    return _sublevel_polytope(trace.gradients, t - trace.offsets)
+    """Sublevel set {value <= t} as a polytope, from the cached trace facts."""
+    ms = _envelope_minimum(trace)
+    is_empty = ms.bounded_below and t < ms.min_value
+    return VPolytope.from_halfspaces(
+        trace.gradients, t - trace.offsets, is_empty, ms.sublevels_bounded
+    )
 
 
 @dataclass
 class MinSetResult:
     bounded_below: bool
-    polytope: VPolytope = None
     min_value: float = None
-
-
-def gradients_surround_origin(trace):
-    """Whether 0 lies in the convex hull of the piece gradients."""
-    m = len(trace.gradients)
-    A_eq = np.vstack([trace.gradients.T, np.ones(m)])
-    b_eq = np.concatenate([np.zeros(trace.apartment_dim), [1.0]])
-    res = linprog(
-        np.zeros(m), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * m, method="highs"
-    )
-    return res.status == 0
+    sublevels_bounded: bool = False
+    polytope: VPolytope = None
 
 
 def min_set(trace):
     """Argmin polytope of the envelope, or an unbounded-below flag."""
     ms = _envelope_minimum(trace)
     if ms.bounded_below and ms.polytope is None:
-        ms.polytope = _sublevel_polytope(trace.gradients, ms.min_value - trace.offsets)
+        ms.polytope = horoball_polytope(trace, ms.min_value)
     return ms
 
 
 def _envelope_minimum(trace):
-    """The min-set result without its polytope: two LPs, cached on the trace."""
+    """The min-set result without its polytope: two LPs, cached on the trace.
+
+    The Gordan LP, max s over sum lam_i g_i = 0, sum lam_i = 1, lam_i >= s
+    >= 0, is feasible iff the envelope is bounded below.  Every sublevel
+    set has the recession cone {d : G d <= 0}, which is {0} iff the g_i
+    positively span: s* > 0 and G has full rank.  The epigraph LP gives
+    the minimum value.
+    """
     if trace._min_cache is not None:
-        return trace._min_cache
-    if not gradients_surround_origin(trace):
-        trace._min_cache = MinSetResult(False)
         return trace._min_cache
     r = trace.apartment_dim
     m = len(trace.gradients)
-    c_obj = np.zeros(r + 1)
-    c_obj[-1] = 1.0
-    A_ub = np.hstack([trace.gradients, -np.ones((m, 1))])
+    # variables (lam_1..lam_m, s)
+    gordan = linprog(
+        np.concatenate([np.zeros(m), [-1.0]]),
+        A_ub=np.hstack([-np.eye(m), np.ones((m, 1))]),
+        b_ub=np.zeros(m),
+        A_eq=np.hstack([np.vstack([trace.gradients.T, np.ones(m)]), np.zeros((r + 1, 1))]),
+        b_eq=np.concatenate([np.zeros(r), [1.0]]),
+        bounds=[(0, None)] * (m + 1),
+        method="highs",
+    )
+    if gordan.status != 0:
+        trace._min_cache = MinSetResult(False)
+        return trace._min_cache
     res = linprog(
-        c_obj,
-        A_ub=A_ub,
+        np.concatenate([np.zeros(r), [1.0]]),
+        A_ub=np.hstack([trace.gradients, -np.ones((m, 1))]),
         b_ub=-trace.offsets,
         bounds=[(None, None)] * (r + 1),
         method="highs",
     )
-    if res.status == 3:
-        trace._min_cache = MinSetResult(False)
-        return trace._min_cache
     if res.status != 0:
         raise TraceError(f"min-set LP failed with status {res.status}")
-    trace._min_cache = MinSetResult(True, min_value=float(res.x[-1]))
+    spanning = np.linalg.matrix_rank(trace.gradients, tol=DECISION_TOL) == r
+    bounded = bool(spanning and -gordan.fun > DECISION_TOL)
+    trace._min_cache = MinSetResult(True, float(res.x[-1]), bounded)
     return trace._min_cache
-
-
-def min_set_edge_directions(result, tol=HV_TOL):
-    """Unit directions of the edges of a bounded min set."""
-    poly = result.polytope
-    verts = poly.vertices
-    dirs = []
-    for i, j in itertools.combinations(range(len(verts)), 2):
-        mid = poly.to_span(0.5 * (verts[i] + verts[j]))
-        A = poly.normals[np.abs(poly.normals @ mid - poly.bounds) <= tol]
-        # an edge midpoint's tight facets have rank exactly dim - 1
-        if np.linalg.matrix_rank(A, tol=DECISION_TOL) == poly.dim - 1:
-            dirs.append(unit(verts[j] - verts[i]))
-    return dirs
 
 
 # -- level projection ---------------------------------------------------------
@@ -366,7 +327,7 @@ def min_dihedral_angle(trace):
     m = len(trace.gradients)
     for i, j in itertools.combinations(range(m), 2):
         phi = angle_between(trace.gradients[i], trace.gradients[j])
-        if phi < 1e-9 or abs(np.pi - phi) < 1e-9:
+        if phi < DECISION_TOL or abs(np.pi - phi) < DECISION_TOL:
             continue  # parallel hyperplanes carry no corner
         best = min(best, min(phi, np.pi - phi))
     return best
@@ -377,7 +338,7 @@ def fetze_constant(trace):
     return 1.0 / np.sin(min_dihedral_angle(trace) / 2.0)
 
 
-def _facets_at(trace, x, t, tol=1e-6):
+def _facets_at(trace, x, t, tol=SURFACE_TOL):
     vals = trace.gradients @ np.asarray(x, dtype=float) + trace.offsets
     if abs(np.max(vals) - t) > tol:
         raise TraceError(
@@ -395,7 +356,7 @@ def face_pair_path(trace, t, x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.linalg.norm(x - y) <= 1e-12:
+    if np.linalg.norm(x - y) <= DEDUP_TOL:
         return np.array([x])
     fx, fy = _facets_at(trace, x, t), _facets_at(trace, y, t)
     gi = gj = None
@@ -419,7 +380,7 @@ def face_pair_path(trace, t, x, y):
     ya = z0 + null.T @ (null @ (y - z0))
     hx = float(np.linalg.norm(x - xa))
     hy = float(np.linalg.norm(y - ya))
-    if hx + hy < 1e-12:
+    if hx + hy < DEDUP_TOL:
         z = 0.5 * (xa + ya)
     else:
         z = xa + (hx / (hx + hy)) * (ya - xa)
@@ -443,7 +404,7 @@ def _walk_level_polygon(trace, t, x, y, z):
     cx = np.zeros(2)
     cyv = np.array([float(np.dot(y - origin, b1)), 0.0])
     allpts = [cx, cyv] + list(pts2)
-    allpts = dedup_rows(allpts, tol=1e-9)
+    allpts = dedup_rows(allpts, tol=DECISION_TOL)
     center = np.mean(np.array(allpts), axis=0)
     ordered = sorted(allpts, key=lambda p: np.arctan2(p[1] - center[1], p[0] - center[0]))
     n = len(ordered)

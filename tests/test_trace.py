@@ -1,5 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from horofill import coxeter as cx
 from horofill import trace as tr
@@ -134,22 +139,106 @@ def test_min_set_cases(a1a1, slab, tri):
     assert np.allclose(res3.polytope.vertices[0], 0.0, atol=1e-7)
 
 
-def test_min_set_edge_slopes_in_ort(a3):
-    """Edges of a bounded min set project to orthogonal slopes."""
-    # product-like trace inside A3: sublevel of max(<x,g>, <x,-g>) has a
-    # hyperplane min set; use instead a trace whose min set is a segment:
-    # take the tetrahedral symmetric trace and flatten two offsets.
-    vertex = cx.project_to_chamber(a3, a3.coweights[0])
-    sym = tr.symmetric_trace(a3, vertex)
-    offs = sym.offsets.copy()
-    # lower two pieces so the argmin grows into a segment
-    g = sym.gradients
-    res = tr.min_set(sym)
-    assert res.bounded_below
-    dirs = tr.min_set_edge_directions(res)
-    for d in dirs:
-        beta = cx.project_to_chamber(a3, d)
-        assert cx.ort_distance(a3, sym.theta, beta) < 1e-6
+def test_fresh_trace_solves_two_lps(a3, monkeypatch):
+    """min_set and any number of sublevel polytopes share the two cached LPs."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "linprog", counting)
+    theta = cx.project_to_chamber(a3, unit(a3.coweights.sum(axis=0)))
+    trace = tr.symmetric_trace(a3, theta).shifted(-1.0).translated([0.3, -0.2, 0.5])
+    assert tr.min_set(trace).polytope.is_bounded
+    assert tr.horoball_polytope(trace, -2.0).is_empty
+    assert tr.horoball_polytope(trace, 0.0).is_bounded
+    assert tr.horoball_polytope(trace, 1.0).is_bounded
+    assert len(calls) == 2
+
+
+# Reference decisions: one LP per question and level, independent of the
+# cached per-trace facts.
+
+
+def _ref_surrounds_origin(G):
+    m, n = G.shape
+    A_eq = np.vstack([G.T, np.ones(m)])
+    b_eq = np.concatenate([np.zeros(n), [1.0]])
+    res = linprog(np.zeros(m), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * m, method="highs")
+    return res.status == 0
+
+
+def _ref_feasible(G, b):
+    n = G.shape[1]
+    res = linprog(np.zeros(n), A_ub=G, b_ub=b, bounds=[(None, None)] * n, method="highs")
+    return res.status == 0
+
+
+def _ref_recession_nontrivial(G):
+    n = G.shape[1]
+    for k in range(n):
+        for sign in (1.0, -1.0):
+            c = np.zeros(n)
+            c[k] = -sign
+            res = linprog(
+                c, A_ub=G, b_ub=np.zeros(len(G)), bounds=[(-1, 1)] * n, method="highs"
+            )
+            if res.status == 0 and -res.fun > 1e-7:
+                return True
+    return False
+
+
+# (rank, coweight index or None for the regular slope)
+ORBIT_SLOPES = [(2, 0), (2, 1), (2, None), (3, 0), (3, 1), (3, 2), (3, None)]
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit(rank, k):
+    """Root system, slope and full gradient orbit of a symmetric trace."""
+    rs = cx.build_root_system("A", rank=rank)
+    slope = rs.coweights.sum(axis=0) if k is None else rs.coweights[k]
+    theta = cx.project_to_chamber(rs, unit(slope))
+    return rs, theta, tr.symmetric_trace(rs, theta).gradients
+
+
+@st.composite
+def sub_orbit_cases(draw):
+    rank, k = draw(st.sampled_from(ORBIT_SLOPES))
+    size = len(_orbit(rank, k)[2])
+    mask = draw(st.lists(st.booleans(), min_size=size, max_size=size).filter(any))
+    pieces = [i for i in range(size) if mask[i]]
+    offsets = draw(st.lists(st.floats(-2, 2), min_size=len(pieces), max_size=len(pieces)))
+    gap = st.floats(-3, 3).filter(lambda g: abs(g) >= 1e-6)
+    gaps = draw(st.lists(gap, min_size=1, max_size=3))
+    return rank, k, pieces, offsets, gaps
+
+
+@given(sub_orbit_cases())
+@example((2, 0, [1], [0.3], [0.5, -0.5]))  # one piece: unbounded below
+@example((3, 1, [0, 5], [0.2, -0.4], [0.5, -0.5]))  # antipodal pair: a slab
+@example((3, 1, [0, 1, 4, 5], [0.0, 0.1, 0.2, 0.3], [1.0, -1.0]))  # a prism
+@example((3, 0, [0, 1, 2, 3], [0.0, 0.5, -0.5, 1.0], [1.0, -1.0]))  # a simplex
+def test_cached_decisions_match_the_lps(case):
+    """Emptiness and boundedness from the cache agree with one LP per question.
+
+    Levels t = min_value + gap stay at least 1e-6 away from the minimum.
+    """
+    rank, k, pieces, offsets, gaps = case
+    rs, theta, orbit = _orbit(rank, k)
+    trace = tr.BusemannTrace(rs, theta, orbit[pieces], offsets)
+    G, c = trace.gradients, trace.offsets
+    ms = tr.min_set(trace)
+    assert ms.bounded_below == _ref_surrounds_origin(G)
+    bounded = not _ref_recession_nontrivial(G)
+    if ms.bounded_below:
+        assert ms.polytope.is_bounded == bounded
+    for gap in gaps:
+        t = (ms.min_value if ms.bounded_below else 0.0) + gap
+        hb = tr.horoball_polytope(trace, t)
+        feasible = _ref_feasible(G, t - c)
+        assert hb.is_empty == (not feasible)
+        assert hb.is_bounded == (feasible and bounded)
 
 
 def test_level_project_single_piece(a1a1):
