@@ -27,13 +27,6 @@ class BrickBound:
             raise ValueError("exponent must be >= 2")
 
 
-def mixed_area_bound(b, l, lam):
-    """k1 * l^3 / lam^2 + k2 * l^2 / lam^p."""
-    if l <= 0 or lam <= 0:
-        raise ValueError("length and mesh must be positive")
-    return b.k1 * l**3 / lam**2 + b.k2 * l**2 / lam**b.p
-
-
 def balanced_terms(b, M, eps=None):
     """The two census terms at the balancing scale lam = l / M.
 

@@ -399,80 +399,3 @@ def _simplex_grid(dim, n):
 
     rec([], n, dim)
     return [np.array(c, dtype=float) / n for c in out]
-
-
-# -- factor decomposition ----------------------------------------------------
-
-
-def factor_split(rs, theta):
-    """Irreducible factors (by diagram connectivity) and theta's components.
-
-    Returns a list of dicts with the simple-root indices of the factor,
-    the component of theta in the factor's span, and its norm; plus a
-    flag marking theta parallel to some factor.
-    """
-    r = rs.rank
-    adj = [[False] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            if i != j and abs(np.dot(rs.simple_roots[i], rs.simple_roots[j])) > DECISION_TOL:
-                adj[i][j] = True
-    comps = []
-    seen = set()
-    for i in range(r):
-        if i in seen:
-            continue
-        stack, comp = [i], []
-        while stack:
-            k = stack.pop()
-            if k in seen:
-                continue
-            seen.add(k)
-            comp.append(k)
-            stack.extend(j for j in range(r) if adj[k][j] and j not in seen)
-        comps.append(sorted(comp))
-    comps.sort()
-    out = []
-    for comp in comps:
-        sub = rs.simple_roots[comp]
-        q, _ = np.linalg.qr(sub.T)
-        component = q @ (q.T @ theta.direction)
-        out.append(
-            {
-                "roots": comp,
-                "component": component,
-                "norm": float(np.linalg.norm(component)),
-            }
-        )
-    parallel_to = None
-    if len(out) > 1:
-        for i, fac in enumerate(out):
-            others = np.sqrt(
-                sum(f["norm"] ** 2 for j, f in enumerate(out) if j != i)
-            )
-            if others <= DECISION_TOL:
-                parallel_to = i
-    return {"factors": out, "parallel_to_factor": parallel_to}
-
-
-# -- skew hyperplanes --------------------------------------------------------
-
-
-def skew_hyperplane(rs, chamber, phi_basis):
-    """A hyperplane supporting the chamber, skew to the span Phi.
-
-    ``chamber`` indexes ``rs.weyl_elements``; Phi is given by spanning
-    vectors.  Skew means the hyperplane neither contains / is parallel
-    to Phi (normal orthogonal to Phi) nor is orthogonal to Phi (normal
-    inside Phi).  Returns the unit normal, or None when every supporting
-    hyperplane fails (possible only for factor-parallel data).
-    """
-    w = rs.weyl_elements[chamber]
-    basis = np.asarray(phi_basis, dtype=float)
-    q, _ = np.linalg.qr(basis.T)
-    for root in rs.simple_roots:
-        n = unit(w @ root)
-        proj = np.linalg.norm(q.T @ n)
-        if proj > DECISION_TOL and proj < 1.0 - DECISION_TOL:
-            return n
-    return None

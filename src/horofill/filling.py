@@ -1,5 +1,5 @@
-"""Loop filling machinery: cone fills, descent cylinders, the flat-loop
-pipeline, partition refinement, exponent fits, and the exact area oracle.
+"""Loop filling machinery: cone fills, the flat-loop pipeline, partition
+refinement, exponent fits, and the exact area oracle.
 
 Areas are brick counts of the partitions this engine constructs; no claim
 of global minimality is made.  The oracle, one sparse LP whose optimum is
@@ -13,18 +13,16 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix, hstack
 
-from .coxeter import ort_distance, wall_margin
-from .geometry import DECISION_TOL, DEDUP_TOL, SURFACE_TOL
+from .geometry import DECISION_TOL, SURFACE_TOL
 from .partitions import (
-    MESH_ATTEMPTS,
     BrickCensus,
     DiskBuilder,
     FillingPartition,
     Loop,
-    PartitionError,
     compute_mesh,
     edge_keys,
     empty_partition,
+    fill_to_mesh,
     subdivide,
     validate_partition,
 )
@@ -37,8 +35,6 @@ __all__ = [
     "Loop",
     "validate_partition",
     "cone_fill",
-    "cylinder_descend",
-    "close_cylinder",
     "fill_flat_loop",
     "refine_partition",
     "dehn_exponent",
@@ -64,15 +60,14 @@ def cone_fill(loop, mesh, basepoint_index=0):
         raise FillingError("mesh must be positive")
     if loop.is_constant:
         return empty_partition(loop)
-    spacing = mesh / 3.0
-    fp = None
-    for _ in range(MESH_ATTEMPTS):
-        fp = _cone_fill_once(loop, spacing, basepoint_index)
-        if fp.mesh <= mesh + DEDUP_TOL:
-            fp.census = BrickCensus(flat_bricks=fp.area, wild_bricks=0)
-            return fp
-        spacing *= 0.9 * mesh / fp.mesh
-    raise PartitionError(f"cone fill missed the mesh: {fp.mesh} > {mesh}")
+    fp = fill_to_mesh(
+        lambda spacing: (_cone_fill_once(loop, spacing, basepoint_index), None),
+        mesh / 3.0,
+        mesh,
+        "cone fill",
+    )[0]
+    fp.census = BrickCensus(flat_bricks=fp.area, wild_bricks=0)
+    return fp
 
 
 def _cone_fill_once(loop, spacing, basepoint_index):
@@ -81,16 +76,11 @@ def _cone_fill_once(loop, spacing, basepoint_index):
     verts = np.roll(res.vertices, -roll, axis=0)
     s = len(verts)
     anchor = [(p - roll) % s for p in orig_pos]
-    hub = verts[0]
     builder = DiskBuilder(verts.shape[1])
     bidx = builder.add_chain(verts)
     chains = [[bidx[0]]]
     for i in range(1, s):
-        seg = float(np.linalg.norm(verts[i] - hub))
-        n = max(2, int(np.ceil(seg / spacing)) + 1)
-        pts = hub + np.linspace(0.0, 1.0, n)[1:-1, None] * (verts[i] - hub)
-        interior = builder.add_chain(pts) if n > 2 else []
-        chains.append([bidx[0]] + interior + [bidx[i]])
+        chains.append(builder.add_segment(bidx[0], bidx[i], spacing))
     chains.append([bidx[0]])
     for i in range(s):
         builder.add_ladder(chains[i], chains[i + 1])
@@ -126,101 +116,6 @@ def convex_region_clear(trace, loop, level=0.0):
     if res.status != 0:
         raise FillingError(f"hull LP failed with status {res.status}")
     return res.fun >= level - DECISION_TOL
-
-
-# -- descent cylinders -----------------------------------------------------------
-
-
-@dataclass
-class AnnulusStrip:
-    """Cylinder between two loops; not a disk, so not a FillingPartition."""
-
-    points: np.ndarray
-    triangles: np.ndarray
-    outer: list
-    inner: list
-    outer_anchor: list = None
-
-    @property
-    def area(self):
-        return int(len(self.triangles))
-
-
-def cylinder_descend(loop, beta, rs, theta, delta1, mesh=1.0, height=None):
-    """Flow a flat loop to a transverse hyperplane along a good slope.
-
-    Marks samples along the loop, flows each along the slope direction
-    to the hyperplane orthogonal to the flow at height length * (1 +
-    1/sin(delta1)) over the first sample (or an explicit height), and
-    returns the inner polygon (never longer than the loop, by convexity
-    of the distance) together with the quadrilateral-strip cylinder
-    between the two loops.
-    """
-    if not (
-        ort_distance(rs, theta, beta) > delta1 and wall_margin(rs, beta) > delta1
-    ):
-        raise FillingError(
-            "slope fails the good-slope recheck (orthogonal-set or wall margin)"
-        )
-    spacing = mesh / 4.0
-    res, orig_pos = loop.resampled(spacing)
-    P = res.vertices
-    u = beta.direction
-    ell = loop.length
-    h = ell * (1.0 + 1.0 / np.sin(delta1)) if height is None else float(height)
-    t = h - (P - P[0]) @ u
-    if np.any(t < -DECISION_TOL):
-        raise FillingError("hyperplane height does not clear the loop")
-    t = np.clip(t, 0.0, None)
-    N = P + t[:, None] * u
-    inner = Loop(N)
-    if inner.length > loop.length + SURFACE_TOL:
-        raise FillingError("inner loop came out longer than the outer loop")
-    builder = DiskBuilder(P.shape[1])
-    outer_idx = builder.add_chain(P)
-    if np.max(t) <= DEDUP_TOL:
-        # loop already lies in the target hyperplane: empty cylinder
-        strip = AnnulusStrip(
-            builder.points, builder.triangles, outer_idx, outer_idx, outer_anchor=orig_pos
-        )
-        return inner, strip
-    inner_idx = builder.add_chain(N)
-    s = len(P)
-    rows = max(1, int(np.ceil(np.max(t) / spacing)))
-    chains = []
-    for k in range(s):
-        pts = [P[k] + (j / rows) * t[k] * u for j in range(1, rows)]
-        interior = builder.add_chain(pts)
-        chains.append([outer_idx[k]] + interior + [inner_idx[k]])
-    for k in range(s):
-        builder.add_ladder(chains[k], chains[(k + 1) % s])
-    strip = AnnulusStrip(
-        builder.points, builder.triangles, outer_idx, inner_idx, outer_anchor=orig_pos
-    )
-    return inner, strip
-
-
-def close_cylinder(strip, mesh):
-    """Cap an annulus strip with a cone fill of its inner loop.
-
-    The inner polygon lies in the target hyperplane (a convex flat), so
-    the fan stays inside it.  The strip's inner sampling is finer than
-    the cone's resampling spacing, so the shared ring matches edge for
-    edge.  Returns a FillingPartition bounded by the strip's outer loop.
-    """
-    inner = np.asarray(strip.inner)
-    cap = cone_fill(Loop(strip.points[inner]), mesh)
-    builder = DiskBuilder(strip.points.shape[1])
-    builder.add_chain(strip.points)
-    builder.add_triangles(strip.triangles)
-    # the cap's anchored boundary vertices are the inner strip vertices;
-    # the other cap vertices are appended
-    lookup = np.full(len(cap.points), -1)
-    lookup[np.asarray(cap.boundary)[cap.boundary_anchor]] = inner
-    rest = lookup < 0
-    lookup[rest] = builder.add_chain(cap.points[rest])
-    builder.add_triangles(lookup[cap.triangles])
-    return builder.build(strip.outer, anchor=strip.outer_anchor)
 
 
 # -- the flat-loop pipeline ---------------------------------------------------------
@@ -291,18 +186,16 @@ def fill_flat_loop(trace, loop, mesh=1.0):
     proj = sandwich_project(hb, core, m)
     # optimistic start: the retry shrinks the tube mesh only where the
     # fiber pullback actually stretches bricks
-    tube_mesh = mesh / 1.4
-    spacing = mesh / 3.0
-    fp = None
-    for _ in range(MESH_ATTEMPTS):
-        fp, census, info = _flat_pipeline(trace, loop, proj, core, m, spacing, tube_mesh)
-        if fp.mesh <= mesh + DEDUP_TOL:
-            info["route"] = "sandwich"
-            info["strip"] = strip_class
-            info["a"] = proj.a
-            return fp, census, info
-        tube_mesh *= 0.9 * mesh / fp.mesh
-    raise PartitionError(f"flat pipeline missed the mesh (got {fp.mesh} > {mesh})")
+    fp, info, _ = fill_to_mesh(
+        lambda tube_mesh: _flat_pipeline(trace, loop, proj, core, m, mesh / 3.0, tube_mesh),
+        mesh / 1.4,
+        mesh,
+        "flat pipeline",
+    )
+    info["route"] = "sandwich"
+    info["strip"] = strip_class
+    info["a"] = proj.a
+    return fp, fp.census, info
 
 
 def _flat_pipeline(trace, loop, proj, core, m, spacing, tube_mesh):
@@ -331,13 +224,10 @@ def _flat_pipeline(trace, loop, proj, core, m, spacing, tube_mesh):
     builder.add_triangles(lookup[disk.triangles])
     # radial chains from each loop vertex down to its level projection
     rim = lookup[np.asarray(disk.boundary)]
-    radial = []
-    for k in range(s):
-        seg = float(np.linalg.norm(V[k] - level_pts[k]))
-        n = max(2, int(np.ceil(seg / spacing)) + 1)
-        pts = V[k] + np.linspace(0.0, 1.0, n)[1:-1, None] * (level_pts[k] - V[k])
-        interior = builder.add_chain(pts) if n > 2 else []
-        radial.append([outer_idx[k]] + interior + [int(rim[ring_positions[k]])])
+    radial = [
+        builder.add_segment(outer_idx[k], int(rim[ring_positions[k]]), spacing)
+        for k in range(s)
+    ]
     # between radial chains k and k + 1 the ladder runs along the pulled
     # boundary arc from ring vertex k to ring vertex k + 1
     nb = len(rim)
@@ -347,9 +237,8 @@ def _flat_pipeline(trace, loop, proj, core, m, spacing, tube_mesh):
         arc = twice[p1 : p1 + (p2 - p1) % nb + 1]
         builder.add_ladder(radial[k][:-1] + arc, radial[(k + 1) % s])
     fp = builder.build(outer_idx, anchor=orig_pos)
-    census = brick_census(trace, fp)
-    fp.census = census
-    return fp, census, {"tube": tube_info}
+    fp.census = brick_census(trace, fp)
+    return fp, {"tube": tube_info}
 
 
 # -- refinement ------------------------------------------------------------------------

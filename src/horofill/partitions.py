@@ -294,6 +294,17 @@ class DiskBuilder:
     def add_point(self, p):
         return self.add_chain(np.asarray(p, dtype=float)[None])[0]
 
+    def add_segment(self, i, j, spacing):
+        """Chain of placed vertices i and j with evenly spaced points between.
+
+        Places max(2, ceil(|pj - pi| / spacing) + 1) points in all; returns
+        ``[i] + interior + [j]``.
+        """
+        pi, pj = self._pts[i], self._pts[j]
+        n = max(2, int(np.ceil(float(np.linalg.norm(pj - pi)) / spacing)) + 1)
+        interior = self.add_chain(pi + np.linspace(0.0, 1.0, n)[1:-1, None] * (pj - pi))
+        return [i] + interior + [j]
+
     def add_triangles(self, tris):
         """Append index rows, dropping degenerate ones (chains sharing an end)."""
         T = np.asarray(tris, dtype=int).reshape(-1, 3)
@@ -372,6 +383,24 @@ def subdivide(points, triangles):
         return number[np.searchsorted(keys, want)]
 
     return points, out, midpoint
+
+
+def fill_to_mesh(build, knob, mesh, what="fill"):
+    """Build until the partition meets the mesh, shrinking the knob between tries.
+
+    ``build(knob)`` returns ``(partition, info)``.  A try that misses the
+    mesh scales the knob by 0.9 * mesh / achieved; after MESH_ATTEMPTS
+    misses a PartitionError naming ``what`` is raised.  Returns
+    ``(partition, info, knob)`` for the try that met the mesh.
+    """
+    for _ in range(MESH_ATTEMPTS):
+        fp, info = build(knob)
+        if fp.mesh <= mesh + DEDUP_TOL:
+            return fp, info, knob
+        knob *= 0.9 * mesh / fp.mesh
+    raise PartitionError(
+        f"{what} missed the mesh after {MESH_ATTEMPTS} attempts: {fp.mesh} > {mesh}"
+    )
 
 
 def empty_partition(loop):

@@ -12,7 +12,6 @@ solve no LP of their own.
 """
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ from .coxeter import (
     delta_zero,
     opposition_image,
     orbit_index,
-    ort_distance,
-    wall_margin,
     weyl_orbit,
 )
 from .geometry import (
@@ -84,12 +81,6 @@ class BusemannTrace:
         X = np.asarray(X, dtype=float)
         return np.max(X @ self.gradients.T + self.offsets, axis=1)
 
-    def active_set(self, x, tol=DECISION_TOL):
-        x = np.asarray(x, dtype=float)
-        vals = self.gradients @ x + self.offsets
-        top = np.max(vals)
-        return [i for i, v in enumerate(vals) if v >= top - tol]
-
     # -- transforms -------------------------------------------------------
 
     def translated(self, t0):
@@ -138,15 +129,6 @@ class BusemannTrace:
         grads = [orbit[int(i)] for i, _ in data["pieces"]]
         offs = [float(c) for _, c in data["pieces"]]
         return BusemannTrace(rs, theta, grads, offs)
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-
-    @staticmethod
-    def load(path):
-        with open(path) as fh:
-            return BusemannTrace.from_dict(json.load(fh))
 
 
 def symmetric_trace(rs, theta, level=0.0):
@@ -272,48 +254,6 @@ def sandwich_radii(trace):
     return m, m / np.sin(prof.delta0)
 
 
-def check_sandwich(trace, samples=1000, seed=0):
-    """Sample both sandwich inclusions; returns the worst margins.
-
-    Inner: points of N_m(Min) must have value <= 0.  Outer: points of
-    the level-zero boundary must lie within a*m of the min set.
-    """
-    m, am = sandwich_radii(trace)
-    res = min_set(trace)
-    verts = res.polytope.vertices
-    rng = np.random.default_rng(seed)
-    r = trace.apartment_dim
-    worst_inner = -np.inf
-    worst_outer = -np.inf
-    for _ in range(samples):
-        w = rng.dirichlet(np.ones(len(verts))) if len(verts) > 1 else np.ones(1)
-        base = w @ verts
-        d = rng.normal(size=r)
-        d /= np.linalg.norm(d)
-        inner_pt = base + m * rng.uniform(0, 1) * d
-        worst_inner = max(worst_inner, trace.value(inner_pt))
-        lo, hi = 0.0, 1.0
-        while trace.value(base + hi * d) < 0:
-            hi *= 2.0
-            if hi > 1e9:
-                raise TraceError("boundary ray did not exit the horoball")
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if trace.value(base + mid * d) < 0:
-                lo = mid
-            else:
-                hi = mid
-        bd = base + hi * d
-        foot = res.polytope.nearest_point(bd)
-        worst_outer = max(worst_outer, float(np.linalg.norm(bd - foot)))
-    return {
-        "max_value_inner": worst_inner,
-        "max_dist_outer": worst_outer,
-        "m": m,
-        "am": am,
-    }
-
-
 # -- corner paths (non-parallel faces) -----------------------------------------
 
 
@@ -428,24 +368,3 @@ def _walk_level_polygon(trace, t, x, y, z):
     path[0] = x.copy()
     path[-1] = y.copy()
     return np.array(path)
-
-
-# -- descent rates --------------------------------------------------------------
-
-
-def descent_rate(trace, x, beta, weyl_index):
-    """|one-sided derivative of the envelope at x along w . u_beta|."""
-    w = trace.root_system.weyl_elements[weyl_index]
-    d = w @ beta.direction
-    act = trace.active_set(x)
-    deriv = max(np.dot(trace.gradients[i], d) for i in act)
-    return abs(float(deriv))
-
-
-def is_good_slope(trace, beta, delta1):
-    """Recheck the good-slope certificate against this trace's theta."""
-    rs = trace.root_system
-    return (
-        ort_distance(rs, trace.theta, beta) > delta1
-        and wall_margin(rs, beta) > delta1
-    )

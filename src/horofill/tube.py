@@ -23,7 +23,7 @@ from .geometry import (
     segment_hits_polytope,
     unit,
 )
-from .partitions import MESH_ATTEMPTS, DiskBuilder, PartitionError, empty_partition
+from .partitions import DiskBuilder, empty_partition, fill_to_mesh
 
 
 class TubeError(ValueError):
@@ -76,23 +76,6 @@ def standard_shape(name, dim=3):
 def proper_core(P):
     """Tube constructions require a proper core: codimension >= 1."""
     return P.codim >= 1
-
-
-def save_polytope(path, P):
-    """Vertex-list file, decimal with 12-digit precision."""
-    import json
-
-    with open(path, "w") as fh:
-        json.dump(
-            {"vertices": [[round(float(c), 12) for c in v] for v in P.vertices]}, fh
-        )
-
-
-def load_polytope(path):
-    import json
-
-    with open(path) as fh:
-        return VPolytope(np.array(json.load(fh)["vertices"], dtype=float))
 
 
 def nearest_point(P, x):
@@ -417,16 +400,6 @@ class SandwichProjection:
         if np.any(~np.isfinite(t_hi)) or np.any(t_hi <= 0):
             raise SandwichError("a fiber ray does not exit the body")
         return bases + t_hi[:, None] * rays
-
-    def path_ratio(self, path_on_body):
-        mapped = np.array([self.map(p) for p in path_on_body])
-        lb = polyline_length(path_on_body)
-        lt = polyline_length(mapped)
-        return {
-            "body_length": lb,
-            "tube_length": lt,
-            "ratio": lb / lt if lt > 1e-15 else 1.0,
-        }
 
 
 def sandwich_project(body, core, R):
@@ -852,17 +825,13 @@ def fill_tube_loop(P, R, loop, mesh):
             "unfillable outside the core altogether)"
         )
     case = loop_case(P, loop)
-    spacing = mesh / 2.05
-    achieved = None
-    for _ in range(MESH_ATTEMPTS):
-        fp = _chart_fan(P, chart, loop, spacing, degree)
-        if fp.mesh <= mesh + DEDUP_TOL:
-            return fp, {"case": case, "strip": strip, "spacing": spacing, "degree": degree}
-        achieved = fp.mesh
-        spacing *= 0.9 * mesh / fp.mesh
-    raise PartitionError(
-        f"could not reach mesh {mesh} (achieved {achieved}); loop too irregular"
+    fp, _, spacing = fill_to_mesh(
+        lambda spacing: (_chart_fan(P, chart, loop, spacing, degree), None),
+        mesh / 2.05,
+        mesh,
+        "tube fan",
     )
+    return fp, {"case": case, "strip": strip, "spacing": spacing, "degree": degree}
 
 
 def _chart_fan(P, chart, loop, spacing, degree):
@@ -892,7 +861,7 @@ def _chart_fan(P, chart, loop, spacing, degree):
         d = chart.param_distance(hub_p, target)
         n = max(2, int(np.ceil(d / spacing)) + 1)
         pts = chart.param_path(hub_p, target, n)
-        interior = builder.add_chain(pts[1:-1]) if n > 2 else []
+        interior = builder.add_chain(pts[1:-1])
         return [hub_idx] + interior + [end_idx]
 
     chains = [spoke((ts[i], phis[i]), bidx[i]) for i in range(s)]
@@ -948,7 +917,7 @@ def _pole_cap(builder, chart, fiber_chain, fiber_params, spacing):
         t_j, phi_j = fiber_params[j]
         m = max(2, int(np.ceil(t_j / spacing)))
         mer_pts = chart.param_path((0.0, phi_j), (t_j, phi_j), m)
-        interior = builder.add_chain(mer_pts[1:-1]) if m > 2 else []
+        interior = builder.add_chain(mer_pts[1:-1])
         meridians.append([pole_idx] + interior + [fiber_chain[j]])
     for j in range(n - 1):
         builder.add_ladder(meridians[j], meridians[j + 1])

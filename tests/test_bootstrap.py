@@ -11,24 +11,6 @@ def test_brick_bound_validation():
         bs.BrickBound(k1=1.0, k2=1.0, p=1.5)
 
 
-def test_mixed_area_bound_values():
-    b = bs.BrickBound(1.0, 1.0, 3.0)
-    assert bs.mixed_area_bound(b, 1.0, 1.0) == 2.0
-    assert abs(bs.mixed_area_bound(b, 2.0, 1.0) - (8 + 4)) < 1e-12
-    with pytest.raises(ValueError):
-        bs.mixed_area_bound(b, -1.0, 1.0)
-
-
-def test_mixed_area_monotonicity():
-    b = bs.BrickBound(1.3, 0.7, 2.5)
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        l = rng.uniform(0.5, 50)
-        lam = rng.uniform(0.1, 5)
-        assert bs.mixed_area_bound(b, l * 1.1, lam) > bs.mixed_area_bound(b, l, lam)
-        assert bs.mixed_area_bound(b, l, lam * 1.1) < bs.mixed_area_bound(b, l, lam)
-
-
 def test_balanced_terms_cubic_gives_order_2_5():
     """At lam = l/M with l ~ sqrt(M), the bound is of order M^2.5."""
     b = bs.BrickBound(1.0, 1.0, 3.0)
@@ -37,16 +19,6 @@ def test_balanced_terms_cubic_gives_order_2_5():
         total = t1 + t2
         assert 0.1 <= total / M**2.5 <= 10.0
         assert 0.1 <= t1 / t2 <= 10.0
-
-
-def test_mixed_bound_order_2_5_window():
-    """Across the whole window sqrt(M) <= l <= 2 sqrt(M) at lam = l/M."""
-    b = bs.BrickBound(1.0, 1.0, 3.0)
-    C = 3.0  # 2*k1 + k2 for this window
-    for M in (10.0, 1e3, 1e6):
-        for c in (1.0, 1.5, 2.0):
-            l = c * np.sqrt(M)
-            assert bs.mixed_area_bound(b, l, l / M) <= C * M**2.5 + 1e-9
 
 
 def test_balanced_terms_eps_gives_improved_order():

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -188,46 +186,6 @@ def test_find_good_slope_a2(a2):
     theta = cx.project_to_chamber(a2, a2.coweights.sum(axis=0))
     res = cx.find_good_slope(a2, theta, 0.01)
     assert res.found
-
-
-def test_factor_split(a3, a1a1):
-    theta = cx.project_to_chamber(a3, unit(a3.coweights.sum(axis=0)))
-    out = cx.factor_split(a3, theta)
-    assert len(out["factors"]) == 1
-    assert out["parallel_to_factor"] is None
-
-    e1 = cx.project_to_chamber(a1a1, np.array([1.0, 0.0]))
-    out = cx.factor_split(a1a1, e1)
-    assert len(out["factors"]) == 2
-    assert out["parallel_to_factor"] is not None
-
-    a2a1 = cx.build_root_system("product", factors=[2, 1])
-    mixed = cx.project_to_chamber(a2a1, unit(a2a1.coweights.sum(axis=0)))
-    out = cx.factor_split(a2a1, mixed)
-    assert out["parallel_to_factor"] is None
-    assert all(f["norm"] > 1e-9 for f in out["factors"])
-
-
-def test_skew_hyperplane_a3(a3):
-    theta = unit(a3.coweights.sum(axis=0))
-    # singular plane orthogonal to a regular-ish direction
-    phi = [a3.coweights[0], a3.coweights[1]]
-    n = cx.skew_hyperplane(a3, 0, phi)
-    assert n is not None
-    q, _ = np.linalg.qr(np.array(phi).T)
-    proj = np.linalg.norm(q.T @ n)
-    assert 1e-9 < proj < 1 - 1e-9
-
-
-def test_skew_hyperplane_nonexistent(a1a1):
-    phi = [np.array([1.0, 0.0])]
-    assert cx.skew_hyperplane(a1a1, 0, phi) is None
-
-
-def test_skew_hyperplane_a2(a2):
-    phi = [a2.coweights[0]]
-    n = cx.skew_hyperplane(a2, 1, phi)
-    assert n is not None
 
 
 def test_descriptor_roundtrip(a3, a1a1):

@@ -7,18 +7,12 @@ from horofill import coxeter as cx
 from horofill import filling as fl
 from horofill import meshes as ms
 from horofill import trace as tr
-from horofill import tube as tb
-from horofill.partitions import Loop, PartitionError, validate_partition
+from horofill.partitions import Loop, validate_partition
 
 
 @pytest.fixture(scope="module")
 def a2():
     return cx.build_root_system("A", rank=2)
-
-
-@pytest.fixture(scope="module")
-def a3():
-    return cx.build_root_system("A", rank=3)
 
 
 @pytest.fixture(scope="module")
@@ -77,53 +71,6 @@ def test_convex_region_clear(tri_trace):
     assert fl.convex_region_clear(tri_trace, far)
     around = circle_loop(4.0, 64)
     assert not fl.convex_region_clear(tri_trace, around)
-
-
-# -- cylinder descent ------------------------------------------------------------
-
-
-def test_cylinder_descend_contraction(a3):
-    theta = cx.project_to_chamber(a3, a3.coweights.sum(axis=0))
-    res = cx.find_good_slope(a3, theta, 0.05)
-    sq = Loop(np.array([[0.0, 0, 0], [2, 0, 0], [2, 2, 0], [0, 2, 0]]))
-    inner, strip = fl.cylinder_descend(sq, res.slope, a3, theta, 0.05, mesh=1.0)
-    assert inner.length <= sq.length + 1e-6
-    P = strip.points[strip.outer]
-    N = strip.points[strip.inner]
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        i, j = rng.integers(0, len(P), size=2)
-        assert np.linalg.norm(N[i] - N[j]) <= np.linalg.norm(P[i] - P[j]) + 1e-9
-
-
-def test_cylinder_descend_bad_slope_rejected(a3, a2):
-    theta = cx.project_to_chamber(a3, a3.coweights.sum(axis=0))
-    sq = Loop(np.array([[0.0, 0, 0], [2, 0, 0], [2, 2, 0], [0, 2, 0]]))
-    with pytest.raises(fl.FillingError, match="good-slope"):
-        fl.cylinder_descend(sq, theta, a3, theta, 0.05)
-
-
-def test_cylinder_descend_already_at_height(a3):
-    theta = cx.project_to_chamber(a3, a3.coweights.sum(axis=0))
-    res = cx.find_good_slope(a3, theta, 0.05)
-    u = res.slope.direction
-    e1 = np.array([1.0, 0, 0]) - u[0] * u
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(u, e1)
-    sq = Loop(np.array([a * e1 + b * e2 for a, b in [(0, 0), (2, 0), (2, 2), (0, 2)]]))
-    inner, strip = fl.cylinder_descend(sq, res.slope, a3, theta, 0.05, height=0.0)
-    assert strip.area == 0
-    assert np.allclose(inner.vertices[0], sq.vertices[0], atol=1e-9)
-
-
-def test_close_cylinder_disk(a3):
-    theta = cx.project_to_chamber(a3, a3.coweights.sum(axis=0))
-    res = cx.find_good_slope(a3, theta, 0.05)
-    sq = Loop(np.array([[0.0, 0, 0], [2, 0, 0], [2, 2, 0], [0, 2, 0]]))
-    inner, strip = fl.cylinder_descend(sq, res.slope, a3, theta, 0.05, mesh=2.0)
-    fp = fl.close_cylinder(strip, 2.0)
-    mesh, area = validate_partition(sq, fp)
-    assert mesh <= 2.0 + 1e-9
 
 
 # -- flat loop pipeline ------------------------------------------------------------

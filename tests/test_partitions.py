@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from horofill.filling import cone_fill, refine_partition
 from horofill.partitions import (
+    MESH_ATTEMPTS,
     DiskBuilder,
     FillingPartition,
     Loop,
     PartitionError,
     empty_partition,
+    fill_to_mesh,
     validate_partition,
 )
 
@@ -179,6 +181,49 @@ def test_ladder_shared_endpoints():
     builder.add_ladder([a[0], a[1], a[2]], [a[0], b[1], a[2]])
     fp = builder.build([a[0], a[1], a[2], b[1]])
     assert fp.area == 2
+
+
+def test_add_segment_spacing():
+    builder = DiskBuilder(2)
+    i, j = builder.add_chain([[0.0, 0], [1.0, 0]])
+    chain = builder.add_segment(i, j, 0.3)
+    assert chain[0] == i and chain[-1] == j
+    assert len(chain) == 5  # ceil(1 / 0.3) + 1 points
+    assert np.allclose(builder.points[chain][:, 0], np.linspace(0.0, 1.0, 5))
+    assert builder.add_segment(i, j, 2.0) == [i, j]
+
+
+def recording_build(achieved):
+    """A build whose partition has mesh achieved(knob), and its log of knobs."""
+    knobs = []
+
+    def build(knob):
+        knobs.append(knob)
+        fp = fan_partition(square_loop())
+        fp.mesh = achieved(knob)
+        return fp, "info"
+
+    return build, knobs
+
+
+def test_fill_to_mesh_shrinks_the_knob_then_gives_up():
+    def achieved(knob):
+        return 2.0 + knob  # never meets mesh 1
+
+    build, knobs = recording_build(achieved)
+    with pytest.raises(PartitionError, match="missed the mesh"):
+        fill_to_mesh(build, 0.5, 1.0)
+    assert len(knobs) == MESH_ATTEMPTS
+    for prev, knob in zip(knobs, knobs[1:]):
+        assert knob == prev * (0.9 * 1.0 / achieved(prev))
+
+
+def test_fill_to_mesh_accepts_the_first_fit():
+    build, knobs = recording_build(lambda knob: 1.0)
+    fp, info, knob = fill_to_mesh(build, 0.5, 1.0)
+    assert knobs == [0.5]
+    assert knob == 0.5
+    assert fp.mesh == 1.0 and info == "info"
 
 
 def test_serialization_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.optimize import linprog
 
 from horofill import coxeter as cx
 from horofill import trace as tr
+from horofill import tube as tb
 from horofill.geometry import polyline_length, unit
 
 
@@ -336,10 +338,24 @@ def test_sandwich_rejects_unbounded(slab):
         tr.sandwich_radii(slab)
 
 
-def test_sandwich_sampler(tri):
-    out = tr.check_sandwich(tri, samples=300, seed=1)
-    assert out["max_value_inner"] <= 1e-9
-    assert out["max_dist_outer"] <= out["am"] + 1e-6
+@pytest.mark.parametrize("shape", ["tri", "a3-simplex"])
+def test_sandwich_radii_are_the_exact_inclusions(shape, tri, a3):
+    """N_m(Min) lies in the horoball and the horoball in N_am(Min), tightly.
+
+    ``sandwich_project`` checks the inner inclusion exactly over the
+    body's facets and measures the smallest outer radius from its
+    vertices; for these singular slopes that radius is a*m itself.
+    """
+    if shape == "tri":
+        trace = tri
+    else:
+        theta = cx.project_to_chamber(a3, a3.coweights[0])
+        trace = tr.symmetric_trace(a3, theta).shifted(-2.0)
+    m, am = tr.sandwich_radii(trace)
+    proj = tb.sandwich_project(
+        tr.horoball_polytope(trace, 0.0), tr.min_set(trace).polytope, m
+    )
+    assert abs(proj.a * m - am) <= 1e-9 * am
 
 
 def test_face_pair_path_bound_random(tri):
@@ -382,42 +398,6 @@ def test_face_pair_path_right_angle_corner(a1a1):
         assert abs(sq.value(p)) <= 1e-7
 
 
-def test_descent_rate_cases(a1a1, slab, a3):
-    e1 = cx.project_to_chamber(a1a1, np.array([1.0, 0.0]))
-    single = tr.BusemannTrace(a1a1, e1, np.array([[1.0, 0.0]]), np.array([0.0]))
-    beta = cx.project_to_chamber(a1a1, np.array([1.0, 0.0]))
-    wi = next(
-        i
-        for i, w in enumerate(a1a1.weyl_elements)
-        if np.allclose(w @ beta.direction, [1.0, 0.0])
-    )
-    assert abs(tr.descent_rate(single, np.zeros(2), beta, wi) - 1.0) < 1e-12
-
-    # slab: direction orthogonal to the gradient has rate 0 and is not good
-    e2 = cx.project_to_chamber(a1a1, np.array([0.0, 1.0]))
-    wi2 = next(
-        i
-        for i, w in enumerate(a1a1.weyl_elements)
-        if np.allclose(w @ e2.direction, [0.0, 1.0])
-    )
-    assert tr.descent_rate(slab, np.array([3.0, 0.0]), e2, wi2) < 1e-12
-    assert not tr.is_good_slope(slab, e2, 0.05)
-
-
-def test_descent_rate_good_slope_a3(a3):
-    theta = cx.project_to_chamber(a3, unit(a3.coweights.sum(axis=0)))
-    trace = tr.symmetric_trace(a3, theta).shifted(-1.0)
-    res = cx.find_good_slope(a3, theta, 0.05)
-    assert res.found
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        x = rng.normal(size=3) * 4
-        if len(trace.active_set(x)) != 1:
-            continue  # contract stated at differentiability points
-        wi = int(rng.integers(0, a3.order))
-        assert tr.descent_rate(trace, x, res.slope, wi) >= np.sin(0.05) - 1e-9
-
-
 def test_scaling_equivariance_paths(tri):
     lam = 2.5
     big = tri.scaled(lam)
@@ -428,10 +408,8 @@ def test_scaling_equivariance_paths(tri):
     assert abs(polyline_length(p2) - lam * polyline_length(p1)) < 1e-7
 
 
-def test_serialization_roundtrip(tri, tmp_path):
-    path = tmp_path / "trace.json"
-    tri.save(path)
-    back = tr.BusemannTrace.load(path)
+def test_serialization_roundtrip(tri):
+    back = tr.BusemannTrace.from_dict(json.loads(json.dumps(tri.to_dict())))
     assert np.allclose(back.gradients, tri.gradients, atol=1e-9)
     assert np.allclose(back.offsets, tri.offsets, atol=1e-12)
     rng = np.random.default_rng(2)

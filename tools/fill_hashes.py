@@ -12,7 +12,6 @@ import hashlib
 
 import numpy as np
 
-from horofill import coxeter as cx
 from horofill import filling as fl
 from horofill import meshes as ms
 from horofill import scenarios as sc
@@ -49,12 +48,6 @@ def fills():
     cone = fl.cone_fill(circle, 1.0)
     yield "cone_fill", cone
     yield "refine_partition", fl.refine_partition(cone, cone.mesh / 3)
-    a3 = cx.build_root_system("A", rank=3)
-    theta = cx.project_to_chamber(a3, a3.coweights.sum(axis=0))
-    slope = cx.find_good_slope(a3, theta, 0.05).slope
-    sq = Loop(np.array([[0.0, 0, 0], [2, 0, 0], [2, 2, 0], [0, 2, 0]]))
-    _, strip = fl.cylinder_descend(sq, slope, a3, theta, 0.05, mesh=2.0)
-    yield "close_cylinder", fl.close_cylinder(strip, 2.0)
 
 
 def main():
