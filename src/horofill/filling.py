@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 
+CENSUS_BLOCK = 16384  # bricks per block of brick_census probes
+
+
 class FillingError(ValueError):
     pass
 
@@ -127,23 +130,25 @@ def brick_census(trace, fp, tol=SURFACE_TOL):
     A brick counts as flat when a 7-point probe (vertices, edge
     midpoints, centroid) stays at envelope value >= -tol: such bricks
     lie in the apartment exterior or inside a single level-set facet.
+    The probes run over blocks of CENSUS_BLOCK bricks, so temporaries
+    stay bounded however large the fill.
     """
-    if fp.area == 0:
-        return BrickCensus(0, 0)
-    pts = fp.points[fp.triangles]  # (F, 3, n)
-    probes = [
-        pts[:, 0],
-        pts[:, 1],
-        pts[:, 2],
-        0.5 * (pts[:, 0] + pts[:, 1]),
-        0.5 * (pts[:, 1] + pts[:, 2]),
-        0.5 * (pts[:, 2] + pts[:, 0]),
-        (pts[:, 0] + pts[:, 1] + pts[:, 2]) / 3.0,
-    ]
-    ok = np.ones(len(pts), dtype=bool)
-    for q in probes:
-        ok &= trace.values(q) >= -tol
-    flat = int(np.sum(ok))
+    flat = 0
+    for lo in range(0, fp.area, CENSUS_BLOCK):
+        pts = fp.points[fp.triangles[lo : lo + CENSUS_BLOCK]]  # (block, 3, n)
+        probes = [
+            pts[:, 0],
+            pts[:, 1],
+            pts[:, 2],
+            0.5 * (pts[:, 0] + pts[:, 1]),
+            0.5 * (pts[:, 1] + pts[:, 2]),
+            0.5 * (pts[:, 2] + pts[:, 0]),
+            (pts[:, 0] + pts[:, 1] + pts[:, 2]) / 3.0,
+        ]
+        ok = np.ones(len(pts), dtype=bool)
+        for q in probes:
+            ok &= trace.values(q) >= -tol
+        flat += int(np.sum(ok))
     return BrickCensus(flat_bricks=flat, wild_bricks=fp.area - flat)
 
 

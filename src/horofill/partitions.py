@@ -6,6 +6,7 @@ of a brick is its placed perimeter, the mesh is the maximal brick
 length, and the area is the brick count.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ from scipy.sparse.csgraph import connected_components
 from .geometry import DECISION_TOL, DEDUP_TOL, SURFACE_TOL
 
 MESH_ATTEMPTS = 6  # sampling attempts per fill to reach the requested mesh
+LADDER_TIE = 1e-12  # relative gap below which add_ladder re-decides a step in numpy
 
 
 class PartitionError(ValueError):
@@ -318,28 +320,44 @@ class DiskBuilder:
         placed diagonal, which keeps bricks close to the chain spacing.
         Off a shared start h, the second step goes along the other chain:
         a brick (h, a1, a2) lies on one chain, and the ladder on that
-        chain's other side would lay it too.
+        chain's other side would lay it too.  Once one chain is used up
+        the rest of the other one is laid without comparing.
+
+        The diagonals are compared as ``math.dist`` of the rows as Python
+        floats, and re-decided on the numpy row-wise ``u @ u`` when they
+        lie within LADDER_TIE of each other.  Both see the same IEEE
+        differences u.  ``math.dist`` lands within a few ulps of the
+        exact length |u|, and ``u @ u`` within a relative ~3 * 2**-53 of
+        the exact |u|**2, whatever its summation order and whether it
+        fuses multiply and add.  Outside the band both therefore order
+        the two diagonals alike, so every brick is the one the numpy
+        comparison picks.
         """
         A, B = list(chain_a), list(chain_b)
-        pa, pb = list(self._pts[A]), list(self._pts[B])
+        ra, rb = self._pts[A], self._pts[B]
+        pa, pb = ra.tolist(), rb.tolist()
+        na, nb = len(A) - 1, len(B) - 1
         shared = A[0] == B[0]
         tris = []
         i = j = 0
-        while i < len(A) - 1 or j < len(B) - 1:
-            adv_a = i < len(A) - 1
-            adv_b = j < len(B) - 1
-            if adv_a and adv_b and shared and (i == 0) != (j == 0):
+        while i < na and j < nb:
+            if shared and (i == 0) != (j == 0):
                 adv_a = i == 0
-            elif adv_a and adv_b:
-                da = pa[i + 1] - pb[j]
-                db = pb[j + 1] - pa[i]
-                adv_a = float(da @ da) <= float(db @ db)
+            else:
+                da, db = math.dist(pa[i + 1], pb[j]), math.dist(pb[j + 1], pa[i])
+                if abs(da - db) <= LADDER_TIE * (da + db):
+                    u, v = ra[i + 1] - rb[j], rb[j + 1] - ra[i]
+                    adv_a = float(u @ u) <= float(v @ v)
+                else:
+                    adv_a = da < db
             if adv_a:
                 tris.append((A[i], A[i + 1], B[j]))
                 i += 1
             else:
                 tris.append((A[i], B[j], B[j + 1]))
                 j += 1
+        tris += [(A[k], A[k + 1], B[j]) for k in range(i, na)]
+        tris += [(A[i], B[k], B[k + 1]) for k in range(j, nb)]
         self.add_triangles(tris)
 
     def build(self, boundary, mesh=None, anchor=None):

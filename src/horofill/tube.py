@@ -512,8 +512,11 @@ class _Chart:
     Array contract: ``points(t, phi)`` maps equal-length parameter
     arrays to an (n, dim) array of tube points, and ``lift(points)``
     maps an (n, dim) point sequence back to parameter arrays with phi
-    unwrapped continuously along the sequence.  ``point``, ``coords``
-    and ``param_path`` are views of these two.
+    unwrapped continuously along the sequence.  ``points`` works row by
+    row, so a row's point does not depend on the rows beside it.
+    ``point``, ``coords`` and ``segments`` are views of these two;
+    ``segments`` places any number of straight parameter segments with
+    one ``points`` call.
     """
 
     def point(self, t, phi):
@@ -523,9 +526,37 @@ class _Chart:
         ts, phis = self.lift([x])
         return float(ts[0]), float(phis[0])
 
-    def param_path(self, p0, p1, n):
-        """n points along the straight parameter segment from p0 to p1."""
-        return self.points(np.linspace(p0[0], p1[0], n), np.linspace(p0[1], p1[1], n))
+    def segments(self, starts, stops, counts):
+        """Points along straight parameter segments, stacked segment by segment.
+
+        Segment i runs from the parameter pair starts[i] to stops[i] in
+        counts[i] >= 2 points, and its rows are bit for bit those of
+        ``points(np.linspace(t0, t1, n), np.linspace(phi0, phi1, n))``.
+        """
+        params = segment_params(starts, stops, counts)
+        return self.points(params[:, 0], params[:, 1])
+
+
+def segment_params(starts, stops, counts):
+    """Parameter rows of straight segments, as ``np.linspace`` computes them.
+
+    Row k of a segment of n points is k * ((stop - start) / (n - 1)) +
+    start, or (k / (n - 1)) * (stop - start) + start in a coordinate
+    whose step is zero (numpy's branch for subnormal steps), and its
+    last row is stop.  Returns the (sum(counts), 2) array of all rows.
+    """
+    starts = np.asarray(starts, dtype=float).reshape(-1, 2)
+    stops = np.asarray(stops, dtype=float).reshape(-1, 2)
+    counts = np.asarray(counts, dtype=int)
+    seg = np.repeat(np.arange(len(counts)), counts)
+    last = np.cumsum(counts) - 1
+    k = (np.arange(len(seg)) - (last - counts + 1)[seg]).astype(float)[:, None]
+    div = (counts - 1).astype(float)[seg, None]
+    delta = (stops - starts)[seg]
+    step = delta / div
+    rows = np.where(step == 0, k / div * delta, k * step) + starts[seg]
+    rows[last] = stops
+    return rows
 
 
 class RevolutionChart(_Chart):
@@ -857,19 +888,19 @@ def _chart_fan(P, chart, loop, spacing, degree):
     bidx = builder.add_chain(verts)
     hub_idx = builder.add_point(chart.point(*hub_p))
 
-    def spoke(target, end_idx):
-        d = chart.param_distance(hub_p, target)
-        n = max(2, int(np.ceil(d / spacing)) + 1)
-        pts = chart.param_path(hub_p, target, n)
-        interior = builder.add_chain(pts[1:-1])
-        return [hub_idx] + interior + [end_idx]
+    def spokes(targets, ends):
+        """Chains from the hub to the (m, 2) parameter targets, placed in one chart call."""
+        d = chart.param_distance(hub_p, targets.T)
+        n = np.maximum(2, np.ceil(d / spacing).astype(int) + 1)
+        hubs = np.tile(hub_p, (len(targets), 1))
+        return _add_segments(builder, chart, hubs, targets, n, [hub_idx] * len(n), ends)
 
-    chains = [spoke((ts[i], phis[i]), bidx[i]) for i in range(s)]
     if degree == 0:
+        chains = spokes(np.stack([ts, phis], axis=1), bidx)
         for i in range(s):
             builder.add_ladder(chains[i], chains[(i + 1) % s])
     else:
-        chains.append(spoke(q_end, bidx[0]))
+        chains = spokes(np.vstack([np.stack([ts, phis], axis=1), q_end]), bidx + bidx[:1])
         for i in range(s):
             builder.add_ladder(chains[i], chains[i + 1])
         fiber_chain, fiber_params = _wrapped_fiber_chain(
@@ -877,28 +908,44 @@ def _chart_fan(P, chart, loop, spacing, degree):
         )
         # wedge between the two lift copies of vertex 0: fan from the
         # same hub over the wrapped fiber circle
-        wedge = [chains[0]]
-        for j in range(1, len(fiber_chain) - 1):
-            wedge.append(spoke(fiber_params[j], fiber_chain[j]))
-        wedge.append(chains[s])
+        wedge = [chains[0]] + spokes(fiber_params[1:-1], fiber_chain[1:-1]) + [chains[s]]
         for j in range(len(wedge) - 1):
             builder.add_ladder(wedge[j], wedge[j + 1])
         _pole_cap(builder, chart, fiber_chain, fiber_params, spacing)
     return builder.build(bidx, anchor=orig_pos)
 
 
-def _wrapped_fiber_chain(builder, chart, q0, degree, spacing, hub_idx):
-    """The d-times wrapped fiber circle through vertex 0, as a chain."""
+def _add_segments(builder, chart, starts, stops, counts, firsts, lasts):
+    """Index chains along straight parameter segments, placed in one chart call.
+
+    Segment i runs from starts[i] to stops[i] in counts[i] points.  Its
+    ends are the placed vertices firsts[i] and lasts[i]; its interior
+    points are appended to the builder, segment after segment.
+    """
+    counts = np.asarray(counts, dtype=int)
+    pts = chart.segments(starts, stops, counts)
+    last = np.cumsum(counts) - 1
+    inner = np.ones(len(pts), dtype=bool)
+    inner[last] = inner[last - counts + 1] = False
+    idx = builder.add_chain(pts[inner])
+    cut = np.cumsum(counts - 2).tolist()
+    return [
+        [a] + idx[c - k : c] + [b]
+        for a, b, c, k in zip(firsts, lasts, cut, (counts - 2).tolist())
+    ]
+
+
+def _wrapped_fiber_chain(builder, chart, q0, degree, spacing, idx0):
+    """The d-times wrapped fiber circle through vertex idx0, as a chain.
+
+    Returns the chain and the (n, 2) array of its chart parameters.
+    """
     period = chart_period(chart)
     q_end = (q0[0], q0[1] + degree * period)
     d = chart.param_distance(q0, q_end)
     n = max(3, int(np.ceil(d / spacing)) + 1)
-    pts = chart.param_path(q0, q_end, n)
-    interior = builder.add_chain(pts[1:-1])
-    chain = [hub_idx] + interior + [hub_idx]
-    ts = np.linspace(q0[0], q_end[0], n)
-    ph = np.linspace(q0[1], q_end[1], n)
-    return chain, list(zip(ts, ph))
+    (chain,) = _add_segments(builder, chart, [q0], [q_end], [n], [idx0], [idx0])
+    return chain, segment_params([q0], [q_end], [n])
 
 
 def _pole_cap(builder, chart, fiber_chain, fiber_params, spacing):
@@ -912,13 +959,10 @@ def _pole_cap(builder, chart, fiber_chain, fiber_params, spacing):
         raise TubeError("winding caps require a revolution chart")
     pole_idx = builder.add_point(chart.point(0.0, 0.0))
     n = len(fiber_chain) - 1  # fiber_chain[-1] is fiber_chain[0] again
-    meridians = []
-    for j in range(n):
-        t_j, phi_j = fiber_params[j]
-        m = max(2, int(np.ceil(t_j / spacing)))
-        mer_pts = chart.param_path((0.0, phi_j), (t_j, phi_j), m)
-        interior = builder.add_chain(mer_pts[1:-1])
-        meridians.append([pole_idx] + interior + [fiber_chain[j]])
+    ends = fiber_params[:n]
+    starts = np.stack([np.zeros(n), ends[:, 1]], axis=1)
+    m = np.maximum(2, np.ceil(ends[:, 0] / spacing).astype(int))
+    meridians = _add_segments(builder, chart, starts, ends, m, [pole_idx] * n, fiber_chain[:n])
     for j in range(n - 1):
         builder.add_ladder(meridians[j], meridians[j + 1])
     builder.add_ladder(meridians[n - 1], meridians[0])

@@ -121,6 +121,20 @@ def test_fill_flat_loop_census_tags_facet_bricks(a2):
     assert census.flat_bricks > 0.8 * fp.area  # level-set bricks dominate
 
 
+def test_brick_census_in_blocks_matches_one_block(monkeypatch):
+    """A census over many small blocks counts what one block over the fill counts."""
+    from horofill import scenarios as sc
+
+    trace, loop = sc.trace_a3_wrap(8, 1.0, 0)
+    fp, census, info = fl.fill_flat_loop(trace, loop, mesh=1.0)
+    monkeypatch.setattr(fl, "CENSUS_BLOCK", fp.area)
+    whole = fl.brick_census(trace, fp)
+    monkeypatch.setattr(fl, "CENSUS_BLOCK", 997)
+    assert fp.area > 10 * 997
+    assert fl.brick_census(trace, fp) == whole == census
+    assert whole.flat_bricks > 0 and whole.wild_bricks > 0
+
+
 def test_fill_flat_loop_similarity_equivariance(a2):
     """Scaling trace, loop and mesh together preserves the brick count."""
     from horofill import scenarios as sc

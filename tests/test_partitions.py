@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from horofill import scenarios as sc
+from horofill import tube as tb
 from horofill.filling import cone_fill, refine_partition
 from horofill.partitions import (
     MESH_ATTEMPTS,
@@ -341,3 +343,91 @@ def test_refinement_keeps_the_anchored_boundary(disk, levels):
     validate_partition(loop, fine)
     assert fine.boundary_anchor == [p * 2**levels for p in fp.boundary_anchor]
     assert fine.area == 4**levels * fp.area
+
+
+# -- the greedy ladder against its numpy reference --------------------------------
+
+
+def reference_ladder(self, chain_a, chain_b):
+    """The greedy ladder with every step decided on numpy rows (``u @ u``)."""
+    A, B = list(chain_a), list(chain_b)
+    pa, pb = list(self._pts[A]), list(self._pts[B])
+    shared = A[0] == B[0]
+    tris = []
+    i = j = 0
+    while i < len(A) - 1 or j < len(B) - 1:
+        adv_a = i < len(A) - 1
+        adv_b = j < len(B) - 1
+        if adv_a and adv_b and shared and (i == 0) != (j == 0):
+            adv_a = i == 0
+        elif adv_a and adv_b:
+            da = pa[i + 1] - pb[j]
+            db = pb[j + 1] - pa[i]
+            adv_a = float(da @ da) <= float(db @ db)
+        if adv_a:
+            tris.append((A[i], A[i + 1], B[j]))
+            i += 1
+        else:
+            tris.append((A[i], B[j], B[j + 1]))
+            j += 1
+    self.add_triangles(tris)
+
+
+@st.composite
+def ladder_chains(draw):
+    """Two chains (point arrays) and whether they share their first point.
+
+    "random" chains are Gaussian; "lattice" chains are two evenly spaced
+    parallel rows, whose two diagonals tie exactly whenever the greedy
+    stands at equal positions; "rotated" lattices are the same rows
+    turned by a random rotation, so those ties come out only up to
+    rounding, where summation order decides.
+    """
+    dim = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["random", "lattice", "rotated"]))
+    na, nb = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    shared = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if kind == "random":
+        a, b = rng.normal(size=(na, dim)), rng.normal(size=(nb, dim))
+    else:
+        h, w = rng.uniform(0.05, 2.0, size=2)
+        a = np.zeros((na, dim))
+        b = np.zeros((nb, dim))
+        a[:, 0] = h * np.arange(na)
+        b[:, 0] = h * np.arange(nb)
+        b[:, 1] = w
+        if kind == "rotated":
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+            shift = 3.0 * rng.normal(size=dim)
+            a, b = a @ q + shift, b @ q + shift
+    return a, b, shared
+
+
+def ladder_triangles(ladder, a, b, shared):
+    builder = DiskBuilder(a.shape[1])
+    ia = builder.add_chain(a)
+    ib = builder.add_chain(b)
+    if shared:
+        ib = [ia[0]] + ib[1:]
+    ladder(builder, ia, ib)
+    return builder.triangles
+
+
+@given(ladder_chains())
+def test_ladder_matches_numpy_reference(chains):
+    a, b, shared = chains
+    got = ladder_triangles(DiskBuilder.add_ladder, a, b, shared)
+    want = ladder_triangles(reference_ladder, a, b, shared)
+    assert np.array_equal(got, want)
+
+
+def test_tube_fill_matches_numpy_reference_ladder(monkeypatch):
+    """A 3-D fill whose near-tied diagonals round differently in Python and numpy."""
+    host, loop = sc.GENERATORS["tube-point"](8, 1.0, 0)
+    fast = tb.fill_tube_loop(host, 1.0, loop, 1.0)[0]
+    monkeypatch.setattr(DiskBuilder, "add_ladder", reference_ladder)
+    ref = tb.fill_tube_loop(host, 1.0, loop, 1.0)[0]
+    assert fast.area == 2126
+    assert fast.points.tobytes() == ref.points.tobytes()
+    assert np.array_equal(fast.triangles, ref.triangles)

@@ -305,6 +305,35 @@ def test_chart_coords_roundtrip(case):
         assert abs((phi2 - phi + period / 2) % period - period / 2) <= 1e-9 * max(1.0, abs(phi))
 
 
+@given(charts(), st.lists(st.integers(2, 40), min_size=1, max_size=8))
+def test_segments_match_linspace_bit_for_bit(case, counts):
+    """Each segment's rows are those of ``points`` on two np.linspace calls.
+
+    Segments are general, keep t or phi fixed (meridians, fibers), have
+    length zero (numpy's step-zero branch) or a subnormal length, which
+    the parameter rows show where the points round it away.
+    """
+    chart, T, rng = case
+    m = len(counts)
+    starts = np.stack([rng.uniform(0, 1, m) * T, rng.uniform(-20, 20, m)], axis=1)
+    stops = np.stack([rng.uniform(0, 1, m) * T, rng.uniform(-20, 20, m)], axis=1)
+    kind = rng.integers(0, 5, m)
+    stops[kind == 1, 0] = starts[kind == 1, 0]
+    stops[kind == 2, 1] = starts[kind == 2, 1]
+    stops[kind == 3] = starts[kind == 3]
+    starts[kind == 4] = 0.0
+    stops[kind == 4] = [5e-324, 3 * 5e-324]
+    rows = chart.segments(starts, stops, counts)
+    params = tb.segment_params(starts, stops, counts)
+    at = 0
+    for p0, p1, n in zip(starts, stops, counts):
+        t, phi = np.linspace(p0[0], p1[0], n), np.linspace(p0[1], p1[1], n)
+        assert params[at : at + n].tobytes() == np.stack([t, phi], axis=1).tobytes()
+        assert rows[at : at + n].tobytes() == chart.points(t, phi).tobytes()
+        at += n
+    assert at == len(rows)
+
+
 def test_stadium_band_guard(square3):
     chart = tb.StadiumChart(square3, 1.0)
     with pytest.raises(tb.ChartError, match="central band"):
