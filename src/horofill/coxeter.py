@@ -4,10 +4,12 @@ Everything is realized concretely in Euclidean coordinates: simple roots
 come from a Cholesky factorization of the type-A Gram matrix, the group
 is generated by reflection matrices, and the closed fundamental chamber
 is the cone spanned by the dual (coweight) basis.  Slopes are unit
-directions in that closed chamber.
+directions in that closed chamber.  Each root system keeps what depends
+on a slope alone (the Weyl orbit of its opposition image and its
+wall-gap profile) in one memo, so each is computed once per slope.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,6 +87,7 @@ class RootSystem:
             raise AssertionError(
                 f"group order {len(self.weyl_elements)} != expected {expected}"
             )
+        self._slope_memo = {}  # slope direction bytes -> SlopeFacts
 
     # -- construction ---------------------------------------------------
 
@@ -251,6 +254,32 @@ def opposition_image(rs, theta):
     return project_to_chamber(rs, -theta.direction)
 
 
+@dataclass
+class SlopeFacts:
+    """What a root system knows about one slope, computed once.
+
+    ``orbit`` is the Weyl orbit of the opposition image as a read-only
+    (k, rank) array in ``weyl_orbit`` order.  ``profile`` (the
+    ``delta_zero`` data) is filled in on first use, and ``pieces`` by
+    ``trace.symmetric_trace``: the full-orbit pieces of its traces.
+    """
+
+    orbit: np.ndarray
+    profile: "OrtProfile" = None
+    pieces: object = None
+
+
+def slope_facts(rs, theta):
+    """The memoized facts of a slope, keyed by its direction's bytes."""
+    key = theta.direction.tobytes()
+    facts = rs._slope_memo.get(key)
+    if facts is None:
+        orbit = np.array(weyl_orbit(rs, opposition_image(rs, theta).direction))
+        orbit.flags.writeable = False
+        facts = rs._slope_memo[key] = SlopeFacts(orbit)
+    return facts
+
+
 def ort_distance(rs, theta, beta):
     """min over the group of |pi/2 - angle(u_beta, w u_theta)|.
 
@@ -308,8 +337,16 @@ def delta_zero(rs, theta):
 
     delta0 = pi/2 - max{d in D : 0 < d < pi/2}, delta0' symmetric above.
     Degenerate (factor-parallel slope) when no element lies strictly
-    between 0 and pi/2.
+    between 0 and pi/2.  Computed once per slope direction.
     """
+    facts = slope_facts(rs, theta)
+    if facts.profile is None:
+        facts.profile = _ort_profile(rs, theta)
+    prof = facts.profile
+    return prof if prof.theta is theta else replace(prof, theta=theta)
+
+
+def _ort_profile(rs, theta):
     dists = wall_distances(rs, theta)
     below = [d for d in dists if DECISION_TOL < d < np.pi / 2 - DECISION_TOL]
     above = [d for d in dists if d > np.pi / 2 + DECISION_TOL]

@@ -189,32 +189,43 @@ def fill_flat_loop(trace, loop, mesh=1.0):
             "strip classification failed; the apartment-change remedy is out of scope"
         )
     proj = sandwich_project(hb, core, m)
-    # optimistic start: the retry shrinks the tube mesh only where the
-    # fiber pullback actually stretches bricks
-    fp, info, _ = fill_to_mesh(
-        lambda tube_mesh: _flat_pipeline(trace, loop, proj, core, m, mesh / 3.0, tube_mesh),
-        mesh / 1.4,
-        mesh,
-        "flat pipeline",
-    )
-    info["route"] = "sandwich"
-    info["strip"] = strip_class
-    info["a"] = proj.a
-    return fp, fp.census, info
-
-
-def _flat_pipeline(trace, loop, proj, core, m, spacing, tube_mesh):
+    # the loop side is the same on every attempt: resample it at mesh/3,
+    # project it to the level set and map that ring onto the tube once
+    spacing = mesh / 3.0
     res, orig_pos = loop.resampled(spacing)
     V = res.vertices
-    s = len(V)
     if np.any(trace.values(V) < -SURFACE_TOL):
         raise FillingError(
             "resampling the loop chordwise dips into the open horoball; "
             "sample the loop on its host at spacing <= mesh/3 first"
         )
     level_pts = np.array([level_project(trace, v, 0.0) for v in V])
-    tube_pts = np.array([proj.map(p) for p in level_pts])
-    disk, tube_info = fill_tube_loop(core, m, Loop(tube_pts), tube_mesh)
+    tube_loop = Loop(np.array([proj.map(p) for p in level_pts]))
+    # optimistic start: the retry shrinks the tube mesh only where the
+    # fiber pullback actually stretches bricks
+    fp, info, _ = fill_to_mesh(
+        lambda tube_mesh: _flat_pipeline(
+            V, orig_pos, level_pts, tube_loop, proj, core, m, spacing, tube_mesh
+        ),
+        mesh / 1.4,
+        mesh,
+        "flat pipeline",
+    )
+    fp.census = brick_census(trace, fp)
+    info["route"] = "sandwich"
+    info["strip"] = strip_class
+    info["a"] = proj.a
+    return fp, fp.census, info
+
+
+def _flat_pipeline(V, orig_pos, level_pts, tube_loop, proj, core, m, spacing, tube_mesh):
+    """One attempt: fill the tube loop at ``tube_mesh`` and pull it back.
+
+    ``V`` is the resampled loop, ``level_pts`` its level projections and
+    ``tube_loop`` their sandwich images; the census is left to the caller.
+    """
+    s = len(V)
+    disk, tube_info = fill_tube_loop(core, m, tube_loop, tube_mesh)
     ring_positions = disk.boundary_anchor  # boundary position of ring vertex k
     builder = DiskBuilder(V.shape[1])
     outer_idx = builder.add_chain(V)
@@ -241,9 +252,7 @@ def _flat_pipeline(trace, loop, proj, core, m, spacing, tube_mesh):
         p1, p2 = ring_positions[k], ring_positions[(k + 1) % s]
         arc = twice[p1 : p1 + (p2 - p1) % nb + 1]
         builder.add_ladder(radial[k][:-1] + arc, radial[(k + 1) % s])
-    fp = builder.build(outer_idx, anchor=orig_pos)
-    fp.census = brick_census(trace, fp)
-    return fp, {"tube": tube_info}
+    return builder.build(outer_idx, anchor=orig_pos), {"tube": tube_info}
 
 
 # -- refinement ------------------------------------------------------------------------

@@ -135,6 +135,37 @@ def test_brick_census_in_blocks_matches_one_block(monkeypatch):
     assert whole.flat_bricks > 0 and whole.wild_bricks > 0
 
 
+def test_sandwich_fill_takes_one_census_and_one_level_projection(monkeypatch):
+    """Retries rebuild only the tube side: the loop side and the census run once.
+
+    This loop's pullback reaches the mesh only at the fifth attempt, so a
+    census or a level projection per attempt would show as extra calls.
+    """
+    from horofill import scenarios as sc
+
+    trace, loop = sc.trace_a3_wrap(4, 1.0, 0)
+    calls = {"brick_census": 0, "level_project": 0, "fill_tube_loop": 0}
+
+    def counted(name):
+        fn = getattr(fl, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fl, name, counted(name))
+    fp, census, info = fl.fill_flat_loop(trace, loop, mesh=1.0)
+    monkeypatch.undo()
+    assert info["route"] == "sandwich"
+    assert calls["fill_tube_loop"] > 1
+    assert calls["brick_census"] == 1
+    assert calls["level_project"] == len(loop.resampled(1.0 / 3.0)[0].vertices)
+    assert census == fp.census == fl.brick_census(trace, fp)
+
+
 def test_fill_flat_loop_similarity_equivariance(a2):
     """Scaling trace, loop and mesh together preserves the brick count."""
     from horofill import scenarios as sc

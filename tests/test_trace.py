@@ -159,6 +159,27 @@ def test_fresh_trace_solves_two_lps(a3, monkeypatch):
     assert len(calls) == 2
 
 
+def test_seen_slope_derived_traces_solve_one_lp(monkeypatch):
+    """Once a slope's pieces are decided, each derived trace solves its epigraph LP only."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "linprog", counting)
+    rs = cx.build_root_system("A", rank=3)  # an empty slope memo
+    theta = cx.project_to_chamber(rs, unit(rs.coweights.sum(axis=0)))
+    assert tr.min_set(tr.symmetric_trace(rs, theta).shifted(-1.0)).polytope.is_bounded
+    assert len(calls) == 2
+    second = tr.symmetric_trace(rs, theta)
+    for trace in (second, second.translated([0.3, -0.2, 0.5]), second.scaled(1.7)):
+        calls.clear()
+        assert tr.min_set(trace).polytope.is_bounded
+        assert tr.horoball_polytope(trace, 1.0).is_bounded
+        assert len(calls) == 1
+
+
 # Reference decisions: one LP per question and level, independent of the
 # cached per-trace facts.
 
@@ -416,3 +437,84 @@ def test_serialization_roundtrip(tri):
     for _ in range(20):
         x = rng.normal(size=2) * 3
         assert abs(back.value(x) - tri.value(x)) < 1e-9
+
+
+# Shared piece and slope facts against traces built from scratch.
+
+TRANSFORMS = st.lists(
+    st.one_of(
+        st.tuples(st.just("translated"), st.lists(st.floats(-3, 3), min_size=3, max_size=3)),
+        st.tuples(st.just("scaled"), st.floats(0.25, 4.0)),
+        st.tuples(st.just("shifted"), st.floats(-3, 3)),
+    ),
+    max_size=4,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _product_case(kind):
+    """The slab and a single half-plane piece on the A1 x A1 apartment."""
+    rs = cx.build_root_system("product", factors=[1, 1])
+    e1 = cx.project_to_chamber(rs, np.array([1.0, 0.0]))
+    grads = np.array([[1.0, 0.0], [-1.0, 0.0]]) if kind == "slab" else np.array([[1.0, 0.0]])
+    return rs, e1, grads
+
+
+@st.composite
+def derived_traces(draw):
+    """A symmetric, sub-orbit, slab or single-piece trace and some similarity moves."""
+    kind = draw(st.sampled_from(["symmetric", "subset", "slab", "single"]))
+    if kind in ("slab", "single"):
+        rs, theta, grads = _product_case(kind)
+        offsets = draw(st.lists(st.floats(-2, 2), min_size=len(grads), max_size=len(grads)))
+        trace = tr.BusemannTrace(rs, theta, grads, offsets)
+    else:
+        rank, k = draw(st.sampled_from(ORBIT_SLOPES))
+        rs, theta, orbit = _orbit(rank, k)
+        if kind == "symmetric":
+            trace = tr.symmetric_trace(rs, theta, level=draw(st.floats(-2, 2)))
+        else:
+            mask = draw(st.lists(st.booleans(), min_size=len(orbit), max_size=len(orbit)).filter(any))
+            pieces = [i for i in range(len(orbit)) if mask[i]]
+            offsets = draw(st.lists(st.floats(-2, 2), min_size=len(pieces), max_size=len(pieces)))
+            trace = tr.BusemannTrace(rs, theta, orbit[pieces], offsets)
+    for name, arg in draw(TRANSFORMS):
+        if name == "translated":
+            arg = arg[: rs.rank]
+        trace = getattr(trace, name)(arg)
+    return trace
+
+
+def _same_float(a, b):
+    return np.array_equal(np.array([a], dtype=float), np.array([b], dtype=float), equal_nan=True)
+
+
+@given(derived_traces())
+@example(tr.BusemannTrace(*_product_case("slab"), [-1.0, -1.0]).translated([0.5, 0.0]))
+@example(tr.BusemannTrace(*_product_case("single"), [0.3]).scaled(2.0))
+@example(tr.symmetric_trace(*_orbit(3, None)[:2]).shifted(-1.0).translated([0.3, -0.2, 0.5]))
+def test_shared_facts_match_a_fresh_trace(trace):
+    """Derived and symmetric traces give, bit for bit, what a trace built from scratch gives.
+
+    The reference is built with the public constructor from copies of the
+    gradients and offsets, on a fresh root system whose slope memo is empty.
+    """
+    rs, theta = trace.root_system, trace.theta
+    fresh_rs = cx.root_system_from_descriptor(rs.to_descriptor())
+    fresh_theta = cx.Slope(theta.direction.copy(), theta.chamber_certificate)
+    fresh = tr.BusemannTrace(
+        fresh_rs, fresh_theta, np.array(trace.gradients), np.array(trace.offsets)
+    )
+    assert fresh.piece_orbit_indices == list(trace.piece_orbit_indices)
+    assert np.array_equal(fresh.orbit, trace.orbit)
+    got, want = tr.min_set(trace), tr.min_set(fresh)
+    assert got.bounded_below == want.bounded_below
+    assert got.sublevels_bounded == want.sublevels_bounded
+    assert _same_float(got.min_value, want.min_value)
+    if want.bounded_below:
+        assert np.array_equal(got.polytope.vertices, want.polytope.vertices)
+        assert got.polytope.is_bounded == want.polytope.is_bounded
+    p, q = cx.delta_zero(rs, theta), cx.delta_zero(fresh_rs, fresh_theta)
+    assert p.theta is theta and p.distances == q.distances
+    assert p.degenerate == q.degenerate
+    assert _same_float(p.delta0, q.delta0) and _same_float(p.delta0_prime, q.delta0_prime)
