@@ -63,7 +63,7 @@ def load_config(path):
                 raise ConfigError(f"{where}: custom-trace needs a 'trace' object")
             try:
                 tr.BusemannTrace.from_dict(scn["trace"])
-            except (ValueError, KeyError) as e:
+            except (ValueError, LookupError, TypeError, AttributeError) as e:
                 raise ConfigError(f"{where}: bad trace: {e}") from e
         scn.setdefault("mesh", 1.0)
         scn.setdefault("trials", 1)

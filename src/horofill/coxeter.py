@@ -5,11 +5,12 @@ come from a Cholesky factorization of the type-A Gram matrix, the group
 is generated by reflection matrices, and the closed fundamental chamber
 is the cone spanned by the dual (coweight) basis.  Slopes are unit
 directions in that closed chamber.  Each root system keeps what depends
-on a slope alone (the Weyl orbit of its opposition image and its
-wall-gap profile) in one memo, so each is computed once per slope.
+on a slope alone (the Weyl orbit of its opposition image, its wall-gap
+profile, and per gradient set the orbit indices and Gordan outcome of
+the traces on it) in one memo of plain data, so each is computed once.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,7 +79,6 @@ class RootSystem:
         self.factors = list(factors)
         self.simple_roots = np.asarray(simple_roots, dtype=float)
         self._validate_cartan()
-        self.reflection_normals = self._reflection_closure()
         self.weyl_elements = self._generate_group()
         # coweights[i] satisfies <coweights[i], simple_roots[j]> = delta_ij
         self.coweights = np.linalg.inv(self.simple_roots).T
@@ -105,23 +105,6 @@ class RootSystem:
             pos += f
         if not np.allclose(gram, expected, atol=DECISION_TOL):
             raise UnsupportedRootSystem("Cartan data does not match the declared family")
-
-    def _reflection_closure(self):
-        normals = [unit(r) for r in self.simple_roots]
-        frontier = list(normals)
-        while frontier:
-            nxt = []
-            for n in frontier:
-                refl = _reflection(n)
-                for m in normals:
-                    img = refl @ m
-                    if img[np.argmax(np.abs(img))] < 0:
-                        img = -img  # hyperplane normal, sign-canonical
-                    if not any(np.linalg.norm(img - q) <= DECISION_TOL for q in normals):
-                        normals.append(img)
-                        nxt.append(img)
-            frontier = nxt
-        return dedup_rows(normals, tol=DEDUP_TOL * 10)
 
     def _generate_group(self):
         gens = [_reflection(r) for r in self.simple_roots]
@@ -150,10 +133,6 @@ class RootSystem:
 
     @property
     def order(self):
-        return len(self.weyl_elements)
-
-    @property
-    def chamber_count(self):
         return len(self.weyl_elements)
 
     def chamber_certificate(self, v):
@@ -230,13 +209,6 @@ def weyl_orbit(rs, v):
     return orbit
 
 
-def orbit_index(orbit, v, tol=HV_TOL):
-    for i, p in enumerate(orbit):
-        if np.linalg.norm(p - np.asarray(v, dtype=float)) <= tol:
-            return i
-    raise ValueError("vector is not in the orbit")
-
-
 def project_to_chamber(rs, v):
     """The unique orbit representative in the closed fundamental chamber."""
     x = unit(v)
@@ -260,13 +232,15 @@ class SlopeFacts:
 
     ``orbit`` is the Weyl orbit of the opposition image as a read-only
     (k, rank) array in ``weyl_orbit`` order.  ``profile`` (the
-    ``delta_zero`` data) is filled in on first use, and ``pieces`` by
-    ``trace.symmetric_trace``: the full-orbit pieces of its traces.
+    ``delta_zero`` data) is filled in on first use.  ``pieces`` maps the
+    bytes of a trace's gradient array to ``[indices, gordan]``: the
+    validated orbit indices of its rows, and the trace module's
+    (bounded_below, sublevels_bounded) tuple once it is computed.
     """
 
     orbit: np.ndarray
     profile: "OrtProfile" = None
-    pieces: object = None
+    pieces: dict = field(default_factory=dict)
 
 
 def slope_facts(rs, theta):

@@ -28,7 +28,6 @@ class Loop:
     """Closed polygonal loop; vertices are implicitly cyclic."""
 
     vertices: np.ndarray
-    host: object = None
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -63,7 +62,7 @@ class Loop:
         j = np.arange(len(seg)) - pos[seg]
         out = v[seg] + (j / k[seg])[:, None] * step[seg]
         out[pos] = v  # exact copies: a + 0 * step would turn -0.0 into 0.0
-        return Loop(out, host=self.host), pos.tolist()
+        return Loop(out), pos.tolist()
 
 
 @dataclass

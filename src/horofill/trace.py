@@ -6,13 +6,15 @@ Sublevel sets model the horoball trace on the apartment; the argmin
 polytope models the minimum set; level projection, sandwich radii and
 the corner path construction live here.
 
-A trace's validated pieces (orbit, piece indices, gradients) are shared
-with its translated, scaled and shifted copies, and the symmetric traces
-of one slope share the full-orbit pieces kept in the root system's slope
-memo.  Emptiness and boundedness of sublevel sets depend on the
-gradients alone: one Gordan LP, solved once per piece set.  The minimum
-value depends on the offsets: one epigraph LP, cached on the trace.  So
-a derived trace solves one LP however many sublevel polytopes it builds.
+A trace's piece indices and the emptiness and boundedness of its
+sublevel sets depend on the gradients alone.  The constructor keeps the
+indices in the root system's slope memo, keyed by the gradient bytes,
+and the Gordan LP outcome goes under the same key on first use, so every
+trace with byte-equal gradients on a slope (its translated, scaled and
+shifted copies, the slope's symmetric traces) validates and solves that
+LP once.  The minimum value depends on the offsets: one epigraph LP,
+cached on the trace.  So a derived trace solves one LP however many
+sublevel polytopes it builds.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .coxeter import delta_zero, orbit_index, slope_facts
+from .coxeter import delta_zero, root_system_from_descriptor, slope_facts
 from .geometry import (
     DECISION_TOL,
     DEDUP_TOL,
@@ -41,49 +43,6 @@ class TraceError(ValueError):
     pass
 
 
-class _Pieces:
-    """Validated pieces and the facts that depend on the gradients alone.
-
-    ``orbit`` is the slope's gradient orbit, ``indices`` the piece
-    indices into it; the Gordan outcome and rank check are computed on
-    first use and shared by every trace built on these pieces.
-    """
-
-    def __init__(self, orbit, indices, gradients):
-        self.orbit = orbit
-        self.indices = indices
-        self.gradients = gradients
-        self._surround = None
-
-    def surround(self):
-        """(bounded_below, sublevels_bounded) of any trace on these pieces.
-
-        The Gordan LP, max s over sum lam_i g_i = 0, sum lam_i = 1,
-        lam_i >= s >= 0, is feasible iff the envelope is bounded below.
-        Every sublevel set has the recession cone {d : G d <= 0}, which
-        is {0} iff the g_i positively span: s* > 0 and G has full rank.
-        """
-        if self._surround is None:
-            G = self.gradients
-            m, r = G.shape
-            # variables (lam_1..lam_m, s)
-            gordan = linprog(
-                np.concatenate([np.zeros(m), [-1.0]]),
-                A_ub=np.hstack([-np.eye(m), np.ones((m, 1))]),
-                b_ub=np.zeros(m),
-                A_eq=np.hstack([np.vstack([G.T, np.ones(m)]), np.zeros((r + 1, 1))]),
-                b_eq=np.concatenate([np.zeros(r), [1.0]]),
-                bounds=[(0, None)] * (m + 1),
-                method="highs",
-            )
-            if gordan.status != 0:
-                self._surround = (False, False)
-            else:
-                spanning = np.linalg.matrix_rank(G, tol=DECISION_TOL) == r
-                self._surround = (True, bool(spanning and -gordan.fun > DECISION_TOL))
-        return self._surround
-
-
 class BusemannTrace:
     """Upper envelope max_i (<x, g_i> + c_i) with orbit-constrained g_i."""
 
@@ -94,38 +53,22 @@ class BusemannTrace:
             raise TraceError("gradients must be (m, rank)")
         if len(c) != len(G):
             raise TraceError("offsets must match gradients")
-        if not 1 <= len(G) <= root_system.chamber_count:
-            raise TraceError(
-                f"piece count {len(G)} outside [1, {root_system.chamber_count}]"
-            )
-        orbit = slope_facts(root_system, theta).orbit
-        indices = []
-        for g in G:
-            if abs(np.linalg.norm(g) - 1.0) > HV_TOL:
-                raise TraceError("gradients must be unit vectors")
-            indices.append(orbit_index(orbit, g))
-        self._attach(root_system, theta, _Pieces(orbit, indices, G), c)
-
-    def _attach(self, root_system, theta, pieces, offsets):
+        if not 1 <= len(G) <= root_system.order:
+            raise TraceError(f"piece count {len(G)} outside [1, {root_system.order}]")
+        facts = slope_facts(root_system, theta)
+        key = G.tobytes()
+        pieces = facts.pieces.get(key)
+        if pieces is None:
+            pieces = facts.pieces[key] = [_orbit_indices(facts.orbit, G), None]
         self.root_system = root_system
         self.theta = theta
         self.apartment_dim = root_system.rank
-        self._pieces = pieces
-        self.orbit = pieces.orbit
-        self.piece_orbit_indices = pieces.indices
-        self.gradients = pieces.gradients
-        self.offsets = offsets
+        self.orbit = facts.orbit
+        self.piece_orbit_indices = pieces[0]
+        self.gradients = G
+        self.offsets = c
+        self._pieces = pieces  # [indices, Gordan outcome], shared per gradient set
         self._min_cache = None
-
-    @classmethod
-    def _on_pieces(cls, root_system, theta, pieces, offsets):
-        """A trace on already validated pieces, sharing their facts."""
-        c = np.asarray(offsets, dtype=float)
-        if len(c) != len(pieces.gradients):
-            raise TraceError("offsets must match gradients")
-        trace = cls.__new__(cls)
-        trace._attach(root_system, theta, pieces, c)
-        return trace
 
     # -- evaluation -------------------------------------------------------
 
@@ -142,20 +85,19 @@ class BusemannTrace:
     def translated(self, t0):
         """Trace of x -> value(x - t0)."""
         t0 = np.asarray(t0, dtype=float)
-        return self._with_offsets(self.offsets - self.gradients @ t0)
+        return BusemannTrace(
+            self.root_system, self.theta, self.gradients, self.offsets - self.gradients @ t0
+        )
 
     def scaled(self, lam):
         """Similarity by factor lam: value_lam(x) = lam * value(x / lam)."""
         if lam <= 0:
             raise TraceError("similarity factor must be positive")
-        return self._with_offsets(lam * self.offsets)
+        return BusemannTrace(self.root_system, self.theta, self.gradients, lam * self.offsets)
 
     def shifted(self, delta):
         """Add a constant to the envelope."""
-        return self._with_offsets(self.offsets + delta)
-
-    def _with_offsets(self, offsets):
-        return BusemannTrace._on_pieces(self.root_system, self.theta, self._pieces, offsets)
+        return BusemannTrace(self.root_system, self.theta, self.gradients, self.offsets + delta)
 
     # -- serialization ----------------------------------------------------
 
@@ -171,29 +113,30 @@ class BusemannTrace:
 
     @staticmethod
     def from_dict(data):
-        from .coxeter import root_system_from_descriptor
-
         rs = root_system_from_descriptor(data["root_system"])
         theta = rs.slope(np.asarray(data["theta"], dtype=float))
         orbit = slope_facts(rs, theta).orbit
-        grads = [orbit[int(i)] for i, _ in data["pieces"]]
-        offs = [float(c) for _, c in data["pieces"]]
-        return BusemannTrace(rs, theta, grads, offs)
+        pieces = [(int(i), float(c)) for i, c in data["pieces"]]
+        for i, _ in pieces:
+            if not 0 <= i < len(orbit):
+                raise TraceError(f"piece index {i} outside [0, {len(orbit)})")
+        return BusemannTrace(rs, theta, [orbit[i] for i, _ in pieces], [c for _, c in pieces])
+
+
+def _orbit_indices(orbit, G):
+    """Index of each unit gradient's first orbit row within HV_TOL."""
+    if np.any(np.abs(np.linalg.norm(G, axis=1) - 1.0) > HV_TOL):
+        raise TraceError("gradients must be unit vectors")
+    near = np.linalg.norm(G[:, None, :] - orbit[None, :, :], axis=2) <= HV_TOL
+    if not near.any(axis=1).all():
+        raise TraceError("vector is not in the orbit")
+    return near.argmax(axis=1).tolist()
 
 
 def symmetric_trace(rs, theta, level=0.0):
-    """Full-orbit envelope with equal offsets (W-invariant).
-
-    The full-orbit pieces are validated once per slope and kept in the
-    slope memo, so every symmetric trace of a slope shares their facts.
-    """
-    facts = slope_facts(rs, theta)
-    if facts.pieces is None:
-        orbit = facts.orbit
-        facts.pieces = BusemannTrace(rs, theta, orbit, np.zeros(len(orbit)))._pieces
-    return BusemannTrace._on_pieces(
-        rs, theta, facts.pieces, np.full(len(facts.orbit), level)
-    )
+    """Full-orbit envelope with equal offsets (W-invariant)."""
+    orbit = slope_facts(rs, theta).orbit
+    return BusemannTrace(rs, theta, orbit, np.full(len(orbit), level))
 
 
 # -- sublevel polytopes ------------------------------------------------------
@@ -228,13 +171,16 @@ def _envelope_minimum(trace):
     """The min-set result without its polytope, cached on the trace.
 
     Boundedness below and of the sublevel sets come from the Gordan LP
-    of the trace's pieces (``_Pieces.surround``), which every trace on
-    the same pieces shares.  The epigraph LP gives the minimum value; it
-    is the one LP a translated, scaled or shifted copy solves.
+    of the trace's gradients (``_gordan``), kept in the slope memo beside
+    the piece indices, so every trace with byte-equal gradients on the
+    slope shares it.  The epigraph LP gives the minimum value; it is the
+    one LP a translated, scaled or shifted copy solves.
     """
     if trace._min_cache is not None:
         return trace._min_cache
-    bounded_below, sublevels_bounded = trace._pieces.surround()
+    if trace._pieces[1] is None:
+        trace._pieces[1] = _gordan(trace.gradients)
+    bounded_below, sublevels_bounded = trace._pieces[1]
     if not bounded_below:
         trace._min_cache = MinSetResult(False)
         return trace._min_cache
@@ -251,6 +197,31 @@ def _envelope_minimum(trace):
         raise TraceError(f"min-set LP failed with status {res.status}")
     trace._min_cache = MinSetResult(True, float(res.x[-1]), sublevels_bounded)
     return trace._min_cache
+
+
+def _gordan(G):
+    """(bounded_below, sublevels_bounded) of any envelope with gradients G.
+
+    The Gordan LP, max s over sum lam_i g_i = 0, sum lam_i = 1,
+    lam_i >= s >= 0, is feasible iff the envelope is bounded below.
+    Every sublevel set has the recession cone {d : G d <= 0}, which
+    is {0} iff the g_i positively span: s* > 0 and G has full rank.
+    """
+    m, r = G.shape
+    # variables (lam_1..lam_m, s)
+    gordan = linprog(
+        np.concatenate([np.zeros(m), [-1.0]]),
+        A_ub=np.hstack([-np.eye(m), np.ones((m, 1))]),
+        b_ub=np.zeros(m),
+        A_eq=np.hstack([np.vstack([G.T, np.ones(m)]), np.zeros((r + 1, 1))]),
+        b_eq=np.concatenate([np.zeros(r), [1.0]]),
+        bounds=[(0, None)] * (m + 1),
+        method="highs",
+    )
+    if gordan.status != 0:
+        return False, False
+    spanning = np.linalg.matrix_rank(G, tol=DECISION_TOL) == r
+    return True, bool(spanning and -gordan.fun > DECISION_TOL)
 
 
 # -- level projection ---------------------------------------------------------

@@ -65,6 +65,32 @@ def test_config_bad_theta_certificate(tmp_path, capsys):
     assert "bad trace" in err or "chamber" in err
 
 
+A2_WALL_TRACE = {
+    "root_system": {"family": "A", "rank": 2},
+    "theta": [0.8660254037844387, 0.5],  # the A2 wall slope: a 3-point orbit
+    "pieces": [[0, 0.0], [1, 0.0], [2, 0.0]],
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("pieces", [[0, 0.0], [3, 0.0]]),  # past the orbit end
+        ("pieces", [[0, 0.0], [-1, 0.0], [-2, 0.0]]),  # negative: no wrap-around
+        ("pieces", 5),
+        ("root_system", 5),
+    ],
+)
+def test_config_malformed_custom_trace(tmp_path, capsys, field, value):
+    trace = dict(A2_WALL_TRACE, **{field: value})
+    bad = write_config(
+        tmp_path / "c.json",
+        [{"name": "x", "generator": "custom-trace", "trace": trace, "lengths": [4]}],
+    )
+    assert cli.main(["run", bad, "--out-dir", str(tmp_path / "o")]) == 2
+    assert "config error: scenarios[0]: bad trace: " in capsys.readouterr().err
+
+
 def test_empty_scenario_list(tmp_path, capsys):
     cfg = write_config(tmp_path / "c4.json", [])
     out = tmp_path / "o4"

@@ -28,14 +28,6 @@ def test_group_orders(a2, a3, a1a1):
     assert cx.build_root_system("product", factors=[2, 1]).order == 12
 
 
-def test_reflection_counts(a2, a3, a1a1):
-    assert len(a2.reflection_normals) == 3
-    assert len(a3.reflection_normals) == 6
-    assert len(a1a1.reflection_normals) == 2
-    n0, n1 = a1a1.reflection_normals
-    assert abs(np.dot(n0, n1)) < 1e-12
-
-
 def test_bad_families_rejected():
     with pytest.raises(cx.UnsupportedRootSystem):
         cx.build_root_system("A", rank=1)

@@ -180,6 +180,27 @@ def test_seen_slope_derived_traces_solve_one_lp(monkeypatch):
         assert len(calls) == 1
 
 
+def test_independent_traces_on_equal_gradients_share_the_gordan_lp(monkeypatch):
+    """A second trace built from a copy of the gradients solves its epigraph LP only."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "linprog", counting)
+    rs = cx.build_root_system("A", rank=3)  # an empty slope memo
+    theta = cx.project_to_chamber(rs, unit(rs.coweights.sum(axis=0)))
+    G = np.array(tr.symmetric_trace(rs, theta).gradients)
+    first = tr.BusemannTrace(rs, theta, G.copy(), np.full(len(G), -1.0))
+    assert tr.min_set(first).polytope.is_bounded
+    assert len(calls) == 2
+    calls.clear()
+    second = tr.BusemannTrace(rs, theta, G.copy(), np.linspace(-1.0, 0.0, len(G)))
+    assert tr.min_set(second).polytope.is_bounded
+    assert len(calls) == 1
+
+
 # Reference decisions: one LP per question and level, independent of the
 # cached per-trace facts.
 
@@ -437,6 +458,14 @@ def test_serialization_roundtrip(tri):
     for _ in range(20):
         x = rng.normal(size=2) * 3
         assert abs(back.value(x) - tri.value(x)) < 1e-9
+
+
+@pytest.mark.parametrize("bad", [3, -1])
+def test_from_dict_rejects_piece_indices_outside_the_orbit(tri, bad):
+    data = tri.to_dict()
+    data["pieces"][1][0] = bad
+    with pytest.raises(tr.TraceError, match=f"piece index {bad} outside"):
+        tr.BusemannTrace.from_dict(data)
 
 
 # Shared piece and slope facts against traces built from scratch.
