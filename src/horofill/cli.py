@@ -62,9 +62,13 @@ def load_config(path):
             if "trace" not in scn:
                 raise ConfigError(f"{where}: custom-trace needs a 'trace' object")
             try:
-                tr.BusemannTrace.from_dict(scn["trace"])
+                ms = tr.min_set(tr.BusemannTrace.from_dict(scn["trace"]))
             except (ValueError, LookupError, TypeError, AttributeError) as e:
                 raise ConfigError(f"{where}: bad trace: {e}") from e
+            if ms.bounded_below and not ms.min_value < 0:
+                raise ConfigError(
+                    f"{where}: bad trace: min value must be negative (horoball nonempty)"
+                )
         scn.setdefault("mesh", 1.0)
         scn.setdefault("trials", 1)
     return data

@@ -85,8 +85,7 @@ def _cone_fill_once(loop, spacing, basepoint_index):
     for i in range(1, s):
         chains.append(builder.add_segment(bidx[0], bidx[i], spacing))
     chains.append([bidx[0]])
-    for i in range(s):
-        builder.add_ladder(chains[i], chains[i + 1])
+    builder.add_ladders(zip(chains, chains[1:]))
     return builder.build(bidx, anchor=anchor)
 
 
@@ -248,10 +247,12 @@ def _flat_pipeline(V, orig_pos, level_pts, tube_loop, proj, core, m, spacing, tu
     # boundary arc from ring vertex k to ring vertex k + 1
     nb = len(rim)
     twice = np.concatenate([rim, rim]).tolist()
+    ladders = []
     for k in range(s):
         p1, p2 = ring_positions[k], ring_positions[(k + 1) % s]
         arc = twice[p1 : p1 + (p2 - p1) % nb + 1]
-        builder.add_ladder(radial[k][:-1] + arc, radial[(k + 1) % s])
+        ladders.append((radial[k][:-1] + arc, radial[(k + 1) % s]))
+    builder.add_ladders(ladders)
     return builder.build(outer_idx, anchor=orig_pos), {"tube": tube_info}
 
 

@@ -6,8 +6,8 @@ of a brick is its placed perimeter, the mesh is the maximal brick
 length, and the area is the brick count.
 """
 
-import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -16,7 +16,6 @@ from scipy.sparse.csgraph import connected_components
 from .geometry import DECISION_TOL, DEDUP_TOL, SURFACE_TOL
 
 MESH_ATTEMPTS = 6  # sampling attempts per fill to reach the requested mesh
-LADDER_TIE = 1e-12  # relative gap below which add_ladder re-decides a step in numpy
 
 
 class PartitionError(ValueError):
@@ -313,50 +312,89 @@ class DiskBuilder:
         self._tris.append(T[keep])
 
     def add_ladder(self, chain_a, chain_b):
-        """Zip-triangulate between two index chains (shared ends allowed).
+        """The ladder between one pair of index chains (see ``add_ladders``)."""
+        self.add_ladders([(chain_a, chain_b)])
 
-        Chains run in the same direction; advancing picks the shorter
-        placed diagonal, which keeps bricks close to the chain spacing.
-        Off a shared start h, the second step goes along the other chain:
-        a brick (h, a1, a2) lies on one chain, and the ladder on that
-        chain's other side would lay it too.  Once one chain is used up
-        the rest of the other one is laid without comparing.
+    def add_ladders(self, pairs):
+        """Zip-triangulate between each pair of index chains (shared ends allowed).
 
-        The diagonals are compared as ``math.dist`` of the rows as Python
-        floats, and re-decided on the numpy row-wise ``u @ u`` when they
-        lie within LADDER_TIE of each other.  Both see the same IEEE
-        differences u.  ``math.dist`` lands within a few ulps of the
-        exact length |u|, and ``u @ u`` within a relative ~3 * 2**-53 of
-        the exact |u|**2, whatever its summation order and whether it
-        fuses multiply and add.  Outside the band both therefore order
-        the two diagonals alike, so every brick is the one the numpy
-        comparison picks.
+        Chains of a pair run in the same direction; advancing picks the
+        shorter placed diagonal, which keeps bricks close to the chain
+        spacing.  Off a shared start h, the second step goes along the
+        other chain: a brick (h, a1, a2) lies on one chain, and the
+        ladder on that chain's other side would lay it too.  Once one
+        chain is used up the rest of the other one is laid without
+        comparing.  Bricks come out pair by pair, each in step order.
+
+        All ladders advance in lock step, one brick per round, and one
+        matmul decides the round: a ladder at (i, j) steps along chain a
+        when its diagonal u = a[i+1] - b[j] has ``u @ u <= v @ v`` for
+        v = b[j+1] - a[i].  The squared lengths are row-wise
+        ``(1, d) @ (d, 1)`` products, which numpy computes with the same
+        dot routine as the scalar ``u @ u``, so every bit is the one a
+        per-step numpy loop picks; ``einsum`` and ``(u * u).sum(1)`` sum
+        in another order and differ from it on about a fifth of the
+        rows.  That bit-identity is a property of the numpy and BLAS in
+        use, not a law: the tests compare every brick with the per-step
+        loop.
         """
-        A, B = list(chain_a), list(chain_b)
-        ra, rb = self._pts[A], self._pts[B]
-        pa, pb = ra.tolist(), rb.tolist()
-        na, nb = len(A) - 1, len(B) - 1
-        shared = A[0] == B[0]
-        tris = []
-        i = j = 0
-        while i < na and j < nb:
-            if shared and (i == 0) != (j == 0):
-                adv_a = i == 0
-            else:
-                da, db = math.dist(pa[i + 1], pb[j]), math.dist(pb[j + 1], pa[i])
-                if abs(da - db) <= LADDER_TIE * (da + db):
-                    u, v = ra[i + 1] - rb[j], rb[j + 1] - ra[i]
-                    adv_a = float(u @ u) <= float(v @ v)
-                else:
-                    adv_a = da < db
-            if adv_a:
-                tris.append((A[i], A[i + 1], B[j]))
-                i += 1
-            else:
-                tris.append((A[i], B[j], B[j + 1]))
-                j += 1
-        tris += [(A[k], A[k + 1], B[j]) for k in range(i, na)]
-        tris += [(A[i], B[k], B[k + 1]) for k in range(j, nb)]
+        pairs = list(pairs)
+        if not pairs:
+            return
+        flat_a = np.fromiter(chain.from_iterable(a for a, _ in pairs), dtype=int)
+        flat_b = np.fromiter(chain.from_iterable(b for _, b in pairs), dtype=int)
+        na = np.fromiter((len(a) for a, _ in pairs), dtype=int, count=len(pairs)) - 1
+        nb = np.fromiter((len(b) for _, b in pairs), dtype=int, count=len(pairs)) - 1
+        off_a, off_b = np.cumsum(na + 1) - na - 1, np.cumsum(nb + 1) - nb - 1
+        steps = na + nb
+        first = np.cumsum(steps) - steps  # bit position of each ladder's first step
+        bits = np.zeros(int(steps.sum()), dtype=bool)  # True: the step goes along a
+        decided = np.zeros(len(pairs), dtype=int)  # steps decided by comparing
+        tail_a = na > 0  # whether the steps after them go along a
+        # the ladders still comparing, as positions in the flat chains
+        live = np.flatnonzero((na > 0) & (nb > 0))
+        ga, gb = off_a[live], off_b[live]
+        a0, end_a, end_b = ga.copy(), ga + na[live], gb + nb[live]
+        shared = flat_a[ga] == flat_b[gb]
+        pos = first[live]
+        pts, rnd = self._pts, 0
+        while len(live):
+            a, a1 = flat_a.take(ga), flat_a.take(ga + 1)
+            b, b1 = flat_b.take(gb), flat_b.take(gb + 1)
+            u = pts.take(a1, axis=0) - pts.take(b, axis=0)
+            v = pts.take(b1, axis=0) - pts.take(a, axis=0)
+            w = np.concatenate([u, v])
+            d = (w[:, None, :] @ w[:, :, None])[:, 0, 0]
+            adv = d[: len(live)] <= d[len(live) :]
+            if rnd == 1:  # off a shared start, step along the chain that stood still
+                adv = np.where(shared, ga == a0, adv)
+            bits[pos] = adv
+            ga += adv
+            gb += ~adv
+            pos += 1
+            rnd += 1
+            going = (ga < end_a) & (gb < end_b)
+            if not going.all():
+                out = live[~going]
+                decided[out] = rnd
+                tail_a[out] = ga[~going] < end_a[~going]
+                live, ga, gb, a0, end_a, end_b, shared, pos = (
+                    x[going] for x in (live, ga, gb, a0, end_a, end_b, shared, pos)
+                )
+        ladder = np.repeat(np.arange(len(pairs)), steps)
+        step = np.arange(len(bits)) - first[ladder]
+        tail = step >= decided[ladder]
+        bits[tail] = tail_a[ladder[tail]]
+        i = np.cumsum(bits) - bits
+        i -= i[first[ladder]]  # steps along a before this one
+        ia, jb = off_a[ladder] + i, off_b[ladder] + step - i
+        del ladder, step, tail, i  # per-brick scratch, freed before the brick array
+        # a step reads only the next point of the chain it goes along;
+        # clipping keeps the unread ones past the last chain in range
+        tris = np.empty((len(bits), 3), dtype=int)
+        tris[:, 0] = flat_a[ia]
+        tris[:, 1] = np.where(bits, flat_a.take(ia + 1, mode="clip"), flat_b[jb])
+        tris[:, 2] = np.where(bits, flat_b[jb], flat_b.take(jb + 1, mode="clip"))
         self.add_triangles(tris)
 
     def build(self, boundary, mesh=None, anchor=None):

@@ -897,21 +897,18 @@ def _chart_fan(P, chart, loop, spacing, degree):
 
     if degree == 0:
         chains = spokes(np.stack([ts, phis], axis=1), bidx)
-        for i in range(s):
-            builder.add_ladder(chains[i], chains[(i + 1) % s])
+        ladders = list(zip(chains, chains[1:] + chains[:1]))
     else:
         chains = spokes(np.vstack([np.stack([ts, phis], axis=1), q_end]), bidx + bidx[:1])
-        for i in range(s):
-            builder.add_ladder(chains[i], chains[i + 1])
         fiber_chain, fiber_params = _wrapped_fiber_chain(
             builder, chart, (ts[0], phis[0]), degree, spacing, bidx[0]
         )
         # wedge between the two lift copies of vertex 0: fan from the
         # same hub over the wrapped fiber circle
         wedge = [chains[0]] + spokes(fiber_params[1:-1], fiber_chain[1:-1]) + [chains[s]]
-        for j in range(len(wedge) - 1):
-            builder.add_ladder(wedge[j], wedge[j + 1])
-        _pole_cap(builder, chart, fiber_chain, fiber_params, spacing)
+        ladders = list(zip(chains, chains[1:])) + list(zip(wedge, wedge[1:]))
+        ladders += _pole_cap(builder, chart, fiber_chain, fiber_params, spacing)
+    builder.add_ladders(ladders)
     return builder.build(bidx, anchor=orig_pos)
 
 
@@ -953,7 +950,8 @@ def _pole_cap(builder, chart, fiber_chain, fiber_params, spacing):
 
     The pole (profile parameter 0) is a single placement, so meridians at
     all lifted angles share one combinatorial apex and the winding is
-    absorbed there.
+    absorbed there.  Places the pole and the meridians, and returns the
+    pairs of neighbouring meridians for the caller to ladder.
     """
     if not isinstance(chart, RevolutionChart):
         raise TubeError("winding caps require a revolution chart")
@@ -963,6 +961,4 @@ def _pole_cap(builder, chart, fiber_chain, fiber_params, spacing):
     starts = np.stack([np.zeros(n), ends[:, 1]], axis=1)
     m = np.maximum(2, np.ceil(ends[:, 0] / spacing).astype(int))
     meridians = _add_segments(builder, chart, starts, ends, m, [pole_idx] * n, fiber_chain[:n])
-    for j in range(n - 1):
-        builder.add_ladder(meridians[j], meridians[j + 1])
-    builder.add_ladder(meridians[n - 1], meridians[0])
+    return list(zip(meridians, meridians[1:] + meridians[:1]))

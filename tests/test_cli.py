@@ -91,6 +91,17 @@ def test_config_malformed_custom_trace(tmp_path, capsys, field, value):
     assert "config error: scenarios[0]: bad trace: " in capsys.readouterr().err
 
 
+def test_config_rejects_a_trace_with_minimum_zero(tmp_path, capsys):
+    # all offsets 0: the min set is the origin and the horoball is empty
+    cfg = write_config(
+        tmp_path / "c.json",
+        [{"name": "x", "generator": "custom-trace", "trace": A2_WALL_TRACE, "lengths": [4]}],
+    )
+    assert cli.main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: scenarios[0]: bad trace: min value must be negative" in err
+
+
 def test_empty_scenario_list(tmp_path, capsys):
     cfg = write_config(tmp_path / "c4.json", [])
     out = tmp_path / "o4"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horofill import scenarios as sc
@@ -374,16 +374,18 @@ def reference_ladder(self, chain_a, chain_b):
 
 
 @st.composite
-def ladder_chains(draw):
+def ladder_chains(draw, dim=None):
     """Two chains (point arrays) and whether they share their first point.
 
     "random" chains are Gaussian; "lattice" chains are two evenly spaced
     parallel rows, whose two diagonals tie exactly whenever the greedy
     stands at equal positions; "rotated" lattices are the same rows
     turned by a random rotation, so those ties come out only up to
-    rounding, where summation order decides.
+    rounding, where summation order decides.  The dimension is 2 or 3
+    unless given.
     """
-    dim = draw(st.sampled_from([2, 3]))
+    if dim is None:
+        dim = draw(st.sampled_from([2, 3]))
     kind = draw(st.sampled_from(["random", "lattice", "rotated"]))
     na, nb = draw(st.integers(1, 24)), draw(st.integers(1, 24))
     shared = draw(st.booleans())
@@ -422,11 +424,49 @@ def test_ladder_matches_numpy_reference(chains):
     assert np.array_equal(got, want)
 
 
+@st.composite
+def ladder_batches(draw):
+    """A builder and 1-8 chain pairs of mixed lengths placed in it.
+
+    Pairs come from ``ladder_chains`` in one dimension, so they finish
+    in different rounds; one-point chains, shared starts and shared
+    ends all occur.
+    """
+    dim = draw(st.sampled_from([2, 3]))
+    specs = draw(st.lists(st.tuples(ladder_chains(dim), st.booleans()), min_size=1, max_size=8))
+    builder = DiskBuilder(dim)
+    pairs = []
+    for (a, b, shared), shared_end in specs:
+        ia, ib = builder.add_chain(a), builder.add_chain(b)
+        if shared:
+            ib[0] = ia[0]
+        if shared_end:
+            ib[-1] = ia[-1]
+        pairs.append((ia, ib))
+    return builder, pairs
+
+
+def reference_ladders(self, pairs):
+    for a, b in pairs:
+        reference_ladder(self, a, b)
+
+
+@given(ladder_batches())
+@settings(max_examples=100)
+def test_add_ladders_matches_per_pair_reference(batch):
+    builder, pairs = batch
+    ref = DiskBuilder(builder.dim)
+    ref.add_chain(builder.points)
+    reference_ladders(ref, pairs)
+    builder.add_ladders(pairs)
+    assert np.array_equal(builder.triangles, ref.triangles)
+
+
 def test_tube_fill_matches_numpy_reference_ladder(monkeypatch):
-    """A 3-D fill whose near-tied diagonals round differently in Python and numpy."""
+    """A 3-D fill with near-tied diagonals, laid in lock step and pair by pair."""
     host, loop = sc.GENERATORS["tube-point"](8, 1.0, 0)
     fast = tb.fill_tube_loop(host, 1.0, loop, 1.0)[0]
-    monkeypatch.setattr(DiskBuilder, "add_ladder", reference_ladder)
+    monkeypatch.setattr(DiskBuilder, "add_ladders", reference_ladders)
     ref = tb.fill_tube_loop(host, 1.0, loop, 1.0)[0]
     assert fast.area == 2126
     assert fast.points.tobytes() == ref.points.tobytes()
