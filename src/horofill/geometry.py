@@ -19,6 +19,7 @@ SURFACE_TOL = 1e-6
 HV_TOL = 1e-7
 
 MAX_PIECES_FOR_PROJECTION = 40
+VERTEX_BLOCK = 1 << 14  # n-subsets per batched solve; bounds memory on large systems
 
 
 def unit(v):
@@ -103,19 +104,28 @@ def spherical_distance_to_cone(u, generators):
 def enumerate_vertices(normals, bounds, tol=HV_TOL):
     """Vertices of {x : normals @ x <= bounds} by brute-force basic solutions.
 
-    Intended for small systems (dimension <= 4, a few dozen halfspaces).
+    The n-subsets of rows go, VERTEX_BLOCK at a time (every A2 and A3
+    trace system is one block), through one batched ``det``, one
+    batched ``solve`` and one stacked-matmul feasibility test, each
+    equal bit for bit to its per-subset call (``X @ A.T`` and
+    ``einsum`` are not), so the result is that of a loop over
+    ``combinations``.  Intended for small
+    systems (dimension <= 4, a few dozen halfspaces).  A bounded trace
+    sublevel set decides its emptiness from these vertices, with no LP
+    (``trace.horoball_polytope``).
     """
     A = np.asarray(normals, dtype=float)
     b = np.asarray(bounds, dtype=float)
     m, n = A.shape
+    subsets = itertools.combinations(range(m), n)
     verts = []
-    for subset in itertools.combinations(range(m), n):
-        sub = A[list(subset)]
-        if abs(np.linalg.det(sub)) < DEDUP_TOL:
-            continue
-        x = np.linalg.solve(sub, b[list(subset)])
-        if np.all(A @ x <= b + tol):
-            verts.append(x)
+    while block := list(itertools.islice(subsets, VERTEX_BLOCK)):
+        idx = np.array(block, dtype=np.intp)
+        sub = A[idx]
+        regular = np.abs(np.linalg.det(sub)) >= DEDUP_TOL
+        idx = idx[regular]
+        X = np.linalg.solve(sub[regular], b[idx][..., None])[..., 0]
+        verts.extend(X[np.all((A[None] @ X[:, :, None])[..., 0] <= b + tol, axis=1)])
     return dedup_rows(verts, tol=HV_TOL)
 
 
@@ -223,17 +233,20 @@ class VPolytope:
             self.bounds = -eq[:, -1]
 
     @classmethod
-    def from_halfspaces(cls, normals, bounds, is_empty, is_bounded):
-        """{x : normals @ x <= bounds}, given whether it is empty and bounded.
+    def from_halfspaces(cls, normals, bounds, vertices, is_empty, is_bounded):
+        """{x : normals @ x <= bounds}, given its vertices and whether it is empty and bounded.
 
-        A bounded nonempty set comes back as the hull of its enumerated
-        vertices; an empty or unbounded set keeps its halfspaces, in the
-        ambient space as its span, and the vertices it has.
+        ``vertices`` is ``enumerate_vertices(normals, bounds)``, made once
+        by the caller, which decides emptiness from it when the set is
+        bounded (``trace.horoball_polytope``).  A bounded nonempty set
+        comes back as the hull of its vertices; an empty or unbounded set
+        keeps its halfspaces, in the ambient space as its span, and the
+        vertices it has (none when empty).
         """
         normals = np.asarray(normals, dtype=float)
         bounds = np.asarray(bounds, dtype=float)
         n = normals.shape[1]
-        verts = [] if is_empty else enumerate_vertices(normals, bounds)
+        verts = [] if is_empty else vertices
         if is_bounded and not is_empty:
             return cls(np.array(verts))
         P = cls.__new__(cls)

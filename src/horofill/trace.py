@@ -3,8 +3,8 @@
 A trace is an upper envelope of affine pieces whose gradients all lie in
 one Weyl orbit (the orbit of the opposition image of the defining slope).
 Sublevel sets model the horoball trace on the apartment; the argmin
-polytope models the minimum set; level projection, sandwich radii and
-the corner path construction live here.
+polytope models the minimum set; level projection and the corner path
+construction live here.
 
 A trace's piece indices and the emptiness and boundedness of its
 sublevel sets depend on the gradients alone.  The constructor keeps the
@@ -13,8 +13,12 @@ and the Gordan LP outcome goes under the same key on first use, so every
 trace with byte-equal gradients on a slope (its translated, scaled and
 shifted copies, the slope's symmetric traces) validates and solves that
 LP once.  The minimum value depends on the offsets: one epigraph LP,
-cached on the trace.  So a derived trace solves one LP however many
-sublevel polytopes it builds.
+cached on the trace.  A bounded sublevel polytope decides its own
+emptiness from its vertices and solves no LP; only ``min_set``,
+``level_project``, unbounded systems and cuts within HV_TOL of the
+minimum read the minimum value.  So a derived trace solves at most one
+LP however many sublevel polytopes it builds, and none if it is only
+cut into bounded ones away from its minimum.
 """
 
 import itertools
@@ -143,12 +147,27 @@ def symmetric_trace(rs, theta, level=0.0):
 
 
 def horoball_polytope(trace, t):
-    """Sublevel set {value <= t} as a polytope, from the cached trace facts."""
-    ms = _envelope_minimum(trace)
-    is_empty = ms.bounded_below and t < ms.min_value
-    return VPolytope.from_halfspaces(
-        trace.gradients, t - trace.offsets, is_empty, ms.sublevels_bounded
-    )
+    """Sublevel set {value <= t} as a polytope, from the cached trace facts.
+
+    A bounded sublevel set (the cached Gordan outcome says so) is decided
+    empty or not by its own vertices, with no LP: no vertex means empty,
+    and a vertex centroid inside every halfspace by HV_TOL*max(1, |t|)
+    means nonempty.  Cuts within that margin of the minimum (among them
+    ``min_set``'s own cut at the minimum) and unbounded systems fall
+    back to the cached minimum value: empty iff ``t < min_value``.
+    """
+    G, b = trace.gradients, t - trace.offsets
+    verts = enumerate_vertices(G, b)
+    bounded = _gordan_outcome(trace)[1]
+    margin = HV_TOL * max(1.0, abs(t))
+    if bounded and not verts:
+        is_empty = True
+    elif bounded and np.all(b - G @ np.mean(verts, axis=0) >= margin):
+        is_empty = False
+    else:
+        ms = _envelope_minimum(trace)
+        is_empty = ms.bounded_below and t < ms.min_value
+    return VPolytope.from_halfspaces(G, b, verts, is_empty, bounded)
 
 
 @dataclass
@@ -171,16 +190,15 @@ def _envelope_minimum(trace):
     """The min-set result without its polytope, cached on the trace.
 
     Boundedness below and of the sublevel sets come from the Gordan LP
-    of the trace's gradients (``_gordan``), kept in the slope memo beside
-    the piece indices, so every trace with byte-equal gradients on the
-    slope shares it.  The epigraph LP gives the minimum value; it is the
-    one LP a translated, scaled or shifted copy solves.
+    (``_gordan_outcome``).  The epigraph LP gives the minimum value; it
+    is the one LP a translated, scaled or shifted copy solves, and only
+    ``min_set``, ``level_project`` and the sublevel sets that
+    ``horoball_polytope`` cannot decide from their vertices (unbounded
+    ones, and bounded ones within HV_TOL of the minimum) ask for it.
     """
     if trace._min_cache is not None:
         return trace._min_cache
-    if trace._pieces[1] is None:
-        trace._pieces[1] = _gordan(trace.gradients)
-    bounded_below, sublevels_bounded = trace._pieces[1]
+    bounded_below, sublevels_bounded = _gordan_outcome(trace)
     if not bounded_below:
         trace._min_cache = MinSetResult(False)
         return trace._min_cache
@@ -197,6 +215,13 @@ def _envelope_minimum(trace):
         raise TraceError(f"min-set LP failed with status {res.status}")
     trace._min_cache = MinSetResult(True, float(res.x[-1]), sublevels_bounded)
     return trace._min_cache
+
+
+def _gordan_outcome(trace):
+    """``_gordan`` of the trace's gradients, kept in the slope memo beside its pieces."""
+    if trace._pieces[1] is None:
+        trace._pieces[1] = _gordan(trace.gradients)
+    return trace._pieces[1]
 
 
 def _gordan(G):
@@ -250,25 +275,6 @@ def projection_bound(trace, s, t):
     if prof.degenerate:
         raise TraceError("factor-parallel slope: projection bound undefined")
     return (s - t) / np.sin(prof.delta0)
-
-
-# -- sandwich radii -----------------------------------------------------------
-
-
-def sandwich_radii(trace):
-    """(m, a*m) with a = 1/sin(delta0); requires a bounded min set."""
-    res = min_set(trace)
-    if not res.bounded_below:
-        raise TraceError("envelope unbounded below: no sandwich radii")
-    if not res.polytope.is_bounded:
-        raise TraceError("min set unbounded: no sandwich radii")
-    m = -res.min_value
-    if m <= 0:
-        raise TraceError("min value must be negative (horoball nonempty)")
-    prof = delta_zero(trace.root_system, trace.theta)
-    if prof.degenerate:
-        raise TraceError("factor-parallel slope")
-    return m, m / np.sin(prof.delta0)
 
 
 # -- corner paths (non-parallel faces) -----------------------------------------

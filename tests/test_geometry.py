@@ -1,14 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horofill import coxeter as cx
 from horofill import trace as tr
 from horofill.geometry import (
+    DEDUP_TOL,
+    HV_TOL,
+    VERTEX_BLOCK,
     VPolytope,
     affine_span,
     angle_between,
+    dedup_rows,
     enumerate_vertices,
     polyline_length,
     segment_hits_polytope,
@@ -87,6 +93,75 @@ def test_enumerate_vertices_square():
     bounds = np.array([1.0, 0.0, 1.0, 0.0])
     verts = enumerate_vertices(normals, bounds)
     assert len(verts) == 4
+
+
+def reference_vertices(normals, bounds, tol=HV_TOL):
+    """The per-subset loop that the batched ``enumerate_vertices`` replaces."""
+    A = np.asarray(normals, dtype=float)
+    b = np.asarray(bounds, dtype=float)
+    m, n = A.shape
+    verts = []
+    for subset in itertools.combinations(range(m), n):
+        sub = A[list(subset)]
+        if abs(np.linalg.det(sub)) < DEDUP_TOL:
+            continue
+        x = np.linalg.solve(sub, b[list(subset)])
+        if np.all(A @ x <= b + tol):
+            verts.append(x)
+    return dedup_rows(verts, tol=HV_TOL)
+
+
+@st.composite
+def halfspace_systems(draw):
+    """Random, repeated-row, rounded, under-determined and all-singular systems in E^1..E^4.
+
+    With tolerance 0, a basic solution's own rows and the other rows
+    through a degenerate vertex decide feasibility on the last bits of
+    ``A @ x``, so the reference pins the dot routine too.
+    """
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "repeated", "rounded", "few", "singular"]))
+    m = draw(st.integers(0, n - 1)) if kind == "few" else draw(st.integers(n, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scale = 10.0 ** draw(st.floats(-3, 2))
+    A = rng.normal(size=(m, n)) * scale
+    if kind == "repeated" and m > 1:
+        rows = rng.integers(0, m, size=m // 2 + 1)
+        A[rng.integers(0, m, size=len(rows))] = A[rows]
+    elif kind == "rounded":
+        A = np.round(A / scale, 1) * scale
+    elif kind == "singular" and n > 1:
+        A[:, -1] = A[:, 0]  # every n-subset is singular
+    b = rng.normal(size=m) * scale
+    if kind == "rounded":
+        b = np.round(b / scale, 1) * scale
+    return A, b, draw(st.sampled_from([HV_TOL, 0.0]))
+
+
+@settings(max_examples=400)
+@given(halfspace_systems())
+def test_enumerate_vertices_matches_the_per_subset_loop(system):
+    A, b, tol = system
+    got, want = enumerate_vertices(A, b, tol), reference_vertices(A, b, tol)
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_enumerate_vertices_across_subset_blocks():
+    rng = np.random.default_rng(5)
+    A, b = rng.normal(size=(48, 3)), rng.uniform(0.5, 1.5, size=48)
+    assert len(list(itertools.combinations(range(48), 3))) > VERTEX_BLOCK
+    got, want = enumerate_vertices(A, b), reference_vertices(A, b)
+    assert len(got) == len(want) > 0
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+
+
+def test_enumerate_vertices_without_basic_solutions():
+    assert enumerate_vertices(np.ones((2, 3)), np.ones(2)) == []  # m < n
+    A = np.array([[1.0, 2.0], [2.0, 4.0], [-1.0, -2.0]])  # every pair singular
+    assert enumerate_vertices(A, np.ones(3)) == []
+    assert enumerate_vertices(np.zeros((0, 2)), np.zeros(0)) == []
 
 
 def test_polyline_length():

@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 from horofill import coxeter as cx
 from horofill import trace as tr
 from horofill import tube as tb
-from horofill.geometry import polyline_length, unit
+from horofill.geometry import VPolytope, enumerate_vertices, polyline_length, unit
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +201,29 @@ def test_independent_traces_on_equal_gradients_share_the_gordan_lp(monkeypatch):
     assert len(calls) == 1
 
 
+def test_bounded_sublevel_polytopes_solve_no_lp(monkeypatch):
+    """A derived trace cut into bounded sublevel sets solves no LP until min_set."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "linprog", counting)
+    rs = cx.build_root_system("A", rank=3)  # an empty slope memo
+    theta = cx.project_to_chamber(rs, unit(rs.coweights.sum(axis=0)))
+    base = tr.symmetric_trace(rs, theta).shifted(-1.0)
+    assert tr.min_set(base).polytope.is_bounded  # caches the Gordan outcome
+    trace = base.translated([0.3, -0.2, 0.5]).scaled(1.7)
+    calls.clear()
+    assert tr.horoball_polytope(trace, 0.0).is_bounded
+    assert tr.horoball_polytope(trace, 1.0).is_bounded
+    assert tr.horoball_polytope(trace, -5.0).is_empty
+    assert len(calls) == 0
+    assert tr.min_set(trace).polytope.is_bounded
+    assert len(calls) == 1
+
+
 # Reference decisions: one LP per question and level, independent of the
 # cached per-trace facts.
 
@@ -285,6 +308,31 @@ def test_cached_decisions_match_the_lps(case):
         assert hb.is_bounded == (feasible and bounded)
 
 
+@pytest.mark.parametrize("rank,k", ORBIT_SLOPES)
+def test_near_minimum_cuts_match_the_lp_decision(rank, k):
+    """Within 1e-6 of the minimum, emptiness is still t < min_value, bit for bit.
+
+    The reference polytope is built from the same halfspaces with the
+    LP-decided emptiness passed to ``from_halfspaces``.
+    """
+    rs, theta, _ = _orbit(rank, k)
+    rng = np.random.default_rng(rank)
+    base = tr.symmetric_trace(rs, theta).shifted(-1.0)
+    moved = base.translated(rng.normal(size=rank) * 3.0)
+    for trace in (base, moved, base.scaled(2.5), moved.scaled(0.6)):
+        ms = tr.min_set(trace)
+        for t in ms.min_value + np.array([-1e-6, -1e-8, 1e-8, 1e-6]):
+            hb = tr.horoball_polytope(trace, t)
+            is_empty = bool(t < ms.min_value)
+            assert hb.is_empty == is_empty
+            G, b = trace.gradients, t - trace.offsets
+            ref = VPolytope.from_halfspaces(
+                G, b, enumerate_vertices(G, b), is_empty, ms.sublevels_bounded
+            )
+            assert hb.vertices.shape == ref.vertices.shape
+            assert hb.vertices.tobytes() == ref.vertices.tobytes()
+
+
 def test_level_project_single_piece(a1a1):
     e1 = cx.project_to_chamber(a1a1, np.array([1.0, 0.0]))
     single = tr.BusemannTrace(a1a1, e1, np.array([[1.0, 0.0]]), np.array([0.0]))
@@ -362,24 +410,6 @@ def test_level_project_segment_stays_outside(tri):
             assert tri.value(y + t * (x - y)) >= -1e-9
 
 
-def test_sandwich_radii_triangle(tri):
-    m, am = tr.sandwich_radii(tri)
-    assert abs(m - 1.0) < 1e-9
-    assert abs(am - 2.0) < 1e-6  # a = 1/sin(pi/6)
-
-
-def test_sandwich_scaling(tri):
-    m1, am1 = tr.sandwich_radii(tri)
-    m2, am2 = tr.sandwich_radii(tri.scaled(3.0))
-    assert abs(m2 - 3.0 * m1) < 1e-9
-    assert abs(am2 - 3.0 * am1) < 1e-6
-
-
-def test_sandwich_rejects_unbounded(slab):
-    with pytest.raises(tr.TraceError):
-        tr.sandwich_radii(slab)
-
-
 @pytest.mark.parametrize("shape", ["tri", "a3-simplex"])
 def test_sandwich_radii_are_the_exact_inclusions(shape, tri, a3):
     """N_m(Min) lies in the horoball and the horoball in N_am(Min), tightly.
@@ -393,10 +423,10 @@ def test_sandwich_radii_are_the_exact_inclusions(shape, tri, a3):
     else:
         theta = cx.project_to_chamber(a3, a3.coweights[0])
         trace = tr.symmetric_trace(a3, theta).shifted(-2.0)
-    m, am = tr.sandwich_radii(trace)
-    proj = tb.sandwich_project(
-        tr.horoball_polytope(trace, 0.0), tr.min_set(trace).polytope, m
-    )
+    ms = tr.min_set(trace)
+    m = -ms.min_value
+    am = m / np.sin(cx.delta_zero(trace.root_system, trace.theta).delta0)
+    proj = tb.sandwich_project(tr.horoball_polytope(trace, 0.0), ms.polytope, m)
     assert abs(proj.a * m - am) <= 1e-9 * am
 
 
