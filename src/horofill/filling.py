@@ -198,8 +198,8 @@ def fill_flat_loop(trace, loop, mesh=1.0):
             "resampling the loop chordwise dips into the open horoball; "
             "sample the loop on its host at spacing <= mesh/3 first"
         )
-    level_pts = np.array([level_project(trace, v, 0.0) for v in V])
-    tube_loop = Loop(np.array([proj.map(p) for p in level_pts]))
+    level_pts = level_project(trace, V, 0.0)
+    tube_loop = Loop(proj.map(level_pts))
     # optimistic start: the retry shrinks the tube mesh only where the
     # fiber pullback actually stretches bricks
     fp, info, _ = fill_to_mesh(

@@ -16,6 +16,7 @@ from scipy.sparse.csgraph import connected_components
 from .geometry import DECISION_TOL, DEDUP_TOL, SURFACE_TOL
 
 MESH_ATTEMPTS = 6  # sampling attempts per fill to reach the requested mesh
+LADDER_BLOCK = 1 << 13  # bricks laid per block of ladders; bounds add_ladders' scratch
 
 
 class PartitionError(ValueError):
@@ -381,21 +382,28 @@ class DiskBuilder:
                 live, ga, gb, a0, end_a, end_b, shared, pos = (
                     x[going] for x in (live, ga, gb, a0, end_a, end_b, shared, pos)
                 )
-        ladder = np.repeat(np.arange(len(pairs)), steps)
-        step = np.arange(len(bits)) - first[ladder]
-        tail = step >= decided[ladder]
-        bits[tail] = tail_a[ladder[tail]]
-        i = np.cumsum(bits) - bits
-        i -= i[first[ladder]]  # steps along a before this one
-        ia, jb = off_a[ladder] + i, off_b[ladder] + step - i
-        del ladder, step, tail, i  # per-brick scratch, freed before the brick array
-        # a step reads only the next point of the chain it goes along;
-        # clipping keeps the unread ones past the last chain in range
-        tris = np.empty((len(bits), 3), dtype=int)
-        tris[:, 0] = flat_a[ia]
-        tris[:, 1] = np.where(bits, flat_a.take(ia + 1, mode="clip"), flat_b[jb])
-        tris[:, 2] = np.where(bits, flat_b[jb], flat_b.take(jb + 1, mode="clip"))
-        self.add_triangles(tris)
+        # lay the bricks a block of whole ladders at a time, so the
+        # per-brick scratch stays near LADDER_BLOCK bricks however large the fill
+        ends = np.cumsum(steps)
+        lo = 0
+        while lo < len(pairs):
+            hi = max(lo + 1, int(np.searchsorted(ends, first[lo] + LADDER_BLOCK, side="right")))
+            ladder = np.repeat(np.arange(lo, hi), steps[lo:hi])
+            step = np.arange(first[lo], ends[hi - 1]) - first[ladder]
+            tail = step >= decided[ladder]
+            block = bits[first[lo] : ends[hi - 1]]
+            block[tail] = tail_a[ladder[tail]]
+            i = np.cumsum(block) - block
+            i -= i[first[ladder] - first[lo]]  # steps along a before this one
+            ia, jb = off_a[ladder] + i, off_b[ladder] + step - i
+            # a step reads only the next point of the chain it goes along;
+            # clipping keeps the unread ones past the last chain in range
+            tris = np.empty((len(block), 3), dtype=int)
+            tris[:, 0] = flat_a[ia]
+            tris[:, 1] = np.where(block, flat_a.take(ia + 1, mode="clip"), flat_b[jb])
+            tris[:, 2] = np.where(block, flat_b[jb], flat_b.take(jb + 1, mode="clip"))
+            self.add_triangles(tris)
+            lo = hi
 
     def build(self, boundary, mesh=None, anchor=None):
         return FillingPartition(

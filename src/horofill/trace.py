@@ -38,6 +38,7 @@ from .geometry import (
     angle_between,
     dedup_rows,
     enumerate_vertices,
+    matvec,
     project_to_polytope,
     unit,
 )
@@ -253,20 +254,23 @@ def _gordan(G):
 
 
 def level_project(trace, x, t):
-    """Projection of x onto the sublevel set {value <= t}.
+    """Projection of x, or of each row of x, onto the sublevel set {value <= t}.
 
     The returned point y is the nearest point of the sublevel polytope;
     the open segment (y, x] stays outside the sublevel set, and
     d(x, y) <= (s - t)/sin(delta0) for horoball-realizable traces.
+    Each row's value is ``trace.value`` of that row, bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    s = trace.value(x)
-    if s <= t + DECISION_TOL:
-        return x.copy()
-    ms = _envelope_minimum(trace)
-    if ms.bounded_below and t < ms.min_value:
-        raise ProjectionError(f"sublevel set at t={t} is empty")
-    return project_to_polytope(trace.gradients, t - trace.offsets, x)
+    X = x.reshape(-1, x.shape[-1])
+    out = X.copy()
+    far = ~(np.max(matvec(trace.gradients, X) + trace.offsets, axis=1) <= t + DECISION_TOL)
+    if far.any():
+        ms = _envelope_minimum(trace)
+        if ms.bounded_below and t < ms.min_value:
+            raise ProjectionError(f"sublevel set at t={t} is empty")
+        out[far] = project_to_polytope(trace.gradients, t - trace.offsets, X[far])
+    return out.reshape(x.shape)
 
 
 def projection_bound(trace, s, t):

@@ -18,8 +18,10 @@ from .geometry import (
     SURFACE_TOL,
     VPolytope,
     angle_between,
+    matvec,
     polyline_length,
     project_affine,
+    row_norms,
     segment_hits_polytope,
     unit,
 )
@@ -79,9 +81,14 @@ def proper_core(P):
 
 
 def nearest_point(P, x):
-    """Nearest point of the polytope and the distance to it."""
+    """Nearest point of the polytope to x, or to each row of x, and the distance.
+
+    The bases keep the shape of x; the distances lose its last axis and
+    are bit for bit the 1-D ``np.linalg.norm`` of each row.
+    """
+    x = np.asarray(x, dtype=float)
     x0 = P.nearest_point(x)
-    return x0, float(np.linalg.norm(np.asarray(x, dtype=float) - x0))
+    return x0, row_norms(x - x0)
 
 
 def tube_distance(P, x):
@@ -336,13 +343,11 @@ def radial_project_path(P, R_out, R_in, path):
     if not 0 < R_in < R_out:
         raise TubeError("need 0 < R_in < R_out")
     path = np.asarray(path, dtype=float)
-    inner = []
-    for p in path:
-        base, d = nearest_point(P, p)
-        if abs(d - R_out) > SURFACE_TOL:
-            raise TubeError(f"path point at distance {d:.9g} is not on the outer tube")
-        inner.append(base + (R_in / R_out) * (p - base))
-    inner = np.array(inner)
+    bases, d = nearest_point(P, path)
+    off = np.flatnonzero(np.abs(d - R_out) > SURFACE_TOL)
+    if len(off):
+        raise TubeError(f"path point at distance {d[off[0]]:.9g} is not on the outer tube")
+    inner = bases + (R_in / R_out) * (path - bases)
     lo = polyline_length(path)
     li = polyline_length(inner)
     report = {
@@ -371,10 +376,12 @@ class SandwichProjection:
     a: float
 
     def map(self, x):
+        """The fiber image of x, or of each row of x, on the inner tube."""
+        x = np.asarray(x, dtype=float)
         base, d = nearest_point(self.core, x)
-        if d < self.radius - SURFACE_TOL:
+        if np.any(d < self.radius - SURFACE_TOL):
             raise SandwichError("point lies inside the inner tube")
-        return base + self.radius * (np.asarray(x, dtype=float) - base) / d
+        return base + self.radius * (x - base) / d[..., None]
 
     def inverse_batch(self, X):
         """Fiber points of the body boundary over the tube points X (rows).
@@ -384,10 +391,10 @@ class SandwichProjection:
         is the one shared base.
         """
         X = np.asarray(X, dtype=float)
-        if self.core.dim == 0:
+        if self.core.dim == 0:  # one base row: the facet products below stay one column
             bases = self.core.vertices[:1]
         else:
-            bases = np.array([self.core.nearest_point(x) for x in X])
+            bases = self.core.nearest_point(X)
         D = X - bases
         d = np.linalg.norm(D, axis=1)
         rays = D / d[:, None]
@@ -411,7 +418,7 @@ def sandwich_project(body, core, R):
     """
     if body.codim != 0:
         raise SandwichError("sandwich body must be full-dimensional")
-    a = max(tube_distance(core, v) for v in body.vertices) / R
+    a = np.max(tube_distance(core, body.vertices)) / R
     if a < 1.0 - DECISION_TOL:
         raise SandwichError("body is strictly inside the R-tube")
     directions = body.normals @ body.basis
@@ -438,22 +445,29 @@ class StripClass:
     directions: tuple = ()
 
 
-def _width_along(P, d):
-    vals = P.vertices @ np.asarray(d, dtype=float)
-    return float(np.max(vals) - np.min(vals))
-
-
 def _span_directions(P, n_grid):
+    """The sampled unit span directions, one per row."""
     if P.dim == 1:
-        yield P.basis.T @ np.array([1.0])
-        return
-    if P.dim == 2:
-        for t in np.linspace(0.0, np.pi, n_grid, endpoint=False):
-            yield P.basis.T @ np.array([np.cos(t), np.sin(t)])
-        return
-    rng = np.random.default_rng(0)
-    for _ in range(n_grid**2):
-        yield P.basis.T @ unit(rng.normal(size=P.dim))
+        U = np.ones((1, 1))
+    elif P.dim == 2:
+        t = np.linspace(0.0, np.pi, n_grid, endpoint=False)
+        U = np.stack([np.cos(t), np.sin(t)], axis=1)
+    else:
+        U = np.random.default_rng(0).normal(size=(n_grid**2, P.dim))
+        U = U / row_norms(U)[:, None]
+    return matvec(P.basis.T, U)
+
+
+def _first_min(values, tol=DEDUP_TOL):
+    """Index and value of the running minimum that only a drop of more than tol replaces.
+
+    An infinite entry is never taken; the index is None when all are.
+    """
+    best, best_v = None, np.inf
+    for j, v in enumerate(values.tolist()):
+        if v < best_v - tol:
+            best, best_v = j, v
+    return best, best_v
 
 
 def classify_strip(P, n_grid=360):
@@ -461,42 +475,36 @@ def classify_strip(P, n_grid=360):
 
     codim >= 3 passes outright; codim 2 needs one thin direction (the
     width of the vertex set); codim 1 needs two transverse thin
-    directions, reported with their dihedral angle.
+    directions, reported with their dihedral angle.  Every sampled
+    direction's width comes from one stacked matmul.
     """
     if P.codim >= 3:
         return StripClass("codim>=3", 0.0, float("nan"))
+    if P.codim == 2 and P.dim == 0:
+        return StripClass("codim2-in-1strip", 0.0, float("nan"))
+    if P.codim == 0:
+        return StripClass("fails", float("nan"), float("nan"))
+    dirs = _span_directions(P, n_grid)
+    vals = matvec(P.vertices, dirs)
+    widths = vals.max(axis=1) - vals.min(axis=1)
     if P.codim == 2:
-        if P.dim == 0:
-            return StripClass("codim2-in-1strip", 0.0, float("nan"))
-        best_d, best_w = None, np.inf
-        for d in _span_directions(P, n_grid):
-            w = _width_along(P, d)
-            if w < best_w - DEDUP_TOL:
-                best_w, best_d = w, d
-        return StripClass("codim2-in-1strip", float(best_w), float("nan"), (best_d,))
-    if P.codim == 1:
-        dirs = list(_span_directions(P, n_grid))
-        widths = [_width_along(P, d) for d in dirs]
-        i1 = int(np.argmin(widths))
-        best_j, best_w2 = None, np.inf
-        for j, d in enumerate(dirs):
-            ang = angle_between(dirs[i1], d)
-            ang = min(ang, np.pi - ang)
-            if ang < np.pi / 4:
-                continue
-            if widths[j] < best_w2 - DEDUP_TOL:
-                best_w2, best_j = widths[j], j
-        if best_j is None:
-            return StripClass("fails", float("nan"), float("nan"))
-        eps = angle_between(dirs[i1], dirs[best_j])
-        eps = min(eps, np.pi - eps)
-        return StripClass(
-            "codim1-in-2strip",
-            float(max(widths[i1], best_w2)),
-            float(eps),
-            (dirs[i1], dirs[best_j]),
-        )
-    return StripClass("fails", float("nan"), float("nan"))
+        best, best_w = _first_min(widths)
+        return StripClass("codim2-in-1strip", float(best_w), float("nan"), (dirs[best],))
+    i1 = int(np.argmin(widths))
+    U = dirs / row_norms(dirs)[:, None]
+    ang = np.arccos(np.clip((U[:, None, :] @ U[i1][:, None])[:, 0, 0], -1.0, 1.0))
+    transverse = ~(np.minimum(ang, np.pi - ang) < np.pi / 4)
+    best_j, best_w2 = _first_min(np.where(transverse, widths, np.inf))
+    if best_j is None:
+        return StripClass("fails", float("nan"), float("nan"))
+    eps = angle_between(dirs[i1], dirs[best_j])
+    eps = min(eps, np.pi - eps)
+    return StripClass(
+        "codim1-in-2strip",
+        float(max(widths[i1], best_w2)),
+        float(eps),
+        (dirs[i1], dirs[best_j]),
+    )
 
 
 # -- charts: exact on-tube coordinates for the canonical cores -------------------------
@@ -784,9 +792,9 @@ def chart_period(chart):
 def _fit_axis(loop_vertices, center):
     """Total turning axis of a loop around a center (for sphere charts)."""
     v = np.asarray(loop_vertices, dtype=float) - center
-    mom = np.zeros(3)
-    for i in range(len(v)):
-        mom += np.cross(v[i], v[(i + 1) % len(v)])
+    # a sequential sum from zero, as a running ``mom += cross`` would add
+    edges = np.cross(v, np.roll(v, -1, axis=0))
+    mom = np.cumsum(np.vstack([np.zeros(3), edges]), axis=0)[-1]
     if np.linalg.norm(mom) > DECISION_TOL:
         return unit(mom)
     _, _, vt = np.linalg.svd(v - v.mean(axis=0))
@@ -802,10 +810,9 @@ def loop_case(P, loop):
     1: some vertex projects into the core; 2: some chord of span
     projections crosses the core; 3: neither.
     """
-    feet = [project_affine(v, P.origin, P.basis) for v in loop.vertices]
-    for f in feet:
-        if P.contains(f, tol=HV_TOL):
-            return 1
+    feet = project_affine(loop.vertices, P.origin, P.basis)
+    if np.any(P.contains(feet, tol=HV_TOL)):
+        return 1
     s = len(feet)
     step = max(1, s // 64)
     for i in range(0, s, step):
@@ -837,9 +844,8 @@ def fill_tube_loop(P, R, loop, mesh):
     strip = classify_strip(P)
     if strip.case == "fails":
         raise TubeError("strip classification failed: core admits no thin strip")
-    for v in loop.vertices:
-        if abs(tube_distance(P, v) - R) > SURFACE_TOL:
-            raise TubeError("loop vertex off the tube surface")
+    if np.any(np.abs(tube_distance(P, loop.vertices) - R) > SURFACE_TOL):
+        raise TubeError("loop vertex off the tube surface")
     if loop.is_constant:
         return empty_partition(loop), {"case": 0, "strip": strip}
     chart = chart_for(P, R, loop.vertices)

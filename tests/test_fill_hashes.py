@@ -1,0 +1,36 @@
+"""Bit-for-bit pins of a few cheap fills.
+
+The digests are those that ``tools/fill_hashes.py`` prints for these
+fills (whose last line is ``all: 68e3e96b4f267ef6``).  A change that
+moves any point, triangle, boundary index or anchor of these disks fails
+here, without a manual run of the tool.
+"""
+
+import importlib.util
+import os
+
+import pytest
+
+TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "fill_hashes.py")
+
+
+@pytest.fixture(scope="module")
+def fill_hashes():
+    spec = importlib.util.spec_from_file_location("fill_hashes", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "gen, area, want",
+    [
+        ("tube-point", 2126, "88da26047e77d925"),
+        ("tube-segment", 2698, "ba286f37c0d6e36f"),
+        ("tube-square", 656, "7cd057304ab185fc"),
+        ("trace-a2", 1160, "a9ae1bca3f7344dc"),
+    ],
+)
+def test_fill_digest_is_pinned(fill_hashes, gen, area, want):
+    fp = fill_hashes.fill(gen, 8, 0)
+    assert (fp.area, fill_hashes.fill_digest(fp)) == (area, want)

@@ -382,6 +382,23 @@ def test_level_project_random_bound_and_contraction(a2, a3):
             ), "projection must not expand distances"
 
 
+def test_level_project_rows_match_the_per_point_calls(a2, a3):
+    """Rows inside the sublevel set, on it and far outside, in one call and one by one."""
+    rng = np.random.default_rng(12)
+    for rs in (a2, a3):
+        for w in (rs.coweights[0], rs.coweights.sum(axis=0)):
+            theta = cx.project_to_chamber(rs, unit(w))
+            trace = tr.symmetric_trace(rs, theta).shifted(-1.0).translated(rng.normal(size=rs.rank))
+            X = rng.normal(size=(30, rs.rank)) * rng.choice([0.5, 6.0], size=(30, 1))
+            got = tr.level_project(trace, X, 0.0)
+            assert got.shape == X.shape
+            want = [tr.level_project(trace, x, 0.0) for x in X]
+            assert [y.tobytes() for y in got] == [y.tobytes() for y in want]
+            inside = np.array([trace.value(x) <= 0.0 for x in X])
+            assert 0 < inside.sum() < len(X)
+            assert np.array_equal(got[inside], X[inside])
+
+
 def test_level_project_builds_no_min_set_polytope(a3, monkeypatch):
     """level_project needs only the minimum value, not the min-set polytope."""
     import horofill.geometry as geo

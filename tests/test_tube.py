@@ -421,3 +421,180 @@ def test_fill_area_quadrupling(segment3):
     r2 = areas[128] / areas[64]
     assert 3.0 <= r1 <= 5.0
     assert 3.0 <= r2 <= 5.0
+
+
+# -- the batched callers, byte for byte against per-point loops ---------------------
+
+
+CORES = {
+    "point": tb.standard_shape("point"),
+    "segment": tb.standard_shape("segment"),
+    "square": tb.standard_shape("square"),
+    "triangle": tb.VPolytope([[0.0, 0, 0], [2.0, 0.5, 0.3], [0.4, 1.5, -0.2]]),
+    "segment2": tb.VPolytope([[0.0, 0.0], [1.0, 2.0]]),
+    "point2": tb.point_polytope(np.array([0.5, -1.0])),
+}
+
+
+def near_points(P, rng, k=40):
+    """Points around the core: inside its span, on its facets' planes and far off."""
+    X = P.vertices[rng.integers(len(P.vertices), size=k)] + rng.normal(size=(k, P.ambient_dim))
+    X[::4] = P.vertices[rng.integers(len(P.vertices), size=len(X[::4]))]
+    X[1::5] *= 8.0
+    return X
+
+
+def reference_strip(P, n_grid=360):
+    """The direction-by-direction ``classify_strip``."""
+    if P.dim == 1:
+        dirs = [P.basis.T @ np.array([1.0])]
+    elif P.dim == 2:
+        ts = np.linspace(0.0, np.pi, n_grid, endpoint=False)
+        dirs = [P.basis.T @ np.array([np.cos(t), np.sin(t)]) for t in ts]
+    else:
+        rng = np.random.default_rng(0)
+        dirs = [P.basis.T @ tb.unit(rng.normal(size=P.dim)) for _ in range(n_grid**2)]
+    widths = [float(np.max(P.vertices @ d) - np.min(P.vertices @ d)) for d in dirs]
+    if P.codim == 2:
+        best_d, best_w = None, np.inf
+        for d, w in zip(dirs, widths):
+            if w < best_w - tb.DEDUP_TOL:
+                best_w, best_d = w, d
+        return "codim2-in-1strip", best_w, (best_d,)
+    i1 = int(np.argmin(widths))
+    best_j, best_w2 = None, np.inf
+    for j, d in enumerate(dirs):
+        ang = tb.angle_between(dirs[i1], d)
+        if min(ang, np.pi - ang) < np.pi / 4:
+            continue
+        if widths[j] < best_w2 - tb.DEDUP_TOL:
+            best_w2, best_j = widths[j], j
+    if best_j is None:
+        return "fails", None, ()
+    return "codim1-in-2strip", max(widths[i1], best_w2), (dirs[i1], dirs[best_j])
+
+
+@pytest.mark.parametrize("name", ["segment", "square", "triangle", "segment2", "tetra4"])
+def test_classify_strip_matches_the_per_direction_loop(name):
+    if name == "tetra4":  # a 3-dimensional core in E^4 samples random directions
+        P, n_grid = tb.VPolytope(np.vstack([np.zeros(4), np.diag([1.0, 2.0, 0.5, 0.0])[:3]])), 12
+    else:
+        P, n_grid = CORES[name], 360
+    got = tb.classify_strip(P, n_grid)
+    case, delta, dirs = reference_strip(P, n_grid)
+    assert got.case == case
+    if delta is not None:
+        assert np.float64(got.delta).tobytes() == np.float64(delta).tobytes()
+    assert [d.tobytes() for d in got.directions] == [d.tobytes() for d in dirs]
+
+
+def test_fit_axis_matches_the_running_sum():
+    """Planar loops through the center give exact zeros, whose sign the sum keeps."""
+    rng = np.random.default_rng(2)
+    t = np.linspace(0, 2 * np.pi, 17, endpoint=False)
+    loops = [
+        np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1),
+        np.stack([np.zeros_like(t), -np.cos(t), np.sin(t)], axis=1),
+        rng.normal(size=(30, 3)),
+        rng.normal(size=(3, 3)) * 1e-9,
+    ]
+    for v in loops:
+        center = v[0] * 0.0 if rng.integers(2) else rng.normal(size=3)
+        w = v - center
+        mom = np.zeros(3)
+        for i in range(len(w)):
+            mom += np.cross(w[i], w[(i + 1) % len(w)])
+        if np.linalg.norm(mom) > tb.DECISION_TOL:
+            want = tb.unit(mom)
+        else:
+            want = tb.unit(np.linalg.svd(w - w.mean(axis=0))[2][-1])
+        assert tb._fit_axis(v, center).tobytes() == want.tobytes()
+
+
+def reference_loop_case(P, vertices):
+    """``loop_case`` with one foot and one containment test per vertex."""
+    feet = [tb.project_affine(v, P.origin, P.basis) for v in vertices]
+    if any(P.contains(f, tol=tb.HV_TOL) for f in feet):
+        return 1
+    s, step = len(feet), max(1, len(feet) // 64)
+    for i in range(0, s, step):
+        for j in range(i + 1, s, step):
+            if tb.segment_hits_polytope(feet[i], feet[j], P):
+                return 2
+    return 3
+
+
+@pytest.mark.parametrize("name", ["point", "segment", "square", "triangle"])
+def test_loop_case_and_feet_match_the_per_vertex_loop(name):
+    P, rng = CORES[name], np.random.default_rng(4)
+    seen = set()
+    for trial in range(30):
+        X = near_points(P, rng, k=int(rng.integers(1, 12))) + rng.normal(size=P.ambient_dim) * 3
+        case = tb.loop_case(P, Loop(X))
+        assert case == reference_loop_case(P, X)
+        seen.add(case)
+        feet = tb.project_affine(X, P.origin, P.basis)
+        want = [tb.project_affine(x, P.origin, P.basis) for x in X]
+        assert [f.tobytes() for f in feet] == [f.tobytes() for f in want]
+        assert P.contains(X).tolist() == [P.contains(x) for x in X]
+    assert len(seen) > 1 or P.dim == 0  # every foot of a point core is the point
+
+
+@pytest.mark.parametrize("name", list(CORES))
+def test_nearest_point_rows_match_the_per_point_loop(name):
+    P = CORES[name]
+    X = near_points(P, np.random.default_rng(6))
+    bases, d = tb.nearest_point(P, X)
+    assert bases.shape == X.shape and d.shape == X.shape[:1]
+    for x, base, dist in zip(X, bases, d):
+        want = P.nearest_point(x)
+        assert base.tobytes() == want.tobytes()
+        assert float(dist) == float(np.linalg.norm(x - want))
+    assert tb.tube_distance(P, X).tobytes() == d.tobytes()
+    assert tb.nearest_point(P, X[:0])[0].shape == (0, P.ambient_dim)
+
+
+@pytest.mark.parametrize("name", ["point", "segment", "square"])
+def test_sandwich_map_rows_match_the_per_point_loop(name):
+    core = CORES[name]
+    box = tb.VPolytope(
+        [np.array([sx, sy, sz]) for sx in (-2.0, 3.0) for sy in (-2.0, 3.0) for sz in (-2.0, 2.0)]
+    )
+    proj = tb.sandwich_project(box, core, 1.0)
+    a = max(float(np.linalg.norm(v - core.nearest_point(v))) for v in box.vertices)
+    assert proj.a == max(a, 1.0)
+    X = near_points(core, np.random.default_rng(8))
+    X = X[tb.tube_distance(core, X) > 1.0]
+    got = proj.map(X)
+    for x, y in zip(X, got):
+        base = core.nearest_point(x)
+        want = base + 1.0 * (x - base) / float(np.linalg.norm(x - base))
+        assert y.tobytes() == want.tobytes() == proj.map(x).tobytes()
+    # the fibers over the tube points leave from per-point bases
+    back = proj.inverse_batch(got)
+    bases = core.vertices[:1] if core.dim == 0 else np.array([core.nearest_point(y) for y in got])
+    D = got - bases
+    rays = D / np.linalg.norm(D, axis=1)[:, None]
+    N = box.normals
+    v0 = N @ (box.basis @ (bases - box.origin).T) - box.bounds[:, None]
+    dv = (N @ box.basis) @ rays.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_hi = np.min(np.where(dv > tb.DEDUP_TOL, -v0 / dv, np.inf), axis=0)
+    assert back.tobytes() == (bases + t_hi[:, None] * rays).tobytes()
+
+
+@pytest.mark.parametrize("name", ["point", "segment", "square"])
+def test_radial_project_path_matches_the_per_point_loop(name):
+    P, rng = CORES[name], np.random.default_rng(9)
+    chart = tb.chart_for(P, 2.0, None)
+    if isinstance(chart, tb.StadiumChart):
+        path = chart.points(rng.uniform(0.2, 0.8, 25) * chart.Lu, rng.uniform(0, chart.M, 25))
+    else:
+        path = chart.points(rng.uniform(0.1, 0.9, 25) * chart.T, rng.uniform(0, 6.3, 25))
+    inner, rep = tb.radial_project_path(P, 2.0, 0.5, path)
+    want = []
+    for p in path:
+        base = P.nearest_point(p)
+        want.append(base + (0.5 / 2.0) * (p - base))
+    assert inner.tobytes() == np.array(want).tobytes()
+    assert rep["inner_length"] == tb.polyline_length(np.array(want))

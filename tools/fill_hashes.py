@@ -33,16 +33,23 @@ def digest(points, triangles, boundary=(), anchor=None):
     return h.hexdigest()[:16]
 
 
+def fill(gen, ell, seed):
+    """The mesh-1 filling of one scenario loop, as the hashed fills make it."""
+    host, loop = sc.GENERATORS[gen](ell, 1.0, seed)
+    if isinstance(host, tr.BusemannTrace):
+        return fl.fill_flat_loop(host, loop, mesh=1.0)[0]
+    return fl.fill_tube_loop(host, 1.0, loop, 1.0)[0]
+
+
+def fill_digest(fp):
+    return digest(fp.points, fp.triangles, fp.boundary, fp.boundary_anchor)
+
+
 def fills():
-    for gen, make in sc.GENERATORS.items():
+    for gen in sc.GENERATORS:
         for ell in LENGTHS.get(gen, DEFAULT_LENGTHS):
             for seed in SEEDS:
-                host, loop = make(ell, 1.0, seed)
-                if isinstance(host, tr.BusemannTrace):
-                    fp = fl.fill_flat_loop(host, loop, mesh=1.0)[0]
-                else:
-                    fp = fl.fill_tube_loop(host, 1.0, loop, 1.0)[0]
-                yield f"{gen} l={ell} seed={seed}", fp
+                yield f"{gen} l={ell} seed={seed}", fill(gen, ell, seed)
     t = np.linspace(0, 2 * np.pi, 40, endpoint=False)
     circle = Loop(np.stack([3 * np.cos(t), 2 * np.sin(t)], axis=1))
     cone = fl.cone_fill(circle, 1.0)
@@ -53,10 +60,7 @@ def fills():
 def main():
     lines = []
     for name, fp in fills():
-        lines.append(
-            f"{name}: area={fp.area} "
-            f"{digest(fp.points, fp.triangles, fp.boundary, fp.boundary_anchor)}"
-        )
+        lines.append(f"{name}: area={fp.area} {fill_digest(fp)}")
         print(lines[-1], flush=True)
     verts, tris = ms.octasphere(3)
     lines.append(f"octasphere(3): {digest(verts, tris)}")
