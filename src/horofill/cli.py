@@ -50,6 +50,10 @@ def load_config(path):
             if field not in scn:
                 raise ConfigError(f"{where}: missing field '{field}'")
         lengths = scn["lengths"]
+        if not isinstance(lengths, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in lengths
+        ):
+            raise ConfigError(f"{where}: lengths must be a list of numbers")
         if any(b <= a for a, b in zip(lengths, lengths[1:])):
             raise ConfigError(f"{where}: lengths must be strictly increasing")
         gen = scn["generator"]
@@ -70,7 +74,9 @@ def load_config(path):
                     f"{where}: bad trace: min value must be negative (horoball nonempty)"
                 )
         scn.setdefault("mesh", 1.0)
-        scn.setdefault("trials", 1)
+        trials = scn.setdefault("trials", 1)
+        if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
+            raise ConfigError(f"{where}: trials must be a nonnegative integer")
     return data
 
 
@@ -126,7 +132,7 @@ def run_command(args):
         (scn, s_idx, l_idx, ell, trial)
         for s_idx, scn in enumerate(config["scenarios"])
         for l_idx, ell in enumerate(scn["lengths"])
-        for trial in range(int(scn["trials"]))
+        for trial in range(scn["trials"])
     ]
     rows = []
     status = 0

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix, hstack
 
-from .geometry import DECISION_TOL, SURFACE_TOL
+from .geometry import DECISION_TOL, SURFACE_TOL, straight_segments
 from .partitions import (
     BrickCensus,
     DiskBuilder,
@@ -81,10 +81,9 @@ def _cone_fill_once(loop, spacing, basepoint_index):
     anchor = [(p - roll) % s for p in orig_pos]
     builder = DiskBuilder(verts.shape[1])
     bidx = builder.add_chain(verts)
-    chains = [[bidx[0]]]
-    for i in range(1, s):
-        chains.append(builder.add_segment(bidx[0], bidx[i], spacing))
-    chains.append([bidx[0]])
+    rows, counts = straight_segments(np.tile(verts[0], (s - 1, 1)), verts[1:], spacing)
+    spokes = builder.add_segments(rows, counts, [bidx[0]] * (s - 1), bidx[1:])
+    chains = [[bidx[0]]] + spokes + [[bidx[0]]]
     builder.add_ladders(zip(chains, chains[1:]))
     return builder.build(bidx, anchor=anchor)
 
@@ -239,10 +238,8 @@ def _flat_pipeline(V, orig_pos, level_pts, tube_loop, proj, core, m, spacing, tu
     builder.add_triangles(lookup[disk.triangles])
     # radial chains from each loop vertex down to its level projection
     rim = lookup[np.asarray(disk.boundary)]
-    radial = [
-        builder.add_segment(outer_idx[k], int(rim[ring_positions[k]]), spacing)
-        for k in range(s)
-    ]
+    rows, counts = straight_segments(V, level_pts, spacing)
+    radial = builder.add_segments(rows, counts, outer_idx, rim[ring_positions].tolist())
     # between radial chains k and k + 1 the ladder runs along the pulled
     # boundary arc from ring vertex k to ring vertex k + 1
     nb = len(rim)

@@ -57,6 +57,46 @@ def row_norms(V):
     return np.sqrt((V[..., None, :] @ V[..., :, None])[..., 0, 0])
 
 
+def segment_params(starts, stops, counts):
+    """Rows of straight segments, as ``np.linspace`` computes them.
+
+    Segment i runs from row i of the (m, c) array ``starts`` to row i of
+    ``stops`` in counts[i] >= 2 rows.  Row k of a segment of n rows is
+    k * ((stop - start) / (n - 1)) + start, or (k / (n - 1)) * (stop -
+    start) + start in a column whose step is zero (numpy's branch for
+    subnormal steps), and its last row is stop.  Returns the
+    (sum(counts), c) array of all rows.
+    """
+    starts = np.asarray(starts, dtype=float)
+    stops = np.asarray(stops, dtype=float)
+    counts = np.asarray(counts, dtype=int)
+    seg = np.repeat(np.arange(len(counts)), counts)
+    last = np.cumsum(counts) - 1
+    k = (np.arange(len(seg)) - (last - counts + 1)[seg]).astype(float)[:, None]
+    div = (counts - 1).astype(float)[seg, None]
+    delta = (stops - starts)[seg]
+    step = delta / div
+    rows = np.where(step == 0, k / div * delta, k * step) + starts[seg]
+    rows[last] = stops
+    return rows
+
+
+def straight_segments(starts, stops, spacing):
+    """Rows of the straight segments from the rows of starts to those of stops.
+
+    A segment has n = max(2, ceil(|stop - start| / spacing) + 1) rows; its
+    interior rows are start + t * (stop - start) for t in np.linspace(0, 1,
+    n), bit for bit.  Returns the rows, stacked segment by segment, and n.
+    """
+    starts = np.asarray(starts, dtype=float)
+    delta = np.asarray(stops, dtype=float) - starts
+    counts = np.maximum(2, np.ceil(row_norms(delta) / spacing).astype(int) + 1)
+    m = len(counts)
+    t = segment_params(np.zeros((m, 1)), np.ones((m, 1)), counts)
+    seg = np.repeat(np.arange(m), counts)
+    return starts[seg] + t * delta[seg], counts
+
+
 def dedup_rows(rows, tol=DEDUP_TOL):
     """Keep one representative per cluster of rows equal within tol.
 

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .geometry import DECISION_TOL, DEDUP_TOL, SURFACE_TOL
+from .geometry import DECISION_TOL, DEDUP_TOL, SURFACE_TOL, row_norms
 
 MESH_ATTEMPTS = 6  # sampling attempts per fill to reach the requested mesh
 LADDER_BLOCK = 1 << 13  # bricks laid per block of ladders; bounds add_ladders' scratch
@@ -53,9 +53,7 @@ class Loop:
             raise PartitionError("spacing must be positive")
         v = self.vertices
         step = np.roll(v, -1, axis=0) - v
-        # row-wise dot products through matmul: each length is the float
-        # that np.linalg.norm gives for the row alone
-        d = np.sqrt((step[:, None, :] @ step[:, :, None])[:, 0, 0])
+        d = row_norms(step)  # each the np.linalg.norm of the row alone
         k = np.where(d > spacing, np.ceil(d / spacing), 1).astype(int)
         pos = np.cumsum(k) - k
         seg = np.repeat(np.arange(len(v)), k)
@@ -295,16 +293,23 @@ class DiskBuilder:
     def add_point(self, p):
         return self.add_chain(np.asarray(p, dtype=float)[None])[0]
 
-    def add_segment(self, i, j, spacing):
-        """Chain of placed vertices i and j with evenly spaced points between.
+    def add_segments(self, rows, counts, firsts, lasts):
+        """Index chains along segments of counts[i] >= 2 stacked rows each.
 
-        Places max(2, ceil(|pj - pi| / spacing) + 1) points in all; returns
-        ``[i] + interior + [j]``.
+        The end rows of segment i give way to the placed vertices
+        firsts[i] and lasts[i]; the interior rows are appended, segment
+        after segment.  Returns the chains [firsts[i], *interior, lasts[i]].
         """
-        pi, pj = self._pts[i], self._pts[j]
-        n = max(2, int(np.ceil(float(np.linalg.norm(pj - pi)) / spacing)) + 1)
-        interior = self.add_chain(pi + np.linspace(0.0, 1.0, n)[1:-1, None] * (pj - pi))
-        return [i] + interior + [j]
+        counts = np.asarray(counts, dtype=int)
+        last = np.cumsum(counts) - 1
+        inner = np.ones(len(rows), dtype=bool)
+        inner[last] = inner[last - counts + 1] = False
+        idx = self.add_chain(np.asarray(rows)[inner])
+        cut = np.cumsum(counts - 2).tolist()
+        return [
+            [a] + idx[c - k : c] + [b]
+            for a, b, c, k in zip(firsts, lasts, cut, (counts - 2).tolist())
+        ]
 
     def add_triangles(self, tris):
         """Append index rows, dropping degenerate ones (chains sharing an end)."""

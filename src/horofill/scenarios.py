@@ -20,8 +20,15 @@ SERPENTINE_SAFETY = 6.0
 WRAP_SAFETY = 4.5
 
 
-def _loop_samples(ell, mesh, safety):
-    return max(128, int(np.ceil(ell * safety / mesh)) + 1)
+def _loop_params(ell, mesh, safety):
+    """Loop parameters in [0, 1), at least 128 and safety * ell / mesh of them."""
+    n = max(128, int(np.ceil(ell * safety / mesh)) + 1)
+    return np.linspace(0.0, 1.0, n, endpoint=False)
+
+
+def _sphere(psi, phi):
+    """Unit-sphere rows at polar angles psi and azimuths phi."""
+    return np.stack([np.sin(psi) * np.cos(phi), np.sin(psi) * np.sin(phi), np.cos(psi)], axis=1)
 
 
 def tube_point_wrap(R, ell, mesh=1.0, seed=0):
@@ -32,16 +39,11 @@ def tube_point_wrap(R, ell, mesh=1.0, seed=0):
     """
     rng = np.random.default_rng(seed)
     k = max(1, int(round(ell / (2 * np.pi * R * 0.97))))
-    n = _loop_samples(ell, mesh, WRAP_SAFETY)
-    t = np.linspace(0.0, 1.0, n, endpoint=False)
+    t = _loop_params(ell, mesh, WRAP_SAFETY)
     wobble = 0.25 + 0.05 * rng.uniform(-1, 1)
     psi = np.pi / 2 + wobble * np.cos(2 * np.pi * t + rng.uniform(0, 2 * np.pi))
     phi = 2 * np.pi * k * t
-    pts = R * np.stack(
-        [np.sin(psi) * np.cos(phi), np.sin(psi) * np.sin(phi), np.cos(psi)], axis=1
-    )
-    P = tb.standard_shape("point")
-    return P, Loop(pts)
+    return tb.standard_shape("point"), Loop(R * _sphere(psi, phi))
 
 
 def tube_segment_wrap(R, ell, mesh=1.0, seed=0):
@@ -60,15 +62,12 @@ def tube_segment_wrap(R, ell, mesh=1.0, seed=0):
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(axis, e1)
     k = max(1, int(round(ell / (2 * np.pi * R))))
-    n = _loop_samples(ell, mesh, WRAP_SAFETY)
-    t = np.linspace(0.0, 1.0, n, endpoint=False)
+    t = _loop_params(ell, mesh, WRAP_SAFETY)
     drift = 0.25 + 0.05 * rng.uniform(-1, 1)
     s = L * (0.5 + drift * np.sin(2 * np.pi * t + rng.uniform(0, 2 * np.pi)))
     phi = 2 * np.pi * k * t
-    pts = np.array(
-        [a + si * axis + R * (np.cos(f) * e1 + np.sin(f) * e2) for si, f in zip(s, phi)]
-    )
-    return P, Loop(pts)
+    ring = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
+    return P, Loop(a + s[:, None] * axis + R * ring)
 
 
 def tube_square_serpentine(R, ell, mesh=1.0, seed=0):
@@ -82,8 +81,7 @@ def tube_square_serpentine(R, ell, mesh=1.0, seed=0):
     P = tb.standard_shape("square")
     chart = tb.StadiumChart(P, R)
     amp = ell / 4.0 * 0.93
-    n = _loop_samples(ell, mesh, SERPENTINE_SAFETY)
-    t = np.linspace(0.0, 1.0, n, endpoint=False)
+    t = _loop_params(ell, mesh, SERPENTINE_SAFETY)
     m0 = chart.M * (0.12 + 0.02 * rng.uniform(-1, 1))
     m = m0 + amp * np.sin(2 * np.pi * t)
     band = 0.18 + 0.04 * rng.uniform(-1, 1)
@@ -92,23 +90,32 @@ def tube_square_serpentine(R, ell, mesh=1.0, seed=0):
 
 
 def _polygon_walker(vertices_2d):
-    """Arclength parametrization of a closed convex polygon (2-D)."""
+    """Arclength parametrization of a closed convex polygon (2-D), on arrays."""
     V = np.asarray(vertices_2d, dtype=float)
     center = V.mean(axis=0)
     order = np.argsort(np.arctan2(V[:, 1] - center[1], V[:, 0] - center[0]))
     V = V[order]
-    seg = np.linalg.norm(np.roll(V, -1, axis=0) - V, axis=1)
+    step = np.roll(V, -1, axis=0) - V
+    seg = np.linalg.norm(step, axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = float(cum[-1])
 
-    def point(sigma):
-        sg = sigma % total
-        k = int(np.searchsorted(cum, sg, side="right")) - 1
-        k = min(k, len(V) - 1)
-        lam = (sg - cum[k]) / seg[k] if seg[k] > 1e-15 else 0.0
-        return V[k] + lam * (np.roll(V, -1, axis=0)[k] - V[k])
+    def walk(sigma):
+        sg = np.asarray(sigma, dtype=float) % total
+        k = np.minimum(np.searchsorted(cum, sg, side="right") - 1, len(V) - 1)
+        long = seg[k] > 1e-15
+        lam = np.where(long, (sg - cum[k]) / np.where(long, seg[k], 1.0), 0.0)
+        return V[k] + lam[:, None] * step[k]
 
-    return point, total
+    return walk, total
+
+
+def _level_serpentine(hb, ell, mesh, rng):
+    """Serpentine on the polygon hb from a random arclength, amplitude about ell / 4."""
+    walk, total = _polygon_walker(hb.vertices)
+    amp = ell / 4.0 * 0.95
+    t = _loop_params(ell, mesh, SERPENTINE_SAFETY)
+    return Loop(walk(total * rng.uniform(0, 1) + amp * np.sin(2 * np.pi * t)))
 
 
 def trace_a2_serpentine(ell, mesh=1.0, seed=0, rs=None):
@@ -123,15 +130,7 @@ def trace_a2_serpentine(ell, mesh=1.0, seed=0, rs=None):
     theta = cx.project_to_chamber(rs, rs.coweights[0])
     m = ell / 9.0
     trace = tr.symmetric_trace(rs, theta).shifted(-m)
-    hb = tr.horoball_polytope(trace, 0.0)
-    walker, total = _polygon_walker(hb.vertices)
-    amp = ell / 4.0 * 0.95
-    n = _loop_samples(ell, mesh, SERPENTINE_SAFETY)
-    t = np.linspace(0.0, 1.0, n, endpoint=False)
-    sigma0 = total * rng.uniform(0, 1)
-    sigma = sigma0 + amp * np.sin(2 * np.pi * t)
-    pts = np.array([walker(sg) for sg in sigma])
-    return trace, Loop(pts)
+    return trace, _level_serpentine(tr.horoball_polytope(trace, 0.0), ell, mesh, rng)
 
 
 def trace_a3_wrap(ell, mesh=1.0, seed=0, rs=None):
@@ -160,16 +159,12 @@ def trace_a3_wrap(ell, mesh=1.0, seed=0, rs=None):
     def pulled(tvals):
         psi = np.pi / 2 + wobble * np.cos(2 * np.pi * tvals + phase)
         phi = 2 * np.pi * k * tvals
-        sphere = core_pt + m * np.stack(
-            [np.sin(psi) * np.cos(phi), np.sin(psi) * np.sin(phi), np.cos(psi)],
-            axis=1,
-        )
-        return proj.inverse_batch(sphere)
+        return proj.inverse_batch(core_pt + m * _sphere(psi, phi))
 
     # the fiber pullback stretches unevenly near the tetra corners, so
     # refine the parameter grid until every pulled edge is short enough,
     # leaving headroom for the final length rescale
-    t = np.linspace(0.0, 1.0, _loop_samples(ell, mesh, WRAP_SAFETY), endpoint=False)
+    t = _loop_params(ell, mesh, WRAP_SAFETY)
     pts = pulled(t)
     scale = 1.0
     for _ in range(10):
@@ -202,24 +197,15 @@ def custom_trace_loop(trace, ell, mesh=1.0, seed=0):
     if hb.is_empty:
         raise ValueError("custom trace needs a bounded nonempty horoball trace")
     if trace.apartment_dim == 2:
-        walker, total = _polygon_walker(hb.vertices)
-        amp = ell / 4.0 * 0.95
-        n = _loop_samples(ell, mesh, SERPENTINE_SAFETY)
-        t = np.linspace(0.0, 1.0, n, endpoint=False)
-        sigma = total * rng.uniform(0, 1) + amp * np.sin(2 * np.pi * t)
-        return trace, Loop(np.array([walker(sg) for sg in sigma]))
+        return trace, _level_serpentine(hb, ell, mesh, rng)
     if trace.apartment_dim == 3 and len(ms.polytope.vertices) == 1:
         m = -ms.min_value
         proj = tb.sandwich_project(hb, ms.polytope, m)
         amp = min(ell / (4.0 * m), 8.0) * 0.9
-        n = _loop_samples(ell, mesh, SERPENTINE_SAFETY)
-        t = np.linspace(0.0, 1.0, n, endpoint=False)
+        t = _loop_params(ell, mesh, SERPENTINE_SAFETY)
         phi = amp * np.sin(2 * np.pi * t)
         psi = np.pi / 2 + 0.25 * np.cos(2 * np.pi * t + rng.uniform(0, 2 * np.pi))
-        sphere = ms.polytope.vertices[0] + m * np.stack(
-            [np.sin(psi) * np.cos(phi), np.sin(psi) * np.sin(phi), np.cos(psi)],
-            axis=1,
-        )
+        sphere = ms.polytope.vertices[0] + m * _sphere(psi, phi)
         return trace, Loop(proj.inverse_batch(sphere))
     raise ValueError("custom traces supported in rank 2, or rank 3 with point min set")
 

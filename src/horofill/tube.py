@@ -23,6 +23,7 @@ from .geometry import (
     project_affine,
     row_norms,
     segment_hits_polytope,
+    segment_params,
     unit,
 )
 from .partitions import DiskBuilder, empty_partition, fill_to_mesh
@@ -545,28 +546,6 @@ class _Chart:
         return self.points(params[:, 0], params[:, 1])
 
 
-def segment_params(starts, stops, counts):
-    """Parameter rows of straight segments, as ``np.linspace`` computes them.
-
-    Row k of a segment of n points is k * ((stop - start) / (n - 1)) +
-    start, or (k / (n - 1)) * (stop - start) + start in a coordinate
-    whose step is zero (numpy's branch for subnormal steps), and its
-    last row is stop.  Returns the (sum(counts), 2) array of all rows.
-    """
-    starts = np.asarray(starts, dtype=float).reshape(-1, 2)
-    stops = np.asarray(stops, dtype=float).reshape(-1, 2)
-    counts = np.asarray(counts, dtype=int)
-    seg = np.repeat(np.arange(len(counts)), counts)
-    last = np.cumsum(counts) - 1
-    k = (np.arange(len(seg)) - (last - counts + 1)[seg]).astype(float)[:, None]
-    div = (counts - 1).astype(float)[seg, None]
-    delta = (stops - starts)[seg]
-    step = delta / div
-    rows = np.where(step == 0, k / div * delta, k * step) + starts[seg]
-    rows[last] = stops
-    return rows
-
-
 class RevolutionChart(_Chart):
     """Tube of a point or segment in E^3 as a surface of revolution.
 
@@ -899,7 +878,7 @@ def _chart_fan(P, chart, loop, spacing, degree):
         d = chart.param_distance(hub_p, targets.T)
         n = np.maximum(2, np.ceil(d / spacing).astype(int) + 1)
         hubs = np.tile(hub_p, (len(targets), 1))
-        return _add_segments(builder, chart, hubs, targets, n, [hub_idx] * len(n), ends)
+        return builder.add_segments(chart.segments(hubs, targets, n), n, [hub_idx] * len(n), ends)
 
     if degree == 0:
         chains = spokes(np.stack([ts, phis], axis=1), bidx)
@@ -918,26 +897,6 @@ def _chart_fan(P, chart, loop, spacing, degree):
     return builder.build(bidx, anchor=orig_pos)
 
 
-def _add_segments(builder, chart, starts, stops, counts, firsts, lasts):
-    """Index chains along straight parameter segments, placed in one chart call.
-
-    Segment i runs from starts[i] to stops[i] in counts[i] points.  Its
-    ends are the placed vertices firsts[i] and lasts[i]; its interior
-    points are appended to the builder, segment after segment.
-    """
-    counts = np.asarray(counts, dtype=int)
-    pts = chart.segments(starts, stops, counts)
-    last = np.cumsum(counts) - 1
-    inner = np.ones(len(pts), dtype=bool)
-    inner[last] = inner[last - counts + 1] = False
-    idx = builder.add_chain(pts[inner])
-    cut = np.cumsum(counts - 2).tolist()
-    return [
-        [a] + idx[c - k : c] + [b]
-        for a, b, c, k in zip(firsts, lasts, cut, (counts - 2).tolist())
-    ]
-
-
 def _wrapped_fiber_chain(builder, chart, q0, degree, spacing, idx0):
     """The d-times wrapped fiber circle through vertex idx0, as a chain.
 
@@ -947,8 +906,9 @@ def _wrapped_fiber_chain(builder, chart, q0, degree, spacing, idx0):
     q_end = (q0[0], q0[1] + degree * period)
     d = chart.param_distance(q0, q_end)
     n = max(3, int(np.ceil(d / spacing)) + 1)
-    (chain,) = _add_segments(builder, chart, [q0], [q_end], [n], [idx0], [idx0])
-    return chain, segment_params([q0], [q_end], [n])
+    params = segment_params([q0], [q_end], [n])
+    (chain,) = builder.add_segments(chart.points(params[:, 0], params[:, 1]), [n], [idx0], [idx0])
+    return chain, params
 
 
 def _pole_cap(builder, chart, fiber_chain, fiber_params, spacing):
@@ -966,5 +926,6 @@ def _pole_cap(builder, chart, fiber_chain, fiber_params, spacing):
     ends = fiber_params[:n]
     starts = np.stack([np.zeros(n), ends[:, 1]], axis=1)
     m = np.maximum(2, np.ceil(ends[:, 0] / spacing).astype(int))
-    meridians = _add_segments(builder, chart, starts, ends, m, [pole_idx] * n, fiber_chain[:n])
+    rows = chart.segments(starts, ends, m)
+    meridians = builder.add_segments(rows, m, [pole_idx] * n, fiber_chain[:n])
     return list(zip(meridians, meridians[1:] + meridians[:1]))

@@ -45,6 +45,19 @@ def test_config_validation_errors(tmp_path, capsys):
     assert cli.main(["run", bad2, "--out-dir", str(tmp_path / "o2")]) == 2
     assert "strictly increasing" in capsys.readouterr().err
 
+    bad3 = write_config(
+        tmp_path / "c3.json", [{"name": "x", "generator": "tube-point", "lengths": 8}]
+    )
+    assert cli.main(["run", bad3, "--out-dir", str(tmp_path / "o3")]) == 2
+    assert "config error: scenarios[0]: lengths must be a list of numbers" in capsys.readouterr().err
+
+    bad4 = write_config(
+        tmp_path / "c4.json",
+        [small_scenario(), dict(small_scenario(), trials="two")],
+    )
+    assert cli.main(["run", bad4, "--out-dir", str(tmp_path / "o4")]) == 2
+    assert "config error: scenarios[1]: trials must be a nonnegative integer" in capsys.readouterr().err
+
     missing = str(tmp_path / "no-such-config.json")
     assert cli.main(["run", missing, "--out-dir", str(tmp_path / "o2b")]) == 2
     assert "config error" in capsys.readouterr().err

@@ -34,3 +34,8 @@ def fill_hashes():
 def test_fill_digest_is_pinned(fill_hashes, gen, area, want):
     fp = fill_hashes.fill(gen, 8, 0)
     assert (fp.area, fill_hashes.fill_digest(fp)) == (area, want)
+
+
+def test_cone_fill_digest_is_pinned(fill_hashes):
+    fp = fill_hashes.ellipse_cone_fill()
+    assert (fp.area, fill_hashes.fill_digest(fp)) == (1972, "3f60f459a491b39b")

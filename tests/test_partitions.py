@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from horofill import scenarios as sc
 from horofill import tube as tb
 from horofill.filling import cone_fill, refine_partition
+from horofill.geometry import straight_segments
 from horofill.partitions import (
     MESH_ATTEMPTS,
     DiskBuilder,
@@ -185,14 +186,75 @@ def test_ladder_shared_endpoints():
     assert fp.area == 2
 
 
+def add_straight_chains(builder, firsts, lasts, spacing):
+    """Straight chains between placed vertices, placed in one call."""
+    P = builder.points
+    rows, counts = straight_segments(P[firsts], P[lasts], spacing)
+    return builder.add_segments(rows, counts, firsts, lasts)
+
+
 def test_add_segment_spacing():
     builder = DiskBuilder(2)
     i, j = builder.add_chain([[0.0, 0], [1.0, 0]])
-    chain = builder.add_segment(i, j, 0.3)
+    (chain,) = add_straight_chains(builder, [i], [j], 0.3)
     assert chain[0] == i and chain[-1] == j
     assert len(chain) == 5  # ceil(1 / 0.3) + 1 points
     assert np.allclose(builder.points[chain][:, 0], np.linspace(0.0, 1.0, 5))
-    assert builder.add_segment(i, j, 2.0) == [i, j]
+    assert add_straight_chains(builder, [i], [j], 2.0) == [[i, j]]
+
+
+def reference_chain(builder, i, j, spacing):
+    """The straight chain between placed vertices i and j, one np.linspace per pair."""
+    pi, pj = builder.points[i], builder.points[j]
+    n = max(2, int(np.ceil(float(np.linalg.norm(pj - pi)) / spacing)) + 1)
+    interior = builder.add_chain(pi + np.linspace(0.0, 1.0, n)[1:-1, None] * (pj - pi))
+    return [i] + interior + [j]
+
+
+@st.composite
+def straight_chain_cases(draw):
+    """Placed points at one scale, chain ends among them and a spacing.
+
+    The spacing may divide the first chain's length a whole number of
+    times, so its point count turns on the last bit of that length.  A
+    chain joins two placed vertices, one vertex to itself (first ==
+    last), two vertices at one place (a loop vertex that is already on
+    the level set) or two vertices a subnormal distance apart.
+    """
+    dim = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-3, np.log10(50))
+    pts = scale * rng.normal(size=(int(rng.integers(1, 10)), dim))
+    m = int(rng.integers(1, 16))
+    firsts = rng.integers(0, len(pts), m)
+    lasts = rng.integers(0, len(pts), m)
+    kind = rng.integers(0, 4, m)
+    lasts[kind == 1] = firsts[kind == 1]
+    for k in np.flatnonzero(kind == 2):
+        lasts[k] = len(pts)
+        pts = np.vstack([pts, pts[firsts[k]]])
+    for k in np.flatnonzero(kind == 3):  # between points near the origin
+        firsts[k], lasts[k] = len(pts), len(pts) + 1
+        pts = np.vstack([pts, np.zeros(dim), rng.integers(-3, 4, dim) * 5e-324])
+    spacing = scale * 10.0 ** rng.uniform(-1.5, 1.0)
+    first_length = np.linalg.norm(pts[lasts[0]] - pts[firsts[0]])
+    if draw(st.booleans()) and first_length > 0:
+        # a whole number of spacings: the point count turns on the last bit
+        spacing = first_length / int(rng.integers(1, 8))
+    return pts, firsts.tolist(), lasts.tolist(), spacing
+
+
+@given(straight_chain_cases())
+@settings(max_examples=200)
+def test_straight_chains_match_per_pair_linspace(case):
+    pts, firsts, lasts, spacing = case
+    builder, ref = DiskBuilder(pts.shape[1]), DiskBuilder(pts.shape[1])
+    builder.add_chain(pts)
+    ref.add_chain(pts)
+    got = add_straight_chains(builder, firsts, lasts, spacing)
+    want = [reference_chain(ref, i, j, spacing) for i, j in zip(firsts, lasts)]
+    assert got == want
+    assert builder.points.tobytes() == ref.points.tobytes()
 
 
 def recording_build(achieved):

@@ -64,3 +64,20 @@ def test_custom_trace_loop_rejects_unbounded():
     )
     with pytest.raises(ValueError, match="bounded"):
         sc.custom_trace_loop(slab, 16, 1.0, 0)
+
+
+def test_polygon_walker_matches_per_arclength_blend():
+    """One array call gives the rows of the per-arclength blend, a repeated vertex too."""
+    V = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 0.0], [1.0, 1.5]])
+    walk, total = sc._polygon_walker(V)
+    center = V.mean(axis=0)
+    W = V[np.argsort(np.arctan2(V[:, 1] - center[1], V[:, 0] - center[0]))]
+    seg = np.linalg.norm(np.roll(W, -1, axis=0) - W, axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    sigma = np.concatenate([cum, np.random.default_rng(0).uniform(-2 * total, 3 * total, 200)])
+    want = []
+    for sg in sigma % total:
+        k = min(int(np.searchsorted(cum, sg, side="right")) - 1, len(W) - 1)
+        lam = (sg - cum[k]) / seg[k] if seg[k] > 1e-15 else 0.0
+        want.append(W[k] + lam * (np.roll(W, -1, axis=0)[k] - W[k]))
+    assert walk(sigma).tobytes() == np.array(want).tobytes()

@@ -45,14 +45,18 @@ def fill_digest(fp):
     return digest(fp.points, fp.triangles, fp.boundary, fp.boundary_anchor)
 
 
+def ellipse_cone_fill():
+    """The mesh-1 cone fill of a 40-point ellipse with semi-axes 3 and 2."""
+    t = np.linspace(0, 2 * np.pi, 40, endpoint=False)
+    return fl.cone_fill(Loop(np.stack([3 * np.cos(t), 2 * np.sin(t)], axis=1)), 1.0)
+
+
 def fills():
     for gen in sc.GENERATORS:
         for ell in LENGTHS.get(gen, DEFAULT_LENGTHS):
             for seed in SEEDS:
                 yield f"{gen} l={ell} seed={seed}", fill(gen, ell, seed)
-    t = np.linspace(0, 2 * np.pi, 40, endpoint=False)
-    circle = Loop(np.stack([3 * np.cos(t), 2 * np.sin(t)], axis=1))
-    cone = fl.cone_fill(circle, 1.0)
+    cone = ellipse_cone_fill()
     yield "cone_fill", cone
     yield "refine_partition", fl.refine_partition(cone, cone.mesh / 3)
 
