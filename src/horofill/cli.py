@@ -22,6 +22,8 @@ from . import scenarios as sc
 from . import trace as tr
 from . import tube as tb
 
+SVG_WIDTH, SVG_HEIGHT = 480, 360
+
 CSV_COLUMNS = [
     "scenario",
     "length",
@@ -54,8 +56,8 @@ def load_config(path):
             isinstance(x, (int, float)) and not isinstance(x, bool) for x in lengths
         ):
             raise ConfigError(f"{where}: lengths must be a list of numbers")
-        if any(b <= a for a, b in zip(lengths, lengths[1:])):
-            raise ConfigError(f"{where}: lengths must be strictly increasing")
+        if not all(a < b for a, b in zip([0] + lengths, lengths)):
+            raise ConfigError(f"{where}: lengths must be positive and strictly increasing")
         gen = scn["generator"]
         if gen not in sc.GENERATORS and gen != "custom-trace":
             raise ConfigError(
@@ -73,7 +75,11 @@ def load_config(path):
                 raise ConfigError(
                     f"{where}: bad trace: min value must be negative (horoball nonempty)"
                 )
-        scn.setdefault("mesh", 1.0)
+        if "radius" in scn:
+            raise ConfigError(f"{where}: the tube radius is fixed at {sc.TUBE_RADIUS:g}")
+        mesh = scn.setdefault("mesh", 1.0)
+        if not isinstance(mesh, (int, float)) or isinstance(mesh, bool) or not mesh > 0:
+            raise ConfigError(f"{where}: mesh must be a positive number")
         trials = scn.setdefault("trials", 1)
         if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
             raise ConfigError(f"{where}: trials must be a nonnegative integer")
@@ -97,7 +103,7 @@ def _run_job(scn, scenario_idx, length_idx, ell, trial, base_seed, keep):
     if isinstance(host, tr.BusemannTrace):
         fp, census, info = fl.fill_flat_loop(host, loop, mesh=mesh)
     else:
-        fp, info = tb.fill_tube_loop(host, scn.get("radius", 1.0), loop, mesh)
+        fp, info = tb.fill_tube_loop(host, sc.TUBE_RADIUS, loop, mesh)
         census = fp.census or fl.BrickCensus(0, fp.area)
     ms_elapsed = (time.perf_counter() - t0) * 1000.0
     row = {
@@ -210,8 +216,8 @@ def _emit_svg(rows, out_dir):
         _write_svg(path, pts, slope, name)
 
 
-def _write_svg(path, pts, slope, title, width=480, height=360):
-    margin = 50
+def _write_svg(path, pts, slope, title):
+    width, height, margin = SVG_WIDTH, SVG_HEIGHT, 50
     xs = np.log2([p[0] for p in pts])
     ys = np.log2([max(p[1], 1) for p in pts])
     x0, x1 = np.floor(xs.min()), np.ceil(xs.max())

@@ -343,6 +343,9 @@ def wall_margin(rs, beta):
 
 # -- good slopes ------------------------------------------------------------
 
+SLOPE_GRID = 9  # coweight-coefficient grid steps per unit of the slope search
+SLOPE_REFINE_ROUNDS = 3  # local refinements around the best grid slope
+
 
 @dataclass
 class SlopeSearchResult:
@@ -355,7 +358,7 @@ class SlopeSearchResult:
         return self.found
 
 
-def find_good_slope(rs, theta, delta1, grid=9, refine_rounds=3):
+def find_good_slope(rs, theta, delta1):
     """Search the chamber for beta with both margins above delta1.
 
     Margins: distance to the orthogonal set of theta, and distance to the
@@ -371,7 +374,7 @@ def find_good_slope(rs, theta, delta1, grid=9, refine_rounds=3):
         return min(ort_distance(rs, theta, beta), wall_margin(rs, beta)), beta
 
     best_m, best_beta = -np.inf, None
-    for coef in _simplex_grid(rs.rank, grid):
+    for coef in _simplex_grid(rs.rank, SLOPE_GRID):
         direction = coef @ rs.coweights
         n = np.linalg.norm(direction)
         if n < DEDUP_TOL:
@@ -380,8 +383,8 @@ def find_good_slope(rs, theta, delta1, grid=9, refine_rounds=3):
         if m > best_m:
             best_m, best_beta = m, beta
     center = best_beta.direction
-    step = 1.0 / grid
-    for _ in range(refine_rounds):
+    step = 1.0 / SLOPE_GRID
+    for _ in range(SLOPE_REFINE_ROUNDS):
         step *= 0.5
         for coef in _simplex_grid(rs.rank, 4):
             direction = center + step * ((coef - coef.mean()) @ rs.coweights)
@@ -393,8 +396,8 @@ def find_good_slope(rs, theta, delta1, grid=9, refine_rounds=3):
                 best_m, best_beta = m, beta
                 center = beta.direction
     if best_m > delta1:
-        return SlopeSearchResult(True, best_beta, float(best_m), grid)
-    return SlopeSearchResult(False, None, float(best_m), grid)
+        return SlopeSearchResult(True, best_beta, float(best_m), SLOPE_GRID)
+    return SlopeSearchResult(False, None, float(best_m), SLOPE_GRID)
 
 
 def _simplex_grid(dim, n):

@@ -88,8 +88,8 @@ def _cone_fill_once(loop, spacing, basepoint_index):
     return builder.build(bidx, anchor=anchor)
 
 
-def convex_region_clear(trace, loop, level=0.0):
-    """Whether the convex hull of the loop avoids the open sublevel set.
+def convex_region_clear(trace, loop):
+    """Whether the convex hull of the loop avoids the open level-0 sublevel set.
 
     Minimizes the envelope over the hull by linear programming; a
     nonnegative minimum certifies that any cone fill stays outside the
@@ -116,17 +116,17 @@ def convex_region_clear(trace, loop, level=0.0):
     )
     if res.status != 0:
         raise FillingError(f"hull LP failed with status {res.status}")
-    return res.fun >= level - DECISION_TOL
+    return res.fun >= -DECISION_TOL
 
 
 # -- the flat-loop pipeline ---------------------------------------------------------
 
 
-def brick_census(trace, fp, tol=SURFACE_TOL):
+def brick_census(trace, fp):
     """Flat bricks are Euclidean triangles clear of the open horoball.
 
     A brick counts as flat when a 7-point probe (vertices, edge
-    midpoints, centroid) stays at envelope value >= -tol: such bricks
+    midpoints, centroid) stays at envelope value >= -SURFACE_TOL: such bricks
     lie in the apartment exterior or inside a single level-set facet.
     The probes run over blocks of CENSUS_BLOCK bricks, so temporaries
     stay bounded however large the fill.
@@ -145,7 +145,7 @@ def brick_census(trace, fp, tol=SURFACE_TOL):
         ]
         ok = np.ones(len(pts), dtype=bool)
         for q in probes:
-            ok &= trace.values(q) >= -tol
+            ok &= trace.values(q) >= -SURFACE_TOL
         flat += int(np.sum(ok))
     return BrickCensus(flat_bricks=flat, wild_bricks=fp.area - flat)
 
@@ -305,13 +305,13 @@ class ExponentFit:
     degenerate: bool = False
 
 
-def dehn_exponent(lengths, areas, top_half=True):
+def dehn_exponent(lengths, areas):
     """Least-squares slope of log(min area) against log(length).
 
     ``areas`` maps each length to one or more observed areas; the
-    per-length minimum enters the fit.  By default only the top half of
-    the length range is used (at least three points), suppressing
-    additive constants.
+    per-length minimum enters the fit.  Only the top half of the length
+    range is used (at least three points), suppressing additive
+    constants.
     """
     lengths = np.asarray(sorted(lengths), dtype=float)
     if len(lengths) < 4:
@@ -331,9 +331,8 @@ def dehn_exponent(lengths, areas, top_half=True):
             degenerate=True,
         )
     start = min(len(lengths) // 2 - len(lengths) % 2, len(lengths) - 3)
-    sel = slice(start, None) if top_half else slice(None)
-    L = np.log(lengths[sel])
-    A = np.log(mins[sel])
+    L = np.log(lengths[start:])
+    A = np.log(mins[start:])
     coef, cov = np.polyfit(L, A, 1, cov=True)
     resid = A - np.polyval(coef, L)
     return ExponentFit(

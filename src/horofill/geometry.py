@@ -122,7 +122,7 @@ def dedup_rows(rows, tol=DEDUP_TOL):
     return list(kept)
 
 
-def affine_span(points, tol=DECISION_TOL):
+def affine_span(points):
     """Orthonormal basis of the affine hull of a point set.
 
     Returns (origin, basis) with basis of shape (k, n); k may be 0 for a
@@ -135,7 +135,7 @@ def affine_span(points, tol=DECISION_TOL):
         return origin, np.zeros((0, pts.shape[1]))
     u, s, vt = np.linalg.svd(diffs, full_matrices=False)
     scale = max(1.0, float(np.max(np.abs(diffs))))
-    rank = int(np.sum(s > tol * scale))
+    rank = int(np.sum(s > DECISION_TOL * scale))
     return origin, vt[:rank]
 
 
@@ -413,12 +413,12 @@ class VPolytope:
     def from_span(self, c):
         return self.origin + matvec(self.basis.T, np.asarray(c, dtype=float))
 
-    def contains(self, x, tol=HV_TOL):
-        """Whether x, or each row of x, lies in the polytope within tol."""
+    def contains(self, x):
+        """Whether x, or each row of x, lies in the polytope within HV_TOL."""
         x = np.asarray(x, dtype=float)
         foot = project_affine(x, self.origin, self.basis)
-        inside = ~(row_norms(x - foot) > tol)
-        inside &= (matvec(self.normals, self.to_span(x)) <= self.bounds + tol).all(-1)
+        inside = ~(row_norms(x - foot) > HV_TOL)
+        inside &= (matvec(self.normals, self.to_span(x)) <= self.bounds + HV_TOL).all(-1)
         return inside if inside.ndim else bool(inside)
 
     def nearest_point(self, x):
@@ -430,7 +430,7 @@ class VPolytope:
         return self.from_span(c)
 
 
-def segment_hits_polytope(a, b, poly, tol=DECISION_TOL):
+def segment_hits_polytope(a, b, poly):
     """Whether the segment [a, b] meets the polytope.
 
     The in-span facet constraints cut the parameter to an interval; the
@@ -444,20 +444,20 @@ def segment_hits_polytope(a, b, poly, tol=DECISION_TOL):
     ga = poly.normals @ poly.to_span(a) - poly.bounds
     dg = poly.normals @ poly.to_span(b) - poly.bounds - ga
     flat = np.abs(dg) < 1e-15
-    if np.any(ga[flat] > tol):
+    if np.any(ga[flat] > DECISION_TOL):
         return False
     with np.errstate(divide="ignore", invalid="ignore"):
         t = -ga / dg
     lo = float(np.max(t[~flat & (dg < 0)], initial=0.0))
     hi = float(np.min(t[~flat & (dg > 0)], initial=1.0))
-    if lo > hi + tol:
+    if lo > hi + DECISION_TOL:
         return False
     dv = vb - va
     denom = float(np.dot(dv, dv))
     t_q = 0.5 * (lo + hi) if denom < 1e-18 else float(-np.dot(va, dv) / denom)
     t_star = min(max(t_q, lo), hi)
     perp = np.linalg.norm((1 - t_star) * va + t_star * vb)
-    return perp <= max(tol, SURFACE_TOL)
+    return perp <= SURFACE_TOL
 
 
 def polyline_length(points):

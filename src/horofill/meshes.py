@@ -14,8 +14,8 @@ from .geometry import DECISION_TOL
 from .partitions import subdivide
 
 
-def octasphere(level=3, radius=1.0, center=None):
-    """Geodesic sphere from a subdivided octahedron (8 * 4^level faces)."""
+def octasphere(level=3):
+    """Unit geodesic sphere from a subdivided octahedron (8 * 4^level faces)."""
     verts = [
         np.array([1.0, 0, 0]),
         np.array([-1.0, 0, 0]),
@@ -36,21 +36,19 @@ def octasphere(level=3, radius=1.0, center=None):
     ]
     for _ in range(level):
         verts, tris, _ = subdivide(verts, tris)
-    verts = [radius * v / np.linalg.norm(v) for v in verts]
-    if center is not None:
-        verts = [v + np.asarray(center, dtype=float) for v in verts]
+    verts = [v / np.linalg.norm(v) for v in verts]
     return np.array(verts), np.array(tris, dtype=int)
 
 
-def equator_cycle(vertices, tol=DECISION_TOL):
+def equator_cycle(vertices):
     """Vertex cycle of the z = 0 equator of an octasphere, in angle order."""
-    idx = [i for i, v in enumerate(vertices) if abs(v[2]) <= tol]
+    idx = [i for i, v in enumerate(vertices) if abs(v[2]) <= DECISION_TOL]
     idx.sort(key=lambda i: np.arctan2(vertices[i][1], vertices[i][0]))
     return idx
 
 
-def capped_cylinder(n_around=16, n_along=6, n_cap=4, radius=1.0, length=1.0):
-    """Tube of the segment [0, length] e_x at the given radius.
+def capped_cylinder(n_around=16, n_along=6, n_cap=4):
+    """Unit-radius tube of the unit segment [0, 1] e_x.
 
     Rings of n_around vertices along the cylinder, spherical caps with
     n_cap latitude rows closed at two pole vertices.  Ring m of the
@@ -67,19 +65,19 @@ def capped_cylinder(n_around=16, n_along=6, n_cap=4, radius=1.0, length=1.0):
             verts.append(np.array([x, rho * np.cos(phi), rho * np.sin(phi)]))
         return ring
 
-    # bottom cap rows (from pole at -radius up to the cylinder rim)
+    # bottom cap rows (from the pole at -1 up to the cylinder rim)
     pole_bottom = len(verts)
-    verts.append(np.array([-radius, 0.0, 0.0]))
+    verts.append(np.array([-1.0, 0.0, 0.0]))
     for r in range(1, n_cap + 1):
         th = np.pi / 2 * r / n_cap
-        rings.append(add_ring(-radius * np.cos(th), radius * np.sin(th)))
+        rings.append(add_ring(-np.cos(th), np.sin(th)))
     for m in range(1, n_along):
-        rings.append(add_ring(length * m / n_along, radius))
+        rings.append(add_ring(m / n_along, 1.0))
     for r in range(n_cap, 0, -1):
         th = np.pi / 2 * r / n_cap
-        rings.append(add_ring(length + radius * np.cos(th), radius * np.sin(th)))
+        rings.append(add_ring(1.0 + np.cos(th), np.sin(th)))
     pole_top = len(verts)
-    verts.append(np.array([length + radius, 0.0, 0.0]))
+    verts.append(np.array([2.0, 0.0, 0.0]))
 
     tris = []
     first = rings[0]
@@ -96,12 +94,12 @@ def capped_cylinder(n_around=16, n_along=6, n_cap=4, radius=1.0, length=1.0):
     return np.array(verts), np.array(tris, dtype=int), rings
 
 
-def grid_square(n=2, side=1.0):
-    """n x n right-triangle grid of a square; boundary cycle included."""
+def grid_square(n=2):
+    """n x n right-triangle grid of the unit square; boundary cycle included."""
     verts = []
     for j in range(n + 1):
         for i in range(n + 1):
-            verts.append(np.array([side * i / n, side * j / n, 0.0]))
+            verts.append(np.array([i / n, j / n, 0.0]))
     tris = []
     for j in range(n):
         for i in range(n):

@@ -140,7 +140,7 @@ def _component_labels(keys, n):
     return connected_components(graph, directed=False)[1]
 
 
-def validate_partition(loop, fp, tol=SURFACE_TOL):
+def validate_partition(loop, fp):
     """Recompute mesh and area after checking the disk invariants.
 
     Raises PartitionError naming the violated invariant: euler count,
@@ -191,13 +191,13 @@ def validate_partition(loop, fp, tol=SURFACE_TOL):
             f"{len(loop.vertices)} loop vertices"
         )
     if fp.boundary_anchor is not None:
-        _check_anchored_boundary(loop, got, fp.boundary_anchor, tol)
+        _check_anchored_boundary(loop, got, fp.boundary_anchor)
     else:
-        _check_boundary_by_search(loop, got, tol)
+        _check_boundary_by_search(loop, got)
     return compute_mesh(fp.points, tris), int(len(tris))
 
 
-def _check_anchored_boundary(loop, got, boundary_anchor, tol):
+def _check_anchored_boundary(loop, got, boundary_anchor):
     """Boundary vs loop using the partition's declared vertex anchors.
 
     ``got`` holds the boundary placements in boundary order and the
@@ -212,7 +212,7 @@ def _check_anchored_boundary(loop, got, boundary_anchor, tol):
         raise PartitionError(
             f"anchor count {len(anchors)} differs from loop vertex count {s}"
         )
-    if np.any(np.linalg.norm(got[anchors] - want, axis=1) > tol):
+    if np.any(np.linalg.norm(got[anchors] - want, axis=1) > SURFACE_TOL):
         raise PartitionError("an anchored boundary vertex is off its loop vertex")
     nb = len(got)
     run = (np.roll(anchors, -1) - anchors) % nb  # placements checked on segment k
@@ -227,8 +227,8 @@ def _check_anchored_boundary(loop, got, boundary_anchor, tol):
     q = w + np.clip(t, 0.0, 1.0)[:, None] * d
     t_prev = np.minimum(np.concatenate([[0.0], t]), 1.0)[:-1]
     t_prev[start[run > 0]] = 0.0
-    off_flat = flat & (np.linalg.norm(p - w, axis=1) > tol)
-    off_loop = ~flat & (np.linalg.norm(p - q, axis=1) > tol)
+    off_flat = flat & (np.linalg.norm(p - w, axis=1) > SURFACE_TOL)
+    off_loop = ~flat & (np.linalg.norm(p - q, axis=1) > SURFACE_TOL)
     backward = ~flat & (t < t_prev - DECISION_TOL)
     bad = off_flat | off_loop | backward
     if np.any(bad):
@@ -240,7 +240,7 @@ def _check_anchored_boundary(loop, got, boundary_anchor, tol):
         raise PartitionError("boundary vertices do not traverse the loop in order")
 
 
-def _check_boundary_by_search(loop, got, tol):
+def _check_boundary_by_search(loop, got):
     """Alignment search for partitions without anchors (exact refinements
     are not supported here: boundary and loop must match vertexwise)."""
     want = loop.vertices
@@ -252,7 +252,7 @@ def _check_boundary_by_search(loop, got, tol):
     for shift in range(s):
         for direction in (1, -1):
             idx = [(shift + direction * k) % s for k in range(s)]
-            if np.all(np.linalg.norm(got[idx] - want, axis=1) <= tol):
+            if np.all(np.linalg.norm(got[idx] - want, axis=1) <= SURFACE_TOL):
                 return
     raise PartitionError("boundary vertices do not traverse the loop in order")
 
@@ -410,12 +410,11 @@ class DiskBuilder:
             self.add_triangles(tris)
             lo = hi
 
-    def build(self, boundary, mesh=None, anchor=None):
+    def build(self, boundary, anchor=None):
         return FillingPartition(
             self.points.copy(),
             self.triangles,
             list(boundary),
-            mesh=mesh,
             boundary_anchor=list(anchor) if anchor is not None else None,
         )
 
@@ -453,7 +452,7 @@ def subdivide(points, triangles):
     return points, out, midpoint
 
 
-def fill_to_mesh(build, knob, mesh, what="fill"):
+def fill_to_mesh(build, knob, mesh, what):
     """Build until the partition meets the mesh, shrinking the knob between tries.
 
     ``build(knob)`` returns ``(partition, info)``.  A try that misses the

@@ -18,6 +18,7 @@ from .partitions import Loop
 # those factors on top of the mesh/3 spacing rule.
 SERPENTINE_SAFETY = 6.0
 WRAP_SAFETY = 4.5
+TUBE_RADIUS = 1.0  # of every tube the generators put loops on
 
 
 def _loop_params(ell, mesh, safety):
@@ -31,26 +32,26 @@ def _sphere(psi, phi):
     return np.stack([np.sin(psi) * np.cos(phi), np.sin(psi) * np.sin(phi), np.cos(psi)], axis=1)
 
 
-def tube_point_wrap(R, ell, mesh=1.0, seed=0):
+def tube_point_wrap(ell, mesh, seed):
     """Wrapped loop around a point core in E^3 (winding prices the area).
 
-    The target rounds to whole turns of about 2*pi*R, so shorter targets
-    give one turn: at R = 1, l = 8 realizes a loop of length 6.28.
+    The target rounds to whole turns of about 2*pi*TUBE_RADIUS, so
+    shorter targets give one turn: l = 8 realizes a loop of length 6.28.
     """
     rng = np.random.default_rng(seed)
-    k = max(1, int(round(ell / (2 * np.pi * R * 0.97))))
+    k = max(1, int(round(ell / (2 * np.pi * TUBE_RADIUS * 0.97))))
     t = _loop_params(ell, mesh, WRAP_SAFETY)
     wobble = 0.25 + 0.05 * rng.uniform(-1, 1)
     psi = np.pi / 2 + wobble * np.cos(2 * np.pi * t + rng.uniform(0, 2 * np.pi))
     phi = 2 * np.pi * k * t
-    return tb.standard_shape("point"), Loop(R * _sphere(psi, phi))
+    return tb.standard_shape("point"), Loop(TUBE_RADIUS * _sphere(psi, phi))
 
 
-def tube_segment_wrap(R, ell, mesh=1.0, seed=0):
+def tube_segment_wrap(ell, mesh, seed):
     """Wrapped loop around the unit segment core in E^3.
 
-    The target rounds to whole turns of about 2*pi*R, so shorter targets
-    give one turn, as in ``tube_point_wrap``.
+    The target rounds to whole turns of about 2*pi*TUBE_RADIUS, so
+    shorter targets give one turn, as in ``tube_point_wrap``.
     """
     rng = np.random.default_rng(seed)
     P = tb.standard_shape("segment")
@@ -61,16 +62,16 @@ def tube_segment_wrap(R, ell, mesh=1.0, seed=0):
     e1 = e1 - np.dot(e1, axis) * axis
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(axis, e1)
-    k = max(1, int(round(ell / (2 * np.pi * R))))
+    k = max(1, int(round(ell / (2 * np.pi * TUBE_RADIUS))))
     t = _loop_params(ell, mesh, WRAP_SAFETY)
     drift = 0.25 + 0.05 * rng.uniform(-1, 1)
     s = L * (0.5 + drift * np.sin(2 * np.pi * t + rng.uniform(0, 2 * np.pi)))
     phi = 2 * np.pi * k * t
     ring = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
-    return P, Loop(a + s[:, None] * axis + R * ring)
+    return P, Loop(a + s[:, None] * axis + TUBE_RADIUS * ring)
 
 
-def tube_square_serpentine(R, ell, mesh=1.0, seed=0):
+def tube_square_serpentine(ell, mesh, seed):
     """Degree-0 meridian serpentine on the unit-square tube in E^3.
 
     The meridian amplitude grows with the target length; the square
@@ -79,7 +80,7 @@ def tube_square_serpentine(R, ell, mesh=1.0, seed=0):
     """
     rng = np.random.default_rng(seed)
     P = tb.standard_shape("square")
-    chart = tb.StadiumChart(P, R)
+    chart = tb.StadiumChart(P, TUBE_RADIUS)
     amp = ell / 4.0 * 0.93
     t = _loop_params(ell, mesh, SERPENTINE_SAFETY)
     m0 = chart.M * (0.12 + 0.02 * rng.uniform(-1, 1))
@@ -118,7 +119,7 @@ def _level_serpentine(hb, ell, mesh, rng):
     return Loop(walk(total * rng.uniform(0, 1) + amp * np.sin(2 * np.pi * t)))
 
 
-def trace_a2_serpentine(ell, mesh=1.0, seed=0, rs=None):
+def trace_a2_serpentine(ell, mesh, seed):
     """Degree-0 serpentine on the level triangle of a scaled A2 trace.
 
     The trace depth scales with the target length (the similarity
@@ -126,14 +127,14 @@ def trace_a2_serpentine(ell, mesh=1.0, seed=0, rs=None):
     back and forth with amplitude about a quarter of the length.
     """
     rng = np.random.default_rng(seed)
-    rs = rs or cx.build_root_system("A", rank=2)
+    rs = cx.build_root_system("A", rank=2)
     theta = cx.project_to_chamber(rs, rs.coweights[0])
     m = ell / 9.0
     trace = tr.symmetric_trace(rs, theta).shifted(-m)
     return trace, _level_serpentine(tr.horoball_polytope(trace, 0.0), ell, mesh, rng)
 
 
-def trace_a3_wrap(ell, mesh=1.0, seed=0, rs=None):
+def trace_a3_wrap(ell, mesh, seed):
     """Wrapped loop on the level tetrahedron of a scaled A3 trace.
 
     Loops are generated on the sandwich tube (a sphere around the
@@ -142,7 +143,7 @@ def trace_a3_wrap(ell, mesh=1.0, seed=0, rs=None):
     ratio, so the sampling budget carries a corresponding margin.
     """
     rng = np.random.default_rng(seed)
-    rs = rs or cx.build_root_system("A", rank=3)
+    rs = cx.build_root_system("A", rank=3)
     theta = cx.project_to_chamber(rs, rs.coweights[0])
     prof = cx.delta_zero(rs, theta)
     a = 1.0 / np.sin(prof.delta0)
@@ -182,7 +183,7 @@ def trace_a3_wrap(ell, mesh=1.0, seed=0, rs=None):
     return trace, Loop(pts)
 
 
-def custom_trace_loop(trace, ell, mesh=1.0, seed=0):
+def custom_trace_loop(trace, ell, mesh, seed):
     """Serpentine loop on the level set of a user-supplied trace.
 
     Rank-2 traces walk the level polygon by arclength; rank-3 traces
@@ -211,9 +212,9 @@ def custom_trace_loop(trace, ell, mesh=1.0, seed=0):
 
 
 GENERATORS = {
-    "tube-point": lambda ell, mesh, seed: tube_point_wrap(1.0, ell, mesh, seed),
-    "tube-segment": lambda ell, mesh, seed: tube_segment_wrap(1.0, ell, mesh, seed),
-    "tube-square": lambda ell, mesh, seed: tube_square_serpentine(1.0, ell, mesh, seed),
-    "trace-a2": lambda ell, mesh, seed: trace_a2_serpentine(ell, mesh, seed),
-    "trace-a3": lambda ell, mesh, seed: trace_a3_wrap(ell, mesh, seed),
+    "tube-point": tube_point_wrap,
+    "tube-segment": tube_segment_wrap,
+    "tube-square": tube_square_serpentine,
+    "trace-a2": trace_a2_serpentine,
+    "trace-a3": trace_a3_wrap,
 }

@@ -305,13 +305,13 @@ def fetze_constant(trace):
     return 1.0 / np.sin(min_dihedral_angle(trace) / 2.0)
 
 
-def _facets_at(trace, x, t, tol=SURFACE_TOL):
+def _facets_at(trace, x, t):
     vals = trace.gradients @ np.asarray(x, dtype=float) + trace.offsets
-    if abs(np.max(vals) - t) > tol:
+    if abs(np.max(vals) - t) > SURFACE_TOL:
         raise TraceError(
             f"point is not on the level-{t} boundary (value {np.max(vals):.6g})"
         )
-    return [i for i in range(len(vals)) if abs(vals[i] - t) <= tol]
+    return [i for i in range(len(vals)) if abs(vals[i] - t) <= SURFACE_TOL]
 
 
 def face_pair_path(trace, t, x, y):

@@ -58,18 +58,13 @@ def rectangle_polytope(origin, u, w):
     return VPolytope([origin, origin + u, origin + w, origin + u + w])
 
 
-def standard_shape(name, dim=3):
-    """Named acceptance shapes in E^dim."""
+def standard_shape(name):
+    """Named acceptance shapes in E^3."""
     if name == "point":
-        return point_polytope(np.zeros(dim))
+        return point_polytope(np.zeros(3))
     if name == "segment":
-        a = np.zeros(dim)
-        b = np.zeros(dim)
-        b[0] = 1.0
-        return segment_polytope(a, b)
+        return segment_polytope(np.zeros(3), np.array([1.0, 0, 0]))
     if name == "square":
-        if dim != 3:
-            raise TubeError("square shape lives in E^3")
         return rectangle_polytope(
             np.zeros(3), np.array([1.0, 0, 0]), np.array([0, 1.0, 0])
         )
@@ -117,12 +112,12 @@ class TubePoint:
     lateral: np.ndarray  # component of point-base inside the span
 
 
-def make_tube_point(P, x, R=None, tol=SURFACE_TOL):
+def make_tube_point(P, x, R=None):
     x = np.asarray(x, dtype=float)
     base, d = nearest_point(P, x)
     if R is None:
         R = d
-    if abs(d - R) > tol:
+    if abs(d - R) > SURFACE_TOL:
         raise TubeError(f"point is at distance {d:.9g}, not R={R:.9g}, from the core")
     v = x - base
     lateral = P.basis.T @ (P.basis @ v) if P.dim else np.zeros_like(v)
@@ -142,8 +137,10 @@ def beta_angle(x, y):
 
 # -- paths on a tube (pairwise construction) -------------------------------------
 
+ARC_STEP = 0.05  # tube-path arcs are sampled at most this many radians apart
 
-def _arc(center, v_from, v_to, radius, max_step=0.05):
+
+def _arc(center, v_from, v_to, radius):
     """Circle arc from center+v_from to center+v_to within their plane.
 
     Degeneracy is decided on the perpendicular component (the arccos of
@@ -155,17 +152,17 @@ def _arc(center, v_from, v_to, radius, max_step=0.05):
         if np.dot(v_to, e1) > 0:
             return [center + v_from], 0.0
         raise TubeError("antipodal arc needs an explicit swing direction")
-    return _circle_arc(center, v_from, v_to, radius, angle_between(v_from, v_to), max_step)
+    return _circle_arc(center, v_from, v_to, radius, angle_between(v_from, v_to))
 
 
-def _circle_arc(center, v_from, toward, radius, angle, max_step=0.05):
+def _circle_arc(center, v_from, toward, radius, angle):
     """Arc of the given angle from center+v_from, turning toward ``toward``.
 
-    Returns (points, length), sampled at most max_step radians apart.
+    Returns (points, length), sampled at most ARC_STEP radians apart.
     """
     e1 = unit(v_from)
     e2 = unit(toward - np.dot(toward, e1) * e1)
-    n = max(2, int(np.ceil(angle / max_step)) + 1)
+    n = max(2, int(np.ceil(angle / ARC_STEP)) + 1)
     ts = np.linspace(0.0, angle, n)
     pts = [center + radius * (np.cos(t) * e1 + np.sin(t) * e2) for t in ts]
     return pts, float(radius * angle)
@@ -222,7 +219,7 @@ class TubePathResult:
     separating: bool
 
 
-def tube_path(P, R, x, y, max_step=0.05):
+def tube_path(P, R, x, y):
     """Path on the tube from x to y per the translate-and-arc construction.
 
     Cases: (A) both radii orthogonal to the span, (B) one slanted radius,
@@ -253,7 +250,7 @@ def tube_path(P, R, x, y, max_step=0.05):
     if np.linalg.norm(x.lateral) > DECISION_TOL:
         case = "B"
         vx = _vertical_target(P, x, y)
-        arc, alen = _arc(x.base, x.point - x.base, vx, R, max_step)
+        arc, alen = _arc(x.base, x.point - x.base, vx, R)
         poly.extend(arc[1:])
         total += alen
     if np.linalg.norm(y.lateral) > DECISION_TOL:
@@ -267,7 +264,7 @@ def tube_path(P, R, x, y, max_step=0.05):
         poly.append(x2)
         total += float(np.linalg.norm(poly[-2] - x2))
         swing = _outward_in_span(P, z)
-        half, hlen = _circle_arc(z, vx, swing, R, np.pi, max_step)
+        half, hlen = _circle_arc(z, vx, swing, R, np.pi)
         poly.extend(half[1:])
         total += hlen
         y2 = z + vy
@@ -279,16 +276,16 @@ def tube_path(P, R, x, y, max_step=0.05):
         w = vy - np.dot(vy, e1) * e1
         if np.linalg.norm(w) < DECISION_TOL * R and np.dot(vx, vy) < 0:
             perp = _perpendicular_vertical(P, vx)
-            arc, alen = _circle_arc(x.base, vx, perp, R, np.pi, max_step)
+            arc, alen = _circle_arc(x.base, vx, perp, R, np.pi)
         else:
-            arc, alen = _arc(x.base, vx, vy, R, max_step)
+            arc, alen = _arc(x.base, vx, vy, R)
         poly.extend(arc[1:])
         total += alen
         py = y.base + vy
         total += float(np.linalg.norm(np.asarray(arc[-1]) - py))
         poly.append(py)
     if np.linalg.norm(y.lateral) > DECISION_TOL:
-        arc, alen = _arc(y.base, vy, y.point - y.base, R, max_step)
+        arc, alen = _arc(y.base, vy, y.point - y.base, R)
         poly.extend(arc[1:])
         total += alen
     else:
@@ -323,10 +320,10 @@ def _perpendicular_vertical(P, v):
     raise TubeError("no orthogonal direction available (codim 0 core?)")
 
 
-def _dedup_consecutive(pts, tol=DEDUP_TOL):
+def _dedup_consecutive(pts):
     out = [np.asarray(pts[0], dtype=float)]
     for p in pts[1:]:
-        if np.linalg.norm(np.asarray(p) - out[-1]) > tol:
+        if np.linalg.norm(np.asarray(p) - out[-1]) > DEDUP_TOL:
             out.append(np.asarray(p, dtype=float))
     return out
 
@@ -459,14 +456,14 @@ def _span_directions(P, n_grid):
     return matvec(P.basis.T, U)
 
 
-def _first_min(values, tol=DEDUP_TOL):
-    """Index and value of the running minimum that only a drop of more than tol replaces.
+def _first_min(values):
+    """Index and value of the running minimum that only a drop of more than DEDUP_TOL replaces.
 
     An infinite entry is never taken; the index is None when all are.
     """
     best, best_v = None, np.inf
     for j, v in enumerate(values.tolist()):
-        if v < best_v - tol:
+        if v < best_v - DEDUP_TOL:
             best, best_v = j, v
     return best, best_v
 
@@ -516,7 +513,7 @@ class ChartError(TubeError):
 
 
 class _Chart:
-    """Exact on-tube coordinates (t, phi), phi periodic.
+    """Exact on-tube coordinates (t, phi), phi periodic with period ``period``.
 
     Array contract: ``points(t, phi)`` maps equal-length parameter
     arrays to an (n, dim) array of tube points, and ``lift(points)``
@@ -527,6 +524,8 @@ class _Chart:
     ``segments`` places any number of straight parameter segments with
     one ``points`` call.
     """
+
+    period = 2.0 * np.pi
 
     def point(self, t, phi):
         return self.points([t], [phi])[0]
@@ -690,7 +689,7 @@ class StadiumChart(_Chart):
         self.w, self.Lw = unit(w), float(np.linalg.norm(w))
         self.n = np.cross(self.u, self.w)
         self.R = float(R)
-        self.M = 2 * self.Lw + 2 * np.pi * self.R
+        self.period = self.M = 2 * self.Lw + 2 * np.pi * self.R
 
     def points(self, s, m):
         """Tube points at stations s and meridian arclengths m (taken mod M)."""
@@ -762,12 +761,6 @@ def chart_for(P, R, loop_vertices=None):
     return None
 
 
-def chart_period(chart):
-    if isinstance(chart, StadiumChart):
-        return chart.M
-    return 2.0 * np.pi
-
-
 def _fit_axis(loop_vertices, center):
     """Total turning axis of a loop around a center (for sphere charts)."""
     v = np.asarray(loop_vertices, dtype=float) - center
@@ -790,7 +783,7 @@ def loop_case(P, loop):
     projections crosses the core; 3: neither.
     """
     feet = project_affine(loop.vertices, P.origin, P.basis)
-    if np.any(P.contains(feet, tol=HV_TOL)):
+    if np.any(P.contains(feet)):
         return 1
     s = len(feet)
     step = max(1, s // 64)
@@ -804,7 +797,7 @@ def loop_case(P, loop):
 def loop_degree(chart, vertices):
     """Winding number of the loop in the chart's periodic coordinate."""
     _, phis = chart.lift(np.vstack([vertices, vertices[:1]]))
-    return int(round((phis[-1] - phis[0]) / chart_period(chart)))
+    return int(round((phis[-1] - phis[0]) / chart.period))
 
 
 def fill_tube_loop(P, R, loop, mesh):
@@ -866,8 +859,7 @@ def _chart_fan(P, chart, loop, spacing, degree):
     verts = res.vertices
     s = len(verts)
     ts, phis = chart.lift(verts)
-    period = chart_period(chart)
-    q_end = (ts[0], phis[0] + degree * period)
+    q_end = (ts[0], phis[0] + degree * chart.period)
     hub_p = (float(np.median(ts)), float(np.median(np.concatenate([phis, [q_end[1]]]))))
     builder = DiskBuilder(P.ambient_dim)
     bidx = builder.add_chain(verts)
@@ -902,8 +894,7 @@ def _wrapped_fiber_chain(builder, chart, q0, degree, spacing, idx0):
 
     Returns the chain and the (n, 2) array of its chart parameters.
     """
-    period = chart_period(chart)
-    q_end = (q0[0], q0[1] + degree * period)
+    q_end = (q0[0], q0[1] + degree * chart.period)
     d = chart.param_distance(q0, q_end)
     n = max(3, int(np.ceil(d / spacing)) + 1)
     params = segment_params([q0], [q_end], [n])

@@ -58,6 +58,20 @@ def test_config_validation_errors(tmp_path, capsys):
     assert cli.main(["run", bad4, "--out-dir", str(tmp_path / "o4")]) == 2
     assert "config error: scenarios[1]: trials must be a nonnegative integer" in capsys.readouterr().err
 
+    for k, (change, message) in enumerate(
+        [
+            ({"mesh": 0}, "mesh must be a positive number"),
+            ({"mesh": "one"}, "mesh must be a positive number"),
+            ({"lengths": [-6]}, "lengths must be positive and strictly increasing"),
+            ({"radius": 2.0}, "the tube radius is fixed at 1"),
+        ]
+    ):
+        cfg = write_config(tmp_path / f"c5{k}.json", [dict(small_scenario(), **change)])
+        out = tmp_path / f"o5{k}"
+        assert cli.main(["run", cfg, "--out-dir", str(out)]) == 2
+        assert f"config error: scenarios[0]: {message}" in capsys.readouterr().err
+        assert not (out / "runs.csv").exists()
+
     missing = str(tmp_path / "no-such-config.json")
     assert cli.main(["run", missing, "--out-dir", str(tmp_path / "o2b")]) == 2
     assert "config error" in capsys.readouterr().err

@@ -276,7 +276,7 @@ def test_fill_to_mesh_shrinks_the_knob_then_gives_up():
 
     build, knobs = recording_build(achieved)
     with pytest.raises(PartitionError, match="missed the mesh"):
-        fill_to_mesh(build, 0.5, 1.0)
+        fill_to_mesh(build, 0.5, 1.0, "fill")
     assert len(knobs) == MESH_ATTEMPTS
     for prev, knob in zip(knobs, knobs[1:]):
         assert knob == prev * (0.9 * 1.0 / achieved(prev))
@@ -284,7 +284,7 @@ def test_fill_to_mesh_shrinks_the_knob_then_gives_up():
 
 def test_fill_to_mesh_accepts_the_first_fit():
     build, knobs = recording_build(lambda knob: 1.0)
-    fp, info, knob = fill_to_mesh(build, 0.5, 1.0)
+    fp, info, knob = fill_to_mesh(build, 0.5, 1.0, "fill")
     assert knobs == [0.5]
     assert knob == 0.5
     assert fp.mesh == 1.0 and info == "info"

@@ -8,6 +8,8 @@ from horofill import tube as tb
 
 @pytest.mark.parametrize("name", sorted(sc.GENERATORS))
 def test_generators_deterministic(name):
+    gen = sc.GENERATORS[name]
+    assert getattr(sc, gen.__name__, None) is gen
     h1, l1 = sc.GENERATORS[name](16, 1.0, 3)
     h2, l2 = sc.GENERATORS[name](16, 1.0, 3)
     assert np.array_equal(l1.vertices, l2.vertices)
@@ -19,7 +21,7 @@ def test_generators_deterministic(name):
 def test_tube_generators_on_surface(name):
     P, loop = sc.GENERATORS[name](24, 1.0, 0)
     for v in loop.vertices[::7]:
-        assert abs(tb.tube_distance(P, v) - 1.0) < 1e-9
+        assert abs(tb.tube_distance(P, v) - sc.TUBE_RADIUS) < 1e-9
     assert 0.5 * 24 <= loop.length <= 1.6 * 24
 
 
@@ -32,13 +34,13 @@ def test_trace_generators_on_level_set(name):
 
 
 def test_square_serpentine_degree_zero():
-    P, loop = sc.tube_square_serpentine(1.0, 24, 1.0, 0)
+    P, loop = sc.tube_square_serpentine(24, 1.0, 0)
     chart = tb.chart_for(P, 1.0, loop.vertices)
     assert tb.loop_degree(chart, loop.vertices) == 0
 
 
 def test_wrap_generators_wind():
-    P, loop = sc.tube_segment_wrap(1.0, 32, 1.0, 0)
+    P, loop = sc.tube_segment_wrap(32, 1.0, 0)
     chart = tb.chart_for(P, 1.0, loop.vertices)
     assert abs(tb.loop_degree(chart, loop.vertices)) >= 3
 

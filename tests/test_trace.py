@@ -105,7 +105,7 @@ def test_hpolytope_hv_mutual_containment(tri):
     for _ in range(200):
         x = rng.uniform(-3, 3, size=2)
         if np.all(G @ x <= b):
-            assert hb.contains(x, tol=1e-7)
+            assert hb.contains(x)
 
 
 def test_horoball_polytope_triangle(tri):

@@ -298,7 +298,7 @@ def test_chart_coords_roundtrip(case):
     stadium band.
     """
     chart, T, rng = case
-    period = tb.chart_period(chart)
+    period = chart.period
     for t, phi in zip(rng.uniform(0.01, 0.99, 20) * T, rng.uniform(-50, 50, 20)):
         t2, phi2 = chart.coords(chart.point(t, phi))
         assert abs(t2 - t) <= 1e-9 * max(1.0, T)
@@ -414,7 +414,7 @@ def test_fill_area_quadrupling(segment3):
 
     areas = {}
     for ell in (32, 64, 128):
-        P, loop = sc.tube_segment_wrap(1.0, ell, 1.0, seed=3)
+        P, loop = sc.tube_segment_wrap(ell, 1.0, seed=3)
         fp, _ = tb.fill_tube_loop(P, 1.0, loop, 1.0)
         areas[ell] = fp.area
     r1 = areas[64] / areas[32]
@@ -514,7 +514,7 @@ def test_fit_axis_matches_the_running_sum():
 def reference_loop_case(P, vertices):
     """``loop_case`` with one foot and one containment test per vertex."""
     feet = [tb.project_affine(v, P.origin, P.basis) for v in vertices]
-    if any(P.contains(f, tol=tb.HV_TOL) for f in feet):
+    if any(P.contains(f) for f in feet):
         return 1
     s, step = len(feet), max(1, len(feet) // 64)
     for i in range(0, s, step):

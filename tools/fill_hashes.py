@@ -38,7 +38,7 @@ def fill(gen, ell, seed):
     host, loop = sc.GENERATORS[gen](ell, 1.0, seed)
     if isinstance(host, tr.BusemannTrace):
         return fl.fill_flat_loop(host, loop, mesh=1.0)[0]
-    return fl.fill_tube_loop(host, 1.0, loop, 1.0)[0]
+    return fl.fill_tube_loop(host, sc.TUBE_RADIUS, loop, 1.0)[0]
 
 
 def fill_digest(fp):
