@@ -13,7 +13,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .geometry import DECISION_TOL, DEDUP_TOL, SURFACE_TOL, row_norms
+from .geometry import DECISION_TOL, DEDUP_TOL, SQUARED_LENGTH_FLOOR, SURFACE_TOL, row_norms
 
 MESH_ATTEMPTS = 6  # sampling attempts per fill to reach the requested mesh
 LADDER_BLOCK = 1 << 13  # bricks laid per block of ladders; bounds add_ladders' scratch
@@ -222,7 +222,7 @@ def _check_anchored_boundary(loop, got, boundary_anchor):
     w = want[seg]
     d = want[(seg + 1) % s] - w
     L2 = np.sum(d * d, axis=1)
-    flat = L2 < 1e-18
+    flat = L2 < SQUARED_LENGTH_FLOOR
     t = np.sum((p - w) * d, axis=1) / np.where(flat, 1.0, L2)
     q = w + np.clip(t, 0.0, 1.0)[:, None] * d
     t_prev = np.minimum(np.concatenate([[0.0], t]), 1.0)[:-1]

@@ -11,6 +11,7 @@ import numpy as np
 from . import coxeter as cx
 from . import trace as tr
 from . import tube as tb
+from .geometry import LENGTH_FLOOR
 from .partitions import Loop
 
 # sin-parametrized serpentines peak at pi/2 times their average speed;
@@ -104,7 +105,7 @@ def _polygon_walker(vertices_2d):
     def walk(sigma):
         sg = np.asarray(sigma, dtype=float) % total
         k = np.minimum(np.searchsorted(cum, sg, side="right") - 1, len(V) - 1)
-        long = seg[k] > 1e-15
+        long = seg[k] > LENGTH_FLOOR
         lam = np.where(long, (sg - cum[k]) / np.where(long, seg[k], 1.0), 0.0)
         return V[k] + lam[:, None] * step[k]
 

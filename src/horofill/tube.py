@@ -15,6 +15,8 @@ from .geometry import (
     DECISION_TOL,
     DEDUP_TOL,
     HV_TOL,
+    LENGTH_FLOOR,
+    SQUARED_LENGTH_FLOOR,
     SURFACE_TOL,
     VPolytope,
     angle_between,
@@ -177,38 +179,29 @@ def _outward_in_span(P, z):
 
 
 def _min_distance_sum_on_boundary(P, a, b):
-    """Boundary point z minimizing d(a, z) + d(z, b).
+    """Boundary point z minimizing d(a, z) + d(z, b), exactly.
 
-    Projected-gradient descent on each facet (exact nearest-point
-    projections), best facet wins; ties resolved by facet order.
+    A facet of a core of dimension 1 or 2 is a point, or an edge between its
+    two extreme tight vertices.  On an edge z is Heron's reflection point
+    t = (t_a h_b + t_b h_a) / (h_a + h_b) clipped to [0, 1], with t_a, t_b
+    the projections of a, b on the edge's line and h_a, h_b their distances
+    to it.  One array pass over the facets; the first lower by DEDUP_TOL wins.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if P.dim == 0:
-        return P.vertices[0].copy()
-    best, best_val = None, np.inf
+    if not 1 <= P.dim <= 2:
+        raise TubeError(f"a {P.dim}-dimensional core has no point or edge facets to route through")
     span_verts = (P.vertices - P.origin) @ P.basis.T
-    on_facet = np.abs(span_verts @ P.normals.T - P.bounds) <= HV_TOL
-    for tight in on_facet.T:
-        if not np.any(tight):
-            continue
-        f = VPolytope(P.vertices[tight])
-        z = f.nearest_point(0.5 * (a + b))
-        for _ in range(150):
-            da, db = z - a, z - b
-            na, nb = np.linalg.norm(da), np.linalg.norm(db)
-            g = (da / na if na > DEDUP_TOL else 0.0) + (db / nb if nb > DEDUP_TOL else 0.0)
-            step = 0.2 * max(na, nb, SURFACE_TOL)
-            z_new = f.nearest_point(z - step * np.asarray(g))
-            if np.linalg.norm(z_new - z) < DEDUP_TOL:
-                break
-            z = z_new
-        val = np.linalg.norm(z - a) + np.linalg.norm(z - b)
-        if val < best_val - DEDUP_TOL:
-            best_val, best = val, z
-    if best is None:
-        raise TubeError("core has no boundary facets")
-    return best
+    tight = np.abs(span_verts @ P.normals.T - P.bounds) <= HV_TOL  # (vertices, facets)
+    along = P.normals @ np.array([[0.0, 1.0], [-1.0, 0.0]]) if P.dim == 2 else P.normals
+    s = span_verts @ along.T  # each vertex's place along each facet
+    p = P.vertices[np.where(tight, s, np.inf).argmin(0)]
+    e = P.vertices[np.where(tight, s, -np.inf).argmax(0)] - p  # 0 on a point facet
+    d = np.stack([a, b])[:, None] - p  # (2, facets, n)
+    t = (d * e).sum(-1) / np.maximum((e * e).sum(1), SQUARED_LENGTH_FLOOR)
+    h = row_norms(d - t[..., None] * e)
+    w = np.where(h.sum(0) > 0, h[::-1], 1.0)  # a, b on the line: any t between theirs is least
+    z = p + np.clip((w * t).sum(0) / w.sum(0), 0.0, 1.0)[:, None] * e
+    best, _ = _first_min(row_norms(z - a) + row_norms(z - b))
+    return z[best]
 
 
 @dataclass
@@ -227,8 +220,9 @@ def tube_path(P, R, x, y):
     sphere (an arc of length R * alpha); orthogonal radii are connected
     by a fiber arc plus a parallel translate along the core.  A
     codimension-1 span separating the endpoints is routed through the
-    boundary point z minimizing d(x0,z)+d(z,y0) with a half circle of
-    length pi*R.
+    boundary point z minimizing d(x0,z)+d(z,y0), the exact reflection
+    point on its point or edge facets (higher-dimensional facets raise
+    TubeError), with a half circle of length pi*R.
 
     The hypothesis "[x', y'] intersects the core" is checked; violations
     raise HypothesisViolated naming the clause.
@@ -352,7 +346,7 @@ def radial_project_path(P, R_out, R_in, path):
         "a": R_out / R_in,
         "outer_length": lo,
         "inner_length": li,
-        "ratio": lo / li if li > 1e-15 else 1.0,
+        "ratio": lo / li if li > LENGTH_FLOOR else 1.0,
     }
     return inner, report
 

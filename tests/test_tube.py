@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horofill import meshes as ms
@@ -81,6 +81,98 @@ def test_tube_path_square_separating(square3):
     assert abs(res.length - (1.0 + np.pi)) < 1e-9
     dmin = min(tb.tube_distance(square3, p) for p in res.polyline)
     assert dmin >= 1.0 - 1e-6
+    # x sits over the corner (1, 1), so z is that corner and the half
+    # circle swings along the sum of the two edge normals there
+    R = np.sqrt(0.75)
+    x = np.array([1.5, 1.5, 0.5])
+    y = np.array([0.5, 0.5, -R])
+    res = tb.tube_path(square3, R, x, y)
+    assert res.separating
+    alpha_x = np.arctan2(np.sqrt(0.5), 0.5)
+    assert abs(res.length - (R * alpha_x + np.pi * R + np.sqrt(0.5))) < 1e-9
+    dmin = min(tb.tube_distance(square3, p) for p in res.polyline)
+    assert dmin >= R - 1e-6
+
+
+def test_tube_path_separating_core_needs_point_or_edge_facets():
+    """The 3-simplex spanned by 0, e1, e2, e3 in E^4 has triangles for facets."""
+    P = tb.VPolytope(np.vstack([np.zeros(4), np.eye(4)[:3]]))
+    assert P.codim == 1
+    x = np.array([0.1, 0.1, 0.1, 1.0])
+    y = np.array([0.1, 0.1, 0.1, -1.0])
+    with pytest.raises(tb.TubeError, match="no point or edge facets"):
+        tb.tube_path(P, 1.0, x, y)
+
+
+@st.composite
+def boundary_cases(draw):
+    """A core with point or edge facets, its boundary pieces, and two points of it.
+
+    The cores are the square in E^3, the square with a fifth vertex
+    1e-13 outside one of its edges (two facets whose three tight vertices
+    are near-collinear), the hull of 3-8 random points in a random plane
+    of E^3 and a segment in E^2.  The boundary pieces are the polygon's
+    edges in the angular order of its vertices, or the segment's two end
+    points, so they do not come from the facets the function reads.
+    Each point lies inside the core, on a boundary piece, at a vertex or
+    off the core, and b may be a itself.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["square", "notched", "polygon", "segment2"]))
+    if kind == "square":
+        P = tb.standard_shape("square")
+    elif kind == "notched":
+        corners = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
+        k = draw(st.integers(0, 3))
+        p, q = corners[k], corners[(k + 1) % 4]
+        out = np.array([q[1] - p[1], p[0] - q[0], 0.0])
+        P = tb.VPolytope(np.vstack([corners, p + rng.uniform(0.05, 0.95) * (q - p) + 1e-13 * out]))
+    elif kind == "polygon":
+        frame = np.linalg.qr(rng.normal(size=(3, 3)))[0][:2]
+        P = tb.VPolytope(rng.normal(size=(draw(st.integers(3, 8)), 2)) @ frame + rng.normal(size=3))
+    else:
+        P = tb.segment_polytope(rng.normal(size=2), rng.normal(size=2))
+    V = P.vertices
+    if P.dim == 2:
+        c = (V - V.mean(0)) @ P.basis.T
+        V = V[np.argsort(np.arctan2(c[:, 1], c[:, 0]))]
+        pieces = list(zip(V, np.roll(V, -1, axis=0)))
+    else:
+        pieces = [(v, v) for v in V]
+
+    def point(where):
+        if where == "inside":
+            return rng.dirichlet(np.ones(len(V))) @ V
+        if where == "off":
+            return V.mean(0) + rng.normal(size=P.ambient_dim)
+        if where == "vertex":
+            return V[rng.integers(len(V))]
+        p, q = pieces[rng.integers(len(pieces))]
+        return p + rng.uniform() * (q - p)
+
+    places = st.sampled_from(["inside", "edge", "vertex", "off"])
+    a = point(draw(places))
+    b = a.copy() if draw(st.booleans()) else point(draw(places))
+    return P, pieces, a, b
+
+
+@settings(max_examples=200)
+@given(boundary_cases())
+def test_min_distance_sum_is_never_above_the_sampled_boundary(case):
+    """The boundary point's sum d(a, z) + d(z, b) is at most that of every sampled boundary point."""
+    P, pieces, a, b = case
+    z = _min_distance_sum_on_boundary(P, a, b)
+    ts = np.linspace(0.0, 1.0, 1001)[:, None]
+    S = np.vstack([p + ts * (q - p) for p, q in pieces])
+    sampled = np.min(np.linalg.norm(S - a, axis=1) + np.linalg.norm(S - b, axis=1))
+    assert np.linalg.norm(z - a) + np.linalg.norm(z - b) <= sampled + 1e-12
+    # z is on the boundary: within rounding of one of its pieces
+    gaps = []
+    for p, q in pieces:
+        d = q - p
+        t = np.clip(np.dot(z - p, d) / max(np.dot(d, d), 1e-300), 0.0, 1.0)
+        gaps.append(np.linalg.norm(z - p - t * d))
+    assert min(gaps) <= 1e-9
 
 
 def test_tube_path_hypothesis_violation(square3):
