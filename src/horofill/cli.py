@@ -68,13 +68,9 @@ def load_config(path):
             if "trace" not in scn:
                 raise ConfigError(f"{where}: custom-trace needs a 'trace' object")
             try:
-                ms = tr.min_set(tr.BusemannTrace.from_dict(scn["trace"]))
+                sc.check_custom_trace(tr.BusemannTrace.from_dict(scn["trace"]))
             except (ValueError, LookupError, TypeError, AttributeError) as e:
                 raise ConfigError(f"{where}: bad trace: {e}") from e
-            if ms.bounded_below and not ms.min_value < 0:
-                raise ConfigError(
-                    f"{where}: bad trace: min value must be negative (horoball nonempty)"
-                )
         if "radius" in scn:
             raise ConfigError(f"{where}: the tube radius is fixed at {sc.TUBE_RADIUS:g}")
         mesh = scn.setdefault("mesh", 1.0)

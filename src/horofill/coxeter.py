@@ -10,6 +10,8 @@ profile, and per gradient set the orbit indices and Gordan outcome of
 the traces on it) in one memo of plain data, so each is computed once.
 """
 
+import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,13 +20,13 @@ from .geometry import (
     DECISION_TOL,
     DEDUP_TOL,
     HV_TOL,
-    angle_between,
     dedup_rows,
+    matvec,
     spherical_distance_to_cone,
     unit,
 )
 
-_FACTORIALS = [1, 1, 2, 6, 24, 120, 720]
+MAX_RANK = 5  # total rank of a root system: A5 has order 720
 
 
 class UnsupportedRootSystem(ValueError):
@@ -127,7 +129,7 @@ class RootSystem:
             frontier = nxt
         elems = list(seen.values())
         elems.sort(key=lambda m: tuple(np.round(m, 10).ravel()))
-        return elems
+        return np.array(elems)
 
     # -- basic queries ---------------------------------------------------
 
@@ -152,10 +154,7 @@ class RootSystem:
 
 
 def _expected_order(factors):
-    out = 1
-    for f in factors:
-        out *= _FACTORIALS[f + 1]
-    return out
+    return math.prod(math.factorial(f + 1) for f in factors)
 
 
 def build_root_system(family, rank=None, factors=None):
@@ -167,26 +166,25 @@ def build_root_system(family, rank=None, factors=None):
     if family == "A":
         if rank is None or rank < 2:
             raise UnsupportedRootSystem("A-type requires rank >= 2")
-        if rank + 1 >= len(_FACTORIALS):
-            raise UnsupportedRootSystem(f"A_{rank} beyond supported range (rank <= 4)")
-        return RootSystem("A", rank, [rank], _simple_roots_a(rank))
-    if family == "product":
+        factors = [rank]
+    elif family == "product":
         if not factors:
             raise UnsupportedRootSystem("product family requires a factor list")
         if any(f < 1 for f in factors):
             raise UnsupportedRootSystem("factor ranks must be >= 1")
         if len(factors) < 2:
             raise UnsupportedRootSystem("a product needs at least two factors")
-        total = sum(factors)
-        if total >= len(_FACTORIALS) - 1:
-            raise UnsupportedRootSystem("total rank beyond supported range")
-        roots = np.zeros((total, total))
-        pos = 0
-        for f in factors:
-            roots[pos : pos + f, pos : pos + f] = _simple_roots_a(f)
-            pos += f
-        return RootSystem("product", total, factors, roots)
-    raise UnsupportedRootSystem(f"unsupported family {family!r}")
+    else:
+        raise UnsupportedRootSystem(f"unsupported family {family!r}")
+    total = sum(factors)
+    if total > MAX_RANK:
+        raise UnsupportedRootSystem(f"rank {total} beyond supported range (rank <= {MAX_RANK})")
+    roots = np.zeros((total, total))
+    pos = 0
+    for f in factors:
+        roots[pos : pos + f, pos : pos + f] = _simple_roots_a(f)
+        pos += f
+    return RootSystem(family, total, factors, roots)
 
 
 def root_system_from_descriptor(desc):
@@ -257,14 +255,12 @@ def slope_facts(rs, theta):
 def ort_distance(rs, theta, beta):
     """min over the group of |pi/2 - angle(u_beta, w u_theta)|.
 
-    Zero exactly when beta lies in the set of orthogonals of theta.
+    For unit vectors |pi/2 - angle(u, v)| = |arcsin(u . v)|, taken over
+    the Weyl images of u_theta stacked in one product.  Zero exactly
+    when beta lies in the set of orthogonals of theta.
     """
-    ub = unit(beta.direction)
-    best = np.inf
-    for w in rs.weyl_elements:
-        a = angle_between(ub, w @ theta.direction)
-        best = min(best, abs(np.pi / 2 - a))
-    return float(best)
+    cos = matvec(rs.weyl_elements, unit(theta.direction)) @ unit(beta.direction)
+    return float(np.min(np.abs(np.arcsin(np.clip(cos, -1.0, 1.0)))))
 
 
 # -- wall distances and the gap around pi/2 --------------------------------
@@ -332,13 +328,14 @@ def _ort_profile(rs, theta):
 
 
 def wall_margin(rs, beta):
-    """Spherical distance from a slope to the chamber boundary."""
-    r = rs.rank
-    best = np.inf
-    for i in range(r):
-        gens = [rs.coweights[j] for j in range(r) if j != i]
-        best = min(best, spherical_distance_to_cone(beta.direction, gens))
-    return float(best)
+    """Spherical distance from a slope in the closed chamber to its boundary.
+
+    The closed chamber is the simplicial cone {alpha_i . x >= 0}, so the
+    distance is min_i arcsin(alpha_i . u / |alpha_i|), clamped at 0 for
+    a slope on a wall within rounding.
+    """
+    sines = rs.simple_roots @ unit(beta.direction) / np.linalg.norm(rs.simple_roots, axis=1)
+    return float(np.arcsin(np.clip(np.min(sines), 0.0, 1.0)))
 
 
 # -- good slopes ------------------------------------------------------------
@@ -401,15 +398,6 @@ def find_good_slope(rs, theta, delta1):
 
 
 def _simplex_grid(dim, n):
-    """Barycentric grid points with coordinates summing to 1."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + [remaining])
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, slots - 1)
-
-    rec([], n, dim)
-    return [np.array(c, dtype=float) / n for c in out]
+    """Rows of barycentric grid points (compositions of n into dim parts, over n)."""
+    heads = [c for c in itertools.product(range(n + 1), repeat=dim - 1) if sum(c) <= n]
+    return np.array([c + (n - sum(c),) for c in heads], dtype=float) / n

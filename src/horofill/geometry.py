@@ -8,6 +8,7 @@ Tolerance policy (documented once, used everywhere):
 ``HV_TOL``                1e-7   halfspace vs vertex containment, tight facets
 ``LENGTH_FLOOR``          1e-15  zero-length guard on a length or a change of slack
 ``SQUARED_LENGTH_FLOOR``  1e-18  zero-length guard on a squared length
+``CHORD_TOL``             1e-10  a corner on the chord of a level-polygon walk
 """
 
 import itertools
@@ -21,6 +22,7 @@ SURFACE_TOL = 1e-6
 HV_TOL = 1e-7
 LENGTH_FLOOR = 1e-15
 SQUARED_LENGTH_FLOOR = 1e-18
+CHORD_TOL = 1e-10
 
 MAX_PIECES_FOR_PROJECTION = 40
 VERTEX_BLOCK = 1 << 14  # n-subsets per batched solve; bounds memory on large systems

@@ -184,32 +184,43 @@ def trace_a3_wrap(ell, mesh, seed):
     return trace, Loop(pts)
 
 
+def check_custom_trace(trace):
+    """(min set, level-0 polytope) of a trace ``custom_trace_loop`` takes.
+
+    Raises ValueError naming the first condition the trace misses.
+    """
+    ms = tr.min_set(trace)
+    if not ms.bounded_below or not ms.polytope.is_bounded:
+        raise ValueError("custom trace needs a bounded minimum set")
+    if not ms.min_value < 0:
+        raise ValueError("min value must be negative (horoball nonempty)")
+    hb = tr.horoball_polytope(trace, 0.0)
+    if hb.is_empty:
+        raise ValueError("custom trace needs a bounded nonempty horoball trace")
+    if trace.apartment_dim != 2 and (trace.apartment_dim, len(ms.polytope.vertices)) != (3, 1):
+        raise ValueError("custom traces supported in rank 2, or rank 3 with point min set")
+    return ms, hb
+
+
 def custom_trace_loop(trace, ell, mesh, seed):
     """Serpentine loop on the level set of a user-supplied trace.
 
     Rank-2 traces walk the level polygon by arclength; rank-3 traces
     with a point minimum set go through the sandwich sphere.  Other
-    hosts are not supported by the generators (fill them directly).
+    hosts are rejected by ``check_custom_trace`` (fill them directly).
     """
     rng = np.random.default_rng(seed)
-    ms = tr.min_set(trace)
-    if not ms.bounded_below or not ms.polytope.is_bounded:
-        raise ValueError("custom trace needs a bounded minimum set")
-    hb = tr.horoball_polytope(trace, 0.0)
-    if hb.is_empty:
-        raise ValueError("custom trace needs a bounded nonempty horoball trace")
+    ms, hb = check_custom_trace(trace)
     if trace.apartment_dim == 2:
         return trace, _level_serpentine(hb, ell, mesh, rng)
-    if trace.apartment_dim == 3 and len(ms.polytope.vertices) == 1:
-        m = -ms.min_value
-        proj = tb.sandwich_project(hb, ms.polytope, m)
-        amp = min(ell / (4.0 * m), 8.0) * 0.9
-        t = _loop_params(ell, mesh, SERPENTINE_SAFETY)
-        phi = amp * np.sin(2 * np.pi * t)
-        psi = np.pi / 2 + 0.25 * np.cos(2 * np.pi * t + rng.uniform(0, 2 * np.pi))
-        sphere = ms.polytope.vertices[0] + m * _sphere(psi, phi)
-        return trace, Loop(proj.inverse_batch(sphere))
-    raise ValueError("custom traces supported in rank 2, or rank 3 with point min set")
+    m = -ms.min_value
+    proj = tb.sandwich_project(hb, ms.polytope, m)
+    amp = min(ell / (4.0 * m), 8.0) * 0.9
+    t = _loop_params(ell, mesh, SERPENTINE_SAFETY)
+    phi = amp * np.sin(2 * np.pi * t)
+    psi = np.pi / 2 + 0.25 * np.cos(2 * np.pi * t + rng.uniform(0, 2 * np.pi))
+    sphere = ms.polytope.vertices[0] + m * _sphere(psi, phi)
+    return trace, Loop(proj.inverse_batch(sphere))
 
 
 GENERATORS = {

@@ -21,7 +21,6 @@ LP however many sublevel polytopes it builds, and none if it is only
 cut into bounded ones away from its minimum.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,17 +28,18 @@ from scipy.optimize import linprog
 
 from .coxeter import delta_zero, root_system_from_descriptor, slope_facts
 from .geometry import (
+    CHORD_TOL,
     DECISION_TOL,
     DEDUP_TOL,
     HV_TOL,
     SURFACE_TOL,
     ProjectionError,
     VPolytope,
-    angle_between,
     dedup_rows,
     enumerate_vertices,
     matvec,
     project_to_polytope,
+    row_norms,
     unit,
 )
 
@@ -289,15 +289,15 @@ class FacetsParallel(ValueError):
 
 
 def min_dihedral_angle(trace):
-    """Minimal unoriented angle between distinct piece hyperplanes."""
-    best = np.pi
-    m = len(trace.gradients)
-    for i, j in itertools.combinations(range(m), 2):
-        phi = angle_between(trace.gradients[i], trace.gradients[j])
-        if phi < DECISION_TOL or abs(np.pi - phi) < DECISION_TOL:
-            continue  # parallel hyperplanes carry no corner
-        best = min(best, min(phi, np.pi - phi))
-    return best
+    """Minimal unoriented angle between distinct piece hyperplanes.
+
+    Read off one Gram matrix of the unit gradients; parallel pairs carry
+    no corner and are skipped.
+    """
+    U = trace.gradients / row_norms(trace.gradients)[:, None]
+    phi = np.arccos(np.clip(U @ U.T, -1.0, 1.0))[np.triu_indices(len(U), 1)]
+    phi = phi[(phi >= DECISION_TOL) & (np.abs(np.pi - phi) >= DECISION_TOL)]
+    return float(np.min(np.minimum(phi, np.pi - phi), initial=np.pi))
 
 
 def fetze_constant(trace):
@@ -311,7 +311,7 @@ def _facets_at(trace, x, t):
         raise TraceError(
             f"point is not on the level-{t} boundary (value {np.max(vals):.6g})"
         )
-    return [i for i in range(len(vals)) if abs(vals[i] - t) <= SURFACE_TOL]
+    return np.flatnonzero(np.abs(vals - t) <= SURFACE_TOL)
 
 
 def face_pair_path(trace, t, x, y):
@@ -326,19 +326,14 @@ def face_pair_path(trace, t, x, y):
     if np.linalg.norm(x - y) <= DEDUP_TOL:
         return np.array([x])
     fx, fy = _facets_at(trace, x, t), _facets_at(trace, y, t)
-    gi = gj = None
-    for i in fx:
-        for j in fy:
-            if i == j:
-                continue
-            if abs(np.dot(trace.gradients[i], trace.gradients[j])) < 1.0 - DECISION_TOL:
-                gi, gj = i, j
-                break
-        if gi is not None:
-            break
-    if gi is None:
+    G = trace.gradients
+    # the first non-parallel pair (i, j) of fx x fy in row-major order
+    corner = (np.abs(G[fx] @ G[fy].T) < 1.0 - DECISION_TOL) & (fx[:, None] != fy)
+    if not corner.any():
         raise FacetsParallel("points lie only on parallel (or equal) facets")
-    G2 = trace.gradients[[gi, gj]]
+    a, b = np.unravel_index(np.argmax(corner), corner.shape)
+    gi, gj = fx[a], fy[b]
+    G2 = G[[gi, gj]]
     rhs = np.array([t - trace.offsets[gi], t - trace.offsets[gj]])
     z0, *_ = np.linalg.lstsq(G2, rhs, rcond=None)
     _, _, vt = np.linalg.svd(G2)
@@ -355,11 +350,15 @@ def face_pair_path(trace, t, x, y):
 
 
 def _walk_level_polygon(trace, t, x, y, z):
-    """Boundary walk of (plane xyz) cap sublevel, on the z-side of xy."""
+    """Boundary walk of (plane xyz) cap sublevel, on the z-side of xy.
+
+    One angular order of the polygon's vertices, x and y; the two arcs
+    from x to y are index ranges of it.
+    """
     origin = x
     b1 = unit(y - x)
     z_perp = (z - origin) - np.dot(z - origin, b1) * b1
-    if np.linalg.norm(z_perp) < 1e-10:
+    if np.linalg.norm(z_perp) < CHORD_TOL:
         return np.array([x, y])  # corner sits on the chord
     b2 = unit(z_perp)
     B = np.vstack([b1, b2])
@@ -370,28 +369,16 @@ def _walk_level_polygon(trace, t, x, y, z):
         raise TraceError("level polygon is empty in the xyz plane")
     cx = np.zeros(2)
     cyv = np.array([float(np.dot(y - origin, b1)), 0.0])
-    allpts = [cx, cyv] + list(pts2)
-    allpts = dedup_rows(allpts, tol=DECISION_TOL)
-    center = np.mean(np.array(allpts), axis=0)
-    ordered = sorted(allpts, key=lambda p: np.arctan2(p[1] - center[1], p[0] - center[0]))
+    pts = np.array(dedup_rows([cx, cyv] + pts2, tol=DECISION_TOL))
+    rel = pts - np.mean(pts, axis=0)
+    ordered = pts[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]), kind="stable")]
     n = len(ordered)
-    idx_x = min(range(n), key=lambda k: float(np.linalg.norm(ordered[k] - cx)))
-    idx_y = min(range(n), key=lambda k: float(np.linalg.norm(ordered[k] - cyv)))
-    chain1, chain2 = [], []
-    k = idx_x
-    while k != idx_y:
-        chain1.append(ordered[k])
-        k = (k + 1) % n
-    chain1.append(ordered[idx_y])
-    k = idx_x
-    while k != idx_y:
-        chain2.append(ordered[k])
-        k = (k - 1) % n
-    chain2.append(ordered[idx_y])
-    # z has positive b2-coordinate by construction; pick the chain there
-    side1 = sum(p[1] for p in chain1)
-    chain = chain1 if side1 > sum(p[1] for p in chain2) else chain2
-    path = [origin + B.T @ p for p in chain]
-    path[0] = x.copy()
-    path[-1] = y.copy()
-    return np.array(path)
+    ix = np.argmin(row_norms(ordered - cx))
+    iy = np.argmin(row_norms(ordered - cyv))
+    forward = (ix + np.arange((iy - ix) % n + 1)) % n
+    backward = (ix - np.arange((ix - iy) % n + 1)) % n
+    # z has positive b2-coordinate by construction; pick the arc there
+    arc = forward if sum(ordered[forward, 1]) > sum(ordered[backward, 1]) else backward
+    path = origin + matvec(B.T, ordered[arc])
+    path[[0, -1]] = x, y
+    return path

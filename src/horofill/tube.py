@@ -904,8 +904,6 @@ def _pole_cap(builder, chart, fiber_chain, fiber_params, spacing):
     absorbed there.  Places the pole and the meridians, and returns the
     pairs of neighbouring meridians for the caller to ladder.
     """
-    if not isinstance(chart, RevolutionChart):
-        raise TubeError("winding caps require a revolution chart")
     pole_idx = builder.add_point(chart.point(0.0, 0.0))
     n = len(fiber_chain) - 1  # fiber_chain[-1] is fiber_chain[0] again
     ends = fiber_params[:n]

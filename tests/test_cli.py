@@ -76,6 +76,32 @@ def test_config_validation_errors(tmp_path, capsys):
     assert cli.main(["run", missing, "--out-dir", str(tmp_path / "o2b")]) == 2
     assert "config error" in capsys.readouterr().err
 
+    # custom traces that only the generator used to reject, each job failing
+    slab = {  # |x_1| - 1 on A1 x A1: the minimum set is an unbounded strip
+        "root_system": {"family": "product", "factors": [1, 1]},
+        "theta": [1.0, 0.0],
+        "pieces": [[1, -1.0], [0, -1.0]],
+    }
+    a4 = cx.build_root_system("A", rank=4)
+    a4_wall = cx.project_to_chamber(a4, a4.coweights[0]).direction
+    a4_trace = {  # the symmetric A4 trace shifted to -1: rank 4
+        "root_system": {"family": "A", "rank": 4},
+        "theta": [float(v) for v in a4_wall],
+        "pieces": [[i, -1.0] for i in range(5)],
+    }
+    for k, (trace, message) in enumerate(
+        [
+            (slab, "custom trace needs a bounded minimum set"),
+            (a4_trace, "custom traces supported in rank 2, or rank 3 with point min set"),
+        ]
+    ):
+        scn = {"name": "x", "generator": "custom-trace", "trace": trace, "lengths": [4]}
+        cfg = write_config(tmp_path / f"c6{k}.json", [scn])
+        out = tmp_path / f"o6{k}"
+        assert cli.main(["run", cfg, "--out-dir", str(out)]) == 2
+        assert f"config error: scenarios[0]: bad trace: {message}" in capsys.readouterr().err
+        assert not (out / "runs.csv").exists()
+
 
 def test_config_bad_theta_certificate(tmp_path, capsys):
     trace = {
@@ -199,16 +225,16 @@ def test_keep_partitions_revalidates(tmp_path):
 
 
 def test_run_contains_job_failures(tmp_path, capsys):
-    # a slab trace passes the config check, but its loop generator raises
-    pp = cx.build_root_system("product", factors=[1, 1])
-    th = cx.project_to_chamber(pp, np.array([1.0, 0.0]))
-    slab = tr.BusemannTrace(
-        pp, th, np.array([[1.0, 0], [-1.0, 0]]), np.array([-1.0, -1.0])
-    )
+    # an A3 tetrahedron trace with unequal offsets passes the config check,
+    # but the chords of its generated loops dip into the horoball, so every
+    # fill raises FillingError
+    a3 = cx.build_root_system("A", rank=3)
+    th = cx.project_to_chamber(a3, a3.coweights[0])
+    skew = tr.BusemannTrace(a3, th, cx.slope_facts(a3, th).orbit, [-0.78, -0.11, -0.19, -1.07])
     broken = {
-        "name": "slab",
+        "name": "skew",
         "generator": "custom-trace",
-        "trace": slab.to_dict(),
+        "trace": skew.to_dict(),
         "lengths": [8, 16],
     }
     cfg = write_config(tmp_path / "c9.json", [broken, small_scenario(trials=2)])
@@ -222,9 +248,9 @@ def test_run_contains_job_failures(tmp_path, capsys):
         assert (out / "mini.svg").exists()
         for l_idx, ell in enumerate([8, 16]):
             seed = cli._row_seed(4, 0, l_idx, 0)
-            assert f"scenario slab length {ell} trial 0 seed {seed}: " in err
+            assert f"scenario skew length {ell} trial 0 seed {seed}: " in err
         assert err.count("job failed") == 2
-        assert "bounded" in err
+        assert "FillingError: resampling the loop chordwise dips into the open horoball" in err
 
 
 def test_fit_command(tmp_path, capsys):

@@ -200,3 +200,92 @@ def test_spherical_distance_against_sampling():
             best = min(best, angle_between(u, p))
         assert d <= best + 1e-9
         assert d >= best - 0.05  # sampling resolution
+
+
+def test_rank_bound_and_messages():
+    assert cx.build_root_system("A", rank=cx.MAX_RANK).order == 720
+    for kwargs in ({"family": "A", "rank": 6}, {"family": "product", "factors": [3, 3]}):
+        with pytest.raises(cx.UnsupportedRootSystem, match=r"rank 6 beyond .* \(rank <= 5\)"):
+            cx.build_root_system(**kwargs)
+
+
+# -- closed forms against the loops they replaced ----------------------------
+
+
+def _wall_margin_loop(rs, beta):
+    """Least cone distance from beta to the chamber's facet cones."""
+    r = rs.rank
+    return min(
+        spherical_distance_to_cone(beta.direction, [rs.coweights[j] for j in range(r) if j != i])
+        for i in range(r)
+    )
+
+
+def _ort_distance_loop(rs, theta, beta):
+    """min over the group of |pi/2 - angle(u_beta, w u_theta)|, one element at a time."""
+    return min(
+        abs(np.pi / 2 - angle_between(beta.direction, w @ theta.direction))
+        for w in rs.weyl_elements
+    )
+
+
+SYSTEMS = [("A", 2, None), ("A", 3, None), ("A", 4, None), ("product", None, [2, 1])]
+
+
+def _chamber_slopes(rs, rng, count):
+    """Random closed-chamber slopes: interior, near a wall, and on walls (zero weights)."""
+    out = []
+    for k in range(count):
+        w = rng.dirichlet(np.ones(rs.rank))
+        if k % 3 == 1:
+            w[rng.integers(rs.rank)] *= 10.0 ** -rng.uniform(2, 9)
+        elif k % 3 == 2:
+            w[rng.random(rs.rank) < 0.5] = 0.0
+            if not w.any():
+                w[0] = 1.0
+        out.append(rs.slope(w @ rs.coweights))
+    return out
+
+
+@pytest.mark.parametrize("family, rank, factors", SYSTEMS)
+def test_wall_margin_matches_cone_distances(family, rank, factors):
+    rs = cx.build_root_system(family, rank=rank, factors=factors)
+    rng = np.random.default_rng(41)
+    for beta in _chamber_slopes(rs, rng, 150):
+        new, old = cx.wall_margin(rs, beta), _wall_margin_loop(rs, beta)
+        assert new >= 0.0
+        assert abs(new - old) <= 2e-8
+        if old > 1e-3:
+            assert abs(new - old) <= 1e-10
+    for k in range(rs.rank):
+        beta = rs.slope(rs.coweights[k])
+        assert cx.wall_margin(rs, beta) == 0.0 == _wall_margin_loop(rs, beta)
+
+
+@pytest.mark.parametrize("family, rank, factors", SYSTEMS)
+def test_ort_distance_matches_group_loop(family, rank, factors):
+    rs = cx.build_root_system(family, rank=rank, factors=factors)
+    rng = np.random.default_rng(43)
+    slopes = _chamber_slopes(rs, rng, 60)
+    for theta, beta in zip(slopes, slopes[::-1]):
+        assert abs(cx.ort_distance(rs, theta, beta) - _ort_distance_loop(rs, theta, beta)) <= 1e-12
+
+
+def _simplex_grid_recursive(dim, n):
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + [remaining])
+            return
+        for k in range(remaining + 1):
+            rec(prefix + [k], remaining - k, slots - 1)
+
+    rec([], n, dim)
+    return np.array(out, dtype=float) / n
+
+
+@pytest.mark.parametrize("dim, n", [(2, 9), (3, 9), (4, 9), (3, 4), (5, 4)])
+def test_simplex_grid_keeps_recursive_order(dim, n):
+    grid = cx._simplex_grid(dim, n)
+    assert grid.tobytes() == _simplex_grid_recursive(dim, n).tobytes()

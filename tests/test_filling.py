@@ -113,6 +113,20 @@ def test_fill_flat_loop_a3_needs_more_pipeline_attempts():
     assert census.total == area
 
 
+@pytest.mark.parametrize(
+    "ell, seed", [(4, 0), (5, 3), (8, 5001024), (12, 5001056), (14, 4086)]
+)
+def test_fill_flat_loop_a3_loops_that_once_missed_the_mesh(ell, seed):
+    """trace-a3 loops whose flat pipeline once ended a few per cent above the mesh."""
+    from horofill import scenarios as sc
+
+    trace, loop = sc.trace_a3_wrap(ell, 1.0, seed)
+    fp, census, info = fl.fill_flat_loop(trace, loop, mesh=1.0)
+    mesh, area = validate_partition(loop, fp)
+    assert mesh <= 1.0
+    assert census.flat_bricks + census.wild_bricks == area
+
+
 def test_fill_flat_loop_census_tags_facet_bricks(a2):
     from horofill import scenarios as sc
 

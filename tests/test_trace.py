@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 
 import numpy as np
@@ -10,7 +11,14 @@ from scipy.optimize import linprog
 from horofill import coxeter as cx
 from horofill import trace as tr
 from horofill import tube as tb
-from horofill.geometry import VPolytope, enumerate_vertices, polyline_length, unit
+from horofill.geometry import (
+    VPolytope,
+    angle_between,
+    dedup_rows,
+    enumerate_vertices,
+    polyline_length,
+    unit,
+)
 
 
 @pytest.fixture(scope="module")
@@ -594,3 +602,114 @@ def test_shared_facts_match_a_fresh_trace(trace):
     assert p.theta is theta and p.distances == q.distances
     assert p.degenerate == q.degenerate
     assert _same_float(p.delta0, q.delta0) and _same_float(p.delta0_prime, q.delta0_prime)
+
+
+# -- corner paths against the loops they replaced ------------------------------
+
+
+def _min_dihedral_angle_loop(trace):
+    """Pair-by-pair minimal unoriented angle, skipping parallel pairs."""
+    best = np.pi
+    for i, j in itertools.combinations(range(len(trace.gradients)), 2):
+        phi = angle_between(trace.gradients[i], trace.gradients[j])
+        if phi < 1e-9 or abs(np.pi - phi) < 1e-9:
+            continue
+        best = min(best, min(phi, np.pi - phi))
+    return best
+
+
+def test_min_dihedral_angle_matches_pair_loop(slab):
+    rng = np.random.default_rng(47)
+    systems = [cx.build_root_system("A", rank=r) for r in (2, 3, 4)]
+    for k in range(300):
+        rs = systems[k % 3]
+        theta = cx.project_to_chamber(rs, rng.normal(size=rs.rank))
+        orbit = cx.slope_facts(rs, theta).orbit
+        size = rng.integers(1, min(len(orbit), 24) + 1)
+        rows = rng.choice(len(orbit), size=size, replace=False)
+        trace = tr.BusemannTrace(rs, theta, orbit[rows], rng.normal(size=len(rows)))
+        assert abs(tr.min_dihedral_angle(trace) - _min_dihedral_angle_loop(trace)) <= 1e-10
+    assert tr.min_dihedral_angle(slab) == np.pi == _min_dihedral_angle_loop(slab)
+
+
+def _face_pair_path_loop(trace, t, x, y):
+    """face_pair_path with the nested facet-pair loop and the two-pass polygon walk."""
+    G = trace.gradients
+    if np.linalg.norm(x - y) <= 1e-12:
+        return np.array([x])
+    vx, vy = G @ x + trace.offsets, G @ y + trace.offsets
+    fx = [i for i in range(len(vx)) if abs(vx[i] - t) <= 1e-6]
+    fy = [i for i in range(len(vy)) if abs(vy[i] - t) <= 1e-6]
+    pair = next(
+        (i, j) for i in fx for j in fy if i != j and abs(np.dot(G[i], G[j])) < 1.0 - 1e-9
+    )
+    G2 = G[list(pair)]
+    z0, *_ = np.linalg.lstsq(G2, t - trace.offsets[list(pair)], rcond=None)
+    null = np.linalg.svd(G2)[2][2:]
+    xa = z0 + null.T @ (null @ (x - z0))
+    ya = z0 + null.T @ (null @ (y - z0))
+    hx, hy = float(np.linalg.norm(x - xa)), float(np.linalg.norm(y - ya))
+    z = 0.5 * (xa + ya) if hx + hy < 1e-12 else xa + (hx / (hx + hy)) * (ya - xa)
+    b1 = unit(y - x)
+    z_perp = (z - x) - np.dot(z - x, b1) * b1
+    if np.linalg.norm(z_perp) < 1e-10:
+        return np.array([x, y])
+    B = np.vstack([b1, unit(z_perp)])
+    pts2 = enumerate_vertices(G @ B.T, (t - trace.offsets) - G @ x)
+    cx0, cy0 = np.zeros(2), np.array([float(np.dot(y - x, b1)), 0.0])
+    allpts = dedup_rows([cx0, cy0] + list(pts2), tol=1e-9)
+    center = np.mean(np.array(allpts), axis=0)
+    ordered = sorted(allpts, key=lambda p: np.arctan2(p[1] - center[1], p[0] - center[0]))
+    n = len(ordered)
+    idx_x = min(range(n), key=lambda k: float(np.linalg.norm(ordered[k] - cx0)))
+    idx_y = min(range(n), key=lambda k: float(np.linalg.norm(ordered[k] - cy0)))
+    chains = []
+    for step in (1, -1):
+        chain, k = [], idx_x
+        while k != idx_y:
+            chain.append(ordered[k])
+            k = (k + step) % n
+        chains.append(chain + [ordered[idx_y]])
+    side1, side2 = (sum(p[1] for p in c) for c in chains)
+    path = [x + B.T @ p for p in (chains[0] if side1 > side2 else chains[1])]
+    path[0], path[-1] = x.copy(), y.copy()
+    return np.array(path)
+
+
+def _random_realizable_trace(rng, rs, theta):
+    """Translated and scaled copies of the symmetric horoball trace (criteria 4 and 5)."""
+    base = tr.symmetric_trace(rs, theta).shifted(-rng.uniform(0.5, 2.0))
+    return base.translated(rng.normal(size=rs.rank) * 3.0).scaled(rng.uniform(0.5, 2.0))
+
+
+def _facet_point(rng, trace, poly, i):
+    """A random convex combination of the polytope's vertices on facet i, if any."""
+    G, c = trace.gradients, trace.offsets
+    tight = [v for v in poly.vertices if abs(np.dot(G[i], v) + c[i]) <= 1e-7]
+    return rng.dirichlet(np.ones(len(tight))) @ np.array(tight) if tight else None
+
+
+def test_face_pair_path_matches_two_pass_walk(a2, a3):
+    """Byte-equal polylines on corner instances drawn as acceptance criterion 5 draws them."""
+    systems = [
+        (a2, cx.project_to_chamber(a2, a2.coweights[0])),
+        (a2, cx.project_to_chamber(a2, a2.coweights.sum(axis=0))),
+        (a3, cx.project_to_chamber(a3, a3.coweights[0])),
+    ]
+    rng = np.random.default_rng(53)
+    checked = 0
+    while checked < 1000:
+        rs, theta = systems[checked % 3]
+        trace = _random_realizable_trace(rng, rs, theta)
+        poly = tr.horoball_polytope(trace, 0.0)
+        i, j = rng.choice(len(trace.gradients), size=2, replace=False)
+        if abs(np.dot(trace.gradients[i], trace.gradients[j])) >= 1.0 - 1e-9:
+            continue
+        x = _facet_point(rng, trace, poly, i)
+        y = _facet_point(rng, trace, poly, j)
+        if x is None or y is None or np.linalg.norm(x - y) < 1e-6:
+            continue
+        path = tr.face_pair_path(trace, 0.0, x, y)
+        want = _face_pair_path_loop(trace, 0.0, x, y)
+        assert path.shape == want.shape and path.tobytes() == want.tobytes()
+        checked += 1

@@ -489,6 +489,22 @@ def test_fill_planar_degree_error():
         tb.fill_tube_loop(p2, 1.0, Loop(circle), 1.0)
 
 
+@pytest.mark.parametrize(
+    "corners",
+    [
+        [[0.0, 0, 0], [2.0, 0, 0], [0.5, 1.5, 0]],  # triangle
+        [[0.0, 0, 0], [2.0, 0, 0], [2.5, 1.0, 0], [0.0, 1.5, 0]],  # not a rectangle
+    ],
+)
+def test_fill_rejects_cores_without_exact_chart(corners):
+    P = tb.VPolytope(corners)
+    center = np.mean(corners, axis=0)
+    t = np.linspace(0, 2 * np.pi, 32, endpoint=False)
+    loop = Loop(center + np.stack([0.2 * np.cos(t), 0.2 * np.sin(t), np.ones_like(t)], axis=1))
+    with pytest.raises(tb.TubeError, match="no exact chart"):
+        tb.fill_tube_loop(P, 1.0, loop, 1.0)
+
+
 def test_fill_planar_degree_zero_ok():
     p2 = tb.point_polytope(np.zeros(2))
     t = np.linspace(0, 1, 256, endpoint=False)
