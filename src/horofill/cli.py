@@ -21,6 +21,7 @@ from . import meshes as ms
 from . import scenarios as sc
 from . import trace as tr
 from . import tube as tb
+from .geometry import BOOTSTRAP_TOL
 
 SVG_WIDTH, SVG_HEIGHT = 480, 360
 
@@ -347,7 +348,7 @@ def build_parser():
 
     bsp = sub.add_parser("bootstrap", help="exponent-improvement iteration")
     bsp.add_argument("--eps0", type=float, default=1.0)
-    bsp.add_argument("--tol", type=float, default=1e-6)
+    bsp.add_argument("--tol", type=float, default=BOOTSTRAP_TOL)
     bsp.set_defaults(func=bootstrap_command)
     return p
 

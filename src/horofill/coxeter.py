@@ -6,8 +6,8 @@ is generated by reflection matrices, and the closed fundamental chamber
 is the cone spanned by the dual (coweight) basis.  Slopes are unit
 directions in that closed chamber.  Each root system keeps what depends
 on a slope alone (the Weyl orbit of its opposition image, its wall-gap
-profile, and per gradient set the orbit indices and Gordan outcome of
-the traces on it) in one memo of plain data, so each is computed once.
+profile, and per gradient set the orbit indices and boundedness of the
+traces on it) in one memo of plain data, so each is computed once.
 """
 
 import itertools
@@ -22,7 +22,8 @@ from .geometry import (
     HV_TOL,
     dedup_rows,
     matvec,
-    spherical_distance_to_cone,
+    project_to_polytope,
+    row_norms,
     unit,
 )
 
@@ -232,8 +233,8 @@ class SlopeFacts:
     (k, rank) array in ``weyl_orbit`` order.  ``profile`` (the
     ``delta_zero`` data) is filled in on first use.  ``pieces`` maps the
     bytes of a trace's gradient array to ``[indices, gordan]``: the
-    validated orbit indices of its rows, and the trace module's
-    (bounded_below, sublevels_bounded) tuple once it is computed.
+    validated orbit indices of its rows, and the (bounded_below,
+    sublevels_bounded) tuple read off their hull, once it is computed.
     """
 
     orbit: np.ndarray
@@ -266,23 +267,26 @@ def ort_distance(rs, theta, beta):
 # -- wall distances and the gap around pi/2 --------------------------------
 
 
-def _chamber_faces(rs):
-    """Proper faces of the fundamental chamber as coweight generator lists."""
-    r = rs.rank
-    faces = []
-    for mask in range(1, 2**r - 1):
-        gens = [rs.coweights[j] for j in range(r) if not (mask >> j) & 1]
-        faces.append(gens)
-    return faces
-
-
 def wall_distances(rs, theta):
-    """The finite set D(theta): distances from orbit points to all walls."""
-    faces = _chamber_faces(rs)
+    """The finite set D(theta): distances from orbit points to all walls.
+
+    A proper chamber face J, the cone of the coweights w_j (j in J), is
+    {x in span(w_J) : alpha_j . x >= 0}; the orbit points go onto it in
+    one call of the exact projection.  A nonzero foot y lies at the angle
+    atan2(|p - y|, |y|) from p; a zero foot puts p in the polar cone,
+    nearest the ray g with the largest p . g, at 2 atan2(|p - g|, |p + g|).
+    """
+    P = np.array(weyl_orbit(rs, theta.direction))
+    rays = rs.coweights / row_norms(rs.coweights)[:, None]
     raw = []
-    for p in weyl_orbit(rs, theta.direction):
-        for gens in faces:
-            raw.append(spherical_distance_to_cone(p, gens))
+    for size in range(1, rs.rank):
+        for J in map(list, itertools.combinations(range(rs.rank), size)):
+            B = np.linalg.qr(rs.coweights[J].T)[0].T
+            Y = matvec(B.T, project_to_polytope(-rs.simple_roots[J] @ B.T, np.zeros(size), P @ B.T))
+            feet = row_norms(Y)
+            g = rays[J][np.argmax(P @ rays[J].T, axis=1)]
+            polar = 2.0 * np.arctan2(row_norms(P - g), row_norms(P + g))
+            raw += np.where(feet > DECISION_TOL, np.arctan2(row_norms(P - Y), feet), polar).tolist()
     raw.sort()
     dists = []
     for d in raw:

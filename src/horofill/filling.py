@@ -13,13 +13,12 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix, hstack
 
-from .geometry import DECISION_TOL, SURFACE_TOL, straight_segments
+from .geometry import DECISION_TOL, LOG_FLOOR, SURFACE_TOL, straight_segments
 from .partitions import (
     BrickCensus,
     DiskBuilder,
     FillingPartition,
     Loop,
-    compute_mesh,
     edge_keys,
     empty_partition,
     fill_to_mesh,
@@ -269,10 +268,9 @@ def refine_partition(fp, lam, allow_wild=False):
             f"partition has {fp.census.wild_bricks} wild bricks; refinement "
             "needs flat bricks (pass allow_wild to subdivide anyway)"
         )
-    mesh = fp.mesh if fp.mesh is not None else compute_mesh(fp.points, fp.triangles)
-    if mesh <= lam or fp.area == 0:
+    if fp.mesh <= lam:
         return fp
-    levels = int(np.ceil(np.log2(mesh / lam)))
+    levels = int(np.ceil(np.log2(fp.mesh / lam)))
     points, tris = fp.points, fp.triangles
     boundary = np.asarray(fp.boundary, dtype=int)
     for _ in range(levels):
@@ -323,7 +321,7 @@ def dehn_exponent(lengths, areas):
     if np.allclose(mins, mins[0]):
         return ExponentFit(
             0.0,
-            float(np.log(max(mins[0], 1e-300))),
+            float(np.log(max(mins[0], LOG_FLOOR))),
             0.0,
             np.zeros(len(mins)),
             lengths,

@@ -1,4 +1,4 @@
-"""Shared Euclidean plumbing: spans, polytopes, cone distances, projection.
+"""Shared Euclidean plumbing: spans, polytopes, projection.
 
 Tolerance policy (documented once, used everywhere):
 
@@ -9,6 +9,8 @@ Tolerance policy (documented once, used everywhere):
 ``LENGTH_FLOOR``          1e-15  zero-length guard on a length or a change of slack
 ``SQUARED_LENGTH_FLOOR``  1e-18  zero-length guard on a squared length
 ``CHORD_TOL``             1e-10  a corner on the chord of a level-polygon walk
+``LOG_FLOOR``             1e-300 positive floor under a logarithm's argument
+``BOOTSTRAP_TOL``         1e-6   default stopping excess of ``horofill bootstrap``
 """
 
 import itertools
@@ -23,6 +25,8 @@ HV_TOL = 1e-7
 LENGTH_FLOOR = 1e-15
 SQUARED_LENGTH_FLOOR = 1e-18
 CHORD_TOL = 1e-10
+LOG_FLOOR = 1e-300
+BOOTSTRAP_TOL = 1e-6
 
 MAX_PIECES_FOR_PROJECTION = 40
 VERTEX_BLOCK = 1 << 14  # n-subsets per batched solve; bounds memory on large systems
@@ -153,35 +157,6 @@ def project_affine(x, origin, basis):
         out[...] = origin
         return out
     return origin + matvec(basis.T, matvec(basis, x - origin))
-
-
-def spherical_distance_to_cone(u, generators):
-    """Spherical distance from unit u to (cone of generators) cap sphere.
-
-    Generic case: Euclidean projection onto the cone followed by
-    normalization.  When that projection vanishes the nearest section
-    point lies on a face, so the maximal cosine is enumerated over the
-    extreme rays and over face projections that land inside their face
-    (the KKT stationary points); u exactly antipodal to the whole cone
-    yields pi.
-    """
-    u = unit(u)
-    gens = [unit(g) for g in generators]
-    best_cos = -1.0
-    for g in gens:
-        best_cos = max(best_cos, float(np.dot(u, g)))
-    m = len(gens)
-    for size in range(1, m + 1):
-        for subset in itertools.combinations(range(m), size):
-            G = np.array([gens[i] for i in subset]).T
-            coef, *_ = np.linalg.lstsq(G, u, rcond=None)
-            if np.any(coef < -DECISION_TOL):
-                continue
-            p = G @ coef
-            n = np.linalg.norm(p)
-            if n > DECISION_TOL:
-                best_cos = max(best_cos, float(np.dot(u, p / n)))
-    return float(np.arccos(np.clip(best_cos, -1.0, 1.0)))
 
 
 def enumerate_vertices(normals, bounds, tol=HV_TOL):
@@ -350,10 +325,10 @@ class VPolytope:
 
     The facets are the rows of ``normals @ c <= bounds`` in span
     coordinates ``c = to_span(x)``, with outward unit normals.
-    ``VPolytope(vertices)`` is the hull of a point set, with facets from
-    qhull in its span; ``VPolytope.from_halfspaces`` is the solution set
-    of a halfspace system.  ``nearest_point`` runs the one exact
-    projection, ``project_to_polytope``, in span coordinates.
+    ``VPolytope(vertices)`` is the hull of a point set, its vertices and
+    facets from one qhull call; ``VPolytope.from_halfspaces`` is the
+    solution set of a halfspace system.  ``nearest_point`` runs the one
+    exact projection, ``project_to_polytope``, in span coordinates.
     """
 
     is_empty = False
@@ -367,21 +342,17 @@ class VPolytope:
         coords = (pts - self.origin) @ self.basis.T
         if self.dim == 0:
             keep = [0]
-        elif self.dim == 1:
-            keep = [int(np.argmin(coords[:, 0])), int(np.argmax(coords[:, 0]))]
-        else:
-            keep = ConvexHull(coords).vertices
-        self.vertices = pts[keep]
-        span_coords = (self.vertices - self.origin) @ self.basis.T
-        if self.dim == 0:
             self.normals, self.bounds = np.zeros((0, 0)), np.zeros(0)
         elif self.dim == 1:
-            lo, hi = np.min(span_coords[:, 0]), np.max(span_coords[:, 0])
-            self.normals, self.bounds = np.array([[-1.0], [1.0]]), np.array([-lo, hi])
+            keep = [int(np.argmin(coords[:, 0])), int(np.argmax(coords[:, 0]))]
+            self.normals = np.array([[-1.0], [1.0]])
+            self.bounds = np.array([-coords[keep[0], 0], coords[keep[1], 0]])
         else:
-            eq = ConvexHull(span_coords).equations
-            self.normals = np.ascontiguousarray(eq[:, :-1])
-            self.bounds = -eq[:, -1]
+            hull = ConvexHull(coords)
+            keep = hull.vertices
+            self.normals = np.ascontiguousarray(hull.equations[:, :-1])
+            self.bounds = -hull.equations[:, -1]
+        self.vertices = pts[keep]
 
     @classmethod
     def from_halfspaces(cls, normals, bounds, vertices, is_empty, is_bounded):

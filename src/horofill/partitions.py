@@ -6,7 +6,7 @@ of a brick is its placed perimeter, the mesh is the maximal brick
 length, and the area is the brick count.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -85,15 +85,14 @@ class FillingPartition:
     points: np.ndarray
     triangles: np.ndarray
     boundary: list
-    mesh: float = None
+    mesh: float = field(init=False)
     census: BrickCensus = None
     boundary_anchor: list = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
         self.triangles = np.asarray(self.triangles, dtype=int).reshape(-1, 3)
-        if self.mesh is None and len(self.triangles):
-            self.mesh = compute_mesh(self.points, self.triangles)
+        self.mesh = compute_mesh(self.points, self.triangles)
 
     @property
     def area(self):
@@ -474,6 +473,4 @@ def empty_partition(loop):
     """The area-zero filling of a constant loop."""
     if not loop.is_constant:
         raise PartitionError("only constant loops admit an empty filling")
-    return FillingPartition(
-        loop.vertices[:1].copy(), np.zeros((0, 3), dtype=int), [], mesh=0.0
-    )
+    return FillingPartition(loop.vertices[:1].copy(), np.zeros((0, 3), dtype=int), [])

@@ -135,6 +135,23 @@ def trace_a2_serpentine(ell, mesh, seed):
     return trace, _level_serpentine(tr.horoball_polytope(trace, 0.0), ell, mesh, rng)
 
 
+def _refined_pullback(pulled, t, max_edge):
+    """pulled(t), with a parameter midpoint on each closed-loop edge above max_edge(points).
+
+    The sandwich-sphere pullback stretches unevenly near level-surface corners; up to 10 rounds.
+    """
+    pts = pulled(t)
+    for _ in range(10):
+        edges = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+        bad = edges > max_edge(pts)
+        if not np.any(bad):
+            break
+        mids = ((t + np.concatenate([t[1:], [1.0]])) / 2.0)[bad]
+        t = np.sort(np.concatenate([t, mids]))
+        pts = pulled(t)
+    return pts
+
+
 def trace_a3_wrap(ell, mesh, seed):
     """Wrapped loop on the level tetrahedron of a scaled A3 trace.
 
@@ -163,22 +180,10 @@ def trace_a3_wrap(ell, mesh, seed):
         phi = 2 * np.pi * k * tvals
         return proj.inverse_batch(core_pt + m * _sphere(psi, phi))
 
-    # the fiber pullback stretches unevenly near the tetra corners, so
-    # refine the parameter grid until every pulled edge is short enough,
-    # leaving headroom for the final length rescale
+    # leave headroom for the final length rescale
     t = _loop_params(ell, mesh, WRAP_SAFETY)
-    pts = pulled(t)
-    scale = 1.0
-    for _ in range(10):
-        scale = ell / Loop(pts).length
-        max_edge = mesh / (3.15 * max(scale, 1.0))
-        edges = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-        bad = edges > max_edge
-        if not np.any(bad):
-            break
-        mids = ((t + np.concatenate([t[1:], [1.0]])) / 2.0)[bad]
-        t = np.sort(np.concatenate([t, mids]))
-        pts = pulled(t)
+    pts = _refined_pullback(pulled, t, lambda p: mesh / (3.15 * max(ell / Loop(p).length, 1.0)))
+    scale = ell / Loop(pts).length
     if abs(scale - 1.0) > 0.1:
         return trace.scaled(scale), Loop(pts * scale)
     return trace, Loop(pts)
@@ -216,11 +221,15 @@ def custom_trace_loop(trace, ell, mesh, seed):
     m = -ms.min_value
     proj = tb.sandwich_project(hb, ms.polytope, m)
     amp = min(ell / (4.0 * m), 8.0) * 0.9
+    phase = rng.uniform(0, 2 * np.pi)
+
+    def pulled(tvals):
+        phi = amp * np.sin(2 * np.pi * tvals)
+        psi = np.pi / 2 + 0.25 * np.cos(2 * np.pi * tvals + phase)
+        return proj.inverse_batch(ms.polytope.vertices[0] + m * _sphere(psi, phi))
+
     t = _loop_params(ell, mesh, SERPENTINE_SAFETY)
-    phi = amp * np.sin(2 * np.pi * t)
-    psi = np.pi / 2 + 0.25 * np.cos(2 * np.pi * t + rng.uniform(0, 2 * np.pi))
-    sphere = ms.polytope.vertices[0] + m * _sphere(psi, phi)
-    return trace, Loop(proj.inverse_batch(sphere))
+    return trace, Loop(_refined_pullback(pulled, t, lambda p: mesh / 3.15))
 
 
 GENERATORS = {

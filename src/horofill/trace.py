@@ -6,19 +6,17 @@ Sublevel sets model the horoball trace on the apartment; the argmin
 polytope models the minimum set; level projection and the corner path
 construction live here.
 
-A trace's piece indices and the emptiness and boundedness of its
-sublevel sets depend on the gradients alone.  The constructor keeps the
-indices in the root system's slope memo, keyed by the gradient bytes,
-and the Gordan LP outcome goes under the same key on first use, so every
-trace with byte-equal gradients on a slope (its translated, scaled and
-shifted copies, the slope's symmetric traces) validates and solves that
-LP once.  The minimum value depends on the offsets: one epigraph LP,
-cached on the trace.  A bounded sublevel polytope decides its own
-emptiness from its vertices and solves no LP; only ``min_set``,
+A trace's piece indices and boundedness (of the envelope and of its
+sublevel sets, read off the hull of the gradients) depend on the
+gradients alone.  Both go in the root system's slope memo, keyed by the
+gradient bytes, so every trace with byte-equal gradients on a slope (its
+translated, scaled and shifted copies, the slope's symmetric traces)
+validates and builds that hull once.  The minimum value depends on the
+offsets: one epigraph LP, cached on the trace.  A bounded sublevel
+polytope decides its own emptiness from its vertices; only ``min_set``,
 ``level_project``, unbounded systems and cuts within HV_TOL of the
-minimum read the minimum value.  So a derived trace solves at most one
-LP however many sublevel polytopes it builds, and none if it is only
-cut into bounded ones away from its minimum.
+minimum read the minimum value.  So a trace solves at most one LP, and
+none if it is only cut into bounded sublevel sets away from its minimum.
 """
 
 from dataclasses import dataclass
@@ -72,7 +70,7 @@ class BusemannTrace:
         self.piece_orbit_indices = pieces[0]
         self.gradients = G
         self.offsets = c
-        self._pieces = pieces  # [indices, Gordan outcome], shared per gradient set
+        self._pieces = pieces  # [indices, _gordan outcome], shared per gradient set
         self._min_cache = None
 
     # -- evaluation -------------------------------------------------------
@@ -150,7 +148,7 @@ def symmetric_trace(rs, theta, level=0.0):
 def horoball_polytope(trace, t):
     """Sublevel set {value <= t} as a polytope, from the cached trace facts.
 
-    A bounded sublevel set (the cached Gordan outcome says so) is decided
+    A bounded sublevel set (the cached ``_gordan`` outcome says so) is decided
     empty or not by its own vertices, with no LP: no vertex means empty,
     and a vertex centroid inside every halfspace by HV_TOL*max(1, |t|)
     means nonempty.  Cuts within that margin of the minimum (among them
@@ -190,9 +188,8 @@ def min_set(trace):
 def _envelope_minimum(trace):
     """The min-set result without its polytope, cached on the trace.
 
-    Boundedness below and of the sublevel sets come from the Gordan LP
-    (``_gordan_outcome``).  The epigraph LP gives the minimum value; it
-    is the one LP a translated, scaled or shifted copy solves, and only
+    Boundedness comes from the gradient hull (``_gordan_outcome``); the
+    epigraph LP, the one LP a trace solves, gives the minimum value.
     ``min_set``, ``level_project`` and the sublevel sets that
     ``horoball_polytope`` cannot decide from their vertices (unbounded
     ones, and bounded ones within HV_TOL of the minimum) ask for it.
@@ -228,26 +225,14 @@ def _gordan_outcome(trace):
 def _gordan(G):
     """(bounded_below, sublevels_bounded) of any envelope with gradients G.
 
-    The Gordan LP, max s over sum lam_i g_i = 0, sum lam_i = 1,
-    lam_i >= s >= 0, is feasible iff the envelope is bounded below.
-    Every sublevel set has the recession cone {d : G d <= 0}, which
-    is {0} iff the g_i positively span: s* > 0 and G has full rank.
+    By Gordan's alternative the envelope is bounded below iff 0 lies in
+    the hull H of the gradients; its sublevel sets, whose recession cone
+    is {d : G d <= 0}, are bounded iff 0 is inside H by more than DECISION_TOL.
     """
-    m, r = G.shape
-    # variables (lam_1..lam_m, s)
-    gordan = linprog(
-        np.concatenate([np.zeros(m), [-1.0]]),
-        A_ub=np.hstack([-np.eye(m), np.ones((m, 1))]),
-        b_ub=np.zeros(m),
-        A_eq=np.hstack([np.vstack([G.T, np.ones(m)]), np.zeros((r + 1, 1))]),
-        b_eq=np.concatenate([np.zeros(r), [1.0]]),
-        bounds=[(0, None)] * (m + 1),
-        method="highs",
-    )
-    if gordan.status != 0:
-        return False, False
-    spanning = np.linalg.matrix_rank(G, tol=DECISION_TOL) == r
-    return True, bool(spanning and -gordan.fun > DECISION_TOL)
+    H = VPolytope(G)
+    origin = np.zeros(G.shape[1])
+    slack = H.bounds - H.normals @ H.to_span(origin)
+    return H.contains(origin), bool(H.codim == 0 and np.all(slack > DECISION_TOL))
 
 
 # -- level projection ---------------------------------------------------------

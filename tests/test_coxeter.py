@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from horofill import coxeter as cx
-from horofill.geometry import angle_between, spherical_distance_to_cone, unit
+from horofill.geometry import DECISION_TOL, angle_between, unit
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +189,32 @@ def test_descriptor_roundtrip(a3, a1a1):
         assert np.allclose(rs2.simple_roots, rs.simple_roots)
 
 
+def spherical_distance_to_cone(u, generators):
+    """Spherical distance from unit u to (cone of generators) cap sphere.
+
+    The reference for the closed forms and the one projection: the
+    largest cosine over the extreme rays and over every face projection
+    (one lstsq per generator subset) that lands inside its face.
+    """
+    u = unit(u)
+    gens = [unit(g) for g in generators]
+    best_cos = -1.0
+    for g in gens:
+        best_cos = max(best_cos, float(np.dot(u, g)))
+    m = len(gens)
+    for size in range(1, m + 1):
+        for subset in itertools.combinations(range(m), size):
+            G = np.array([gens[i] for i in subset]).T
+            coef, *_ = np.linalg.lstsq(G, u, rcond=None)
+            if np.any(coef < -DECISION_TOL):
+                continue
+            p = G @ coef
+            n = np.linalg.norm(p)
+            if n > DECISION_TOL:
+                best_cos = max(best_cos, float(np.dot(u, p / n)))
+    return float(np.arccos(np.clip(best_cos, -1.0, 1.0)))
+
+
 def test_spherical_distance_against_sampling():
     """Cone distances agree with dense sampling of the spherical section."""
     rng = np.random.default_rng(23)
@@ -219,6 +247,21 @@ def _wall_margin_loop(rs, beta):
         spherical_distance_to_cone(beta.direction, [rs.coweights[j] for j in range(r) if j != i])
         for i in range(r)
     )
+
+
+def _wall_distances_loop(rs, theta):
+    """D(theta) from one cone distance per orbit point and proper chamber face."""
+    r = rs.rank
+    raw = sorted(
+        spherical_distance_to_cone(p, [rs.coweights[j] for j in range(r) if not (mask >> j) & 1])
+        for p in cx.weyl_orbit(rs, theta.direction)
+        for mask in range(1, 2**r - 1)
+    )
+    dists = []
+    for d in raw:
+        if not dists or d - dists[-1] > DECISION_TOL:
+            dists.append(d)
+    return dists
 
 
 def _ort_distance_loop(rs, theta, beta):
@@ -289,3 +332,40 @@ def _simplex_grid_recursive(dim, n):
 def test_simplex_grid_keeps_recursive_order(dim, n):
     grid = cx._simplex_grid(dim, n)
     assert grid.tobytes() == _simplex_grid_recursive(dim, n).tobytes()
+
+
+WALL_SYSTEMS = [
+    ("A", 2, None),
+    ("A", 3, None),
+    ("A", 4, None),
+    ("product", None, [1, 1]),
+    ("product", None, [1, 2]),
+    ("product", None, [2, 2]),
+    ("product", None, [1, 1, 1]),
+    ("product", None, [1, 3]),
+]
+
+
+@pytest.mark.parametrize("family, rank, factors", WALL_SYSTEMS)
+def test_wall_distances_match_cone_distances(family, rank, factors, monkeypatch):
+    rs = cx.build_root_system(family, rank=rank, factors=factors)
+    rng = np.random.default_rng(47)
+    slopes = [rs.slope(w) for w in rs.coweights] + [rs.slope(rs.coweights.sum(axis=0))]
+    slopes += [rs.slope(rng.dirichlet(np.ones(rs.rank)) @ rs.coweights) for _ in range(10)]
+    for theta in slopes:
+        new, old = cx.wall_distances(rs, theta), _wall_distances_loop(rs, theta)
+        assert len(new) == len(old)
+        assert np.max(np.abs(np.subtract(new, old))) <= 1e-12
+        prof = cx.delta_zero(rs, theta)
+        with monkeypatch.context() as m:
+            m.setattr(cx, "wall_distances", lambda rs, theta: old)
+            ref = cx._ort_profile(rs, theta)
+        assert prof.degenerate == ref.degenerate
+        np.testing.assert_allclose(
+            [prof.delta0, prof.delta0_prime], [ref.delta0, ref.delta0_prime], rtol=0, atol=1e-12
+        )
+    if family == "A":
+        for w in rs.coweights:
+            dists = cx.wall_distances(rs, rs.slope(w))
+            assert dists[0] <= 1e-14
+            assert abs(dists[-1] - np.pi) <= 1e-14

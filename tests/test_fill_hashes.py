@@ -1,9 +1,9 @@
-"""Bit-for-bit pins of a few cheap fills.
+"""Bit-for-bit pins of the fills that ``tools/fill_hashes.py`` hashes.
 
-The digests are those that ``tools/fill_hashes.py`` prints for these
-fills (whose last line is ``all: 68e3e96b4f267ef6``).  A change that
-moves any point, triangle, boundary index or anchor of these disks fails
-here, without a manual run of the tool.
+The per-fill digests are those the tool prints for a few cheap fills,
+and the whole digest is its last line, ``all: 68e3e96b4f267ef6``.  A
+change that moves any point, triangle, boundary index or anchor of these
+disks fails here, without a manual run of the tool.
 """
 
 import importlib.util
@@ -39,3 +39,7 @@ def test_fill_digest_is_pinned(fill_hashes, gen, area, want):
 def test_cone_fill_digest_is_pinned(fill_hashes):
     fp = fill_hashes.ellipse_cone_fill()
     assert (fp.area, fill_hashes.fill_digest(fp)) == (1972, "3f60f459a491b39b")
+
+
+def test_all_fill_digests_are_pinned(fill_hashes):
+    assert list(fill_hashes.digest_lines())[-1] == "all: 68e3e96b4f267ef6"

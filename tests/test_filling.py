@@ -127,6 +127,29 @@ def test_fill_flat_loop_a3_loops_that_once_missed_the_mesh(ell, seed):
     assert census.flat_bricks + census.wild_bricks == area
 
 
+@pytest.mark.parametrize(
+    "offsets",
+    [
+        # draws 19, 28 and 39 of -1 + U(-0.9, 0.9, 4) with default_rng(0)
+        [-0.78361578637232, -0.10882629057641668, -0.19190138511202248, -1.071918749243627],
+        [-0.6054044089118674, -1.8712148868575704, -0.5356881957584295, -0.9770342981282595],
+        [-0.20115743150423648, -1.671729215929754, -0.34339906827860667, -1.7929645271193908],
+    ],
+)
+def test_fill_flat_loop_custom_a3_loops_with_refined_edges(offsets):
+    """Custom A3 wall-slope loops whose unrefined pullback dipped into the horoball."""
+    from horofill import scenarios as sc
+
+    a3 = cx.build_root_system("A", rank=3)
+    theta = cx.project_to_chamber(a3, a3.coweights[0])
+    trace = tr.BusemannTrace(a3, theta, cx.slope_facts(a3, theta).orbit, offsets)
+    trace, loop = sc.custom_trace_loop(trace, 8, 1.0, 0)
+    fp, census, info = fl.fill_flat_loop(trace, loop, mesh=1.0)
+    mesh, area = validate_partition(loop, fp)
+    assert mesh <= 1.0
+    assert census.total == area
+
+
 def test_fill_flat_loop_census_tags_facet_bricks(a2):
     from horofill import scenarios as sc
 

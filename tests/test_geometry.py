@@ -64,6 +64,24 @@ def test_vpolytope_inside_is_fixed():
     assert not sq.contains([0.5, 0.5, 0.2])
 
 
+def test_vpolytope_takes_vertices_and_facets_from_one_hull(monkeypatch):
+    calls = []
+
+    def counting(points):
+        calls.append(1)
+        return hull(points)
+
+    hull = geo.ConvexHull
+    monkeypatch.setattr(geo, "ConvexHull", counting)
+    corners = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
+    cube = VPolytope(np.vstack([corners, [[0.5, 0.5, 0.5], [0.2, 0.7, 0.4]]]))
+    assert len(calls) == 1
+    assert sorted(map(tuple, cube.vertices)) == sorted(map(tuple, corners))
+    slack = cube.bounds[:, None] - cube.normals @ cube.to_span(cube.vertices).T
+    assert (slack >= -1e-12).all() and (np.abs(slack) <= 1e-12).sum(axis=1).min() >= 3
+    assert cube.contains([0.5, 0.5, 0.5]) and not cube.contains([1.5, 0.5, 0.5])
+
+
 def test_nearest_point_idempotent_and_lipschitz():
     rng = np.random.default_rng(0)
     sq = VPolytope([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])

@@ -300,6 +300,13 @@ def test_serialization_roundtrip(tmp_path):
     assert back.boundary_anchor == [0, 1, 2, 3]
 
 
+def test_empty_partition_mesh_is_zero():
+    fp = empty_partition(Loop(np.zeros((3, 2))))
+    back = FillingPartition.from_dict(fp.to_dict())
+    assert fp.mesh == back.mesh == 0.0
+    assert refine_partition(back, 0.5) is back
+
+
 # -- properties of the array path ------------------------------------------------
 
 

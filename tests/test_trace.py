@@ -149,79 +149,70 @@ def test_min_set_cases(a1a1, slab, tri):
     assert np.allclose(res3.polytope.vertices[0], 0.0, atol=1e-7)
 
 
-def test_fresh_trace_solves_two_lps(a3, monkeypatch):
-    """min_set and any number of sublevel polytopes share the two cached LPs."""
+def counting_calls(monkeypatch, name):
+    """Count the calls of the trace module's ``name``, which still runs."""
     calls = []
+    original = getattr(tr, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return linprog(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(tr, "linprog", counting)
+    monkeypatch.setattr(tr, name, counting)
+    return calls
+
+
+def test_fresh_trace_solves_one_lp(a3, monkeypatch):
+    """min_set and any number of sublevel polytopes share the one cached LP."""
+    calls = counting_calls(monkeypatch, "linprog")
     theta = cx.project_to_chamber(a3, unit(a3.coweights.sum(axis=0)))
     trace = tr.symmetric_trace(a3, theta).shifted(-1.0).translated([0.3, -0.2, 0.5])
     assert tr.min_set(trace).polytope.is_bounded
     assert tr.horoball_polytope(trace, -2.0).is_empty
     assert tr.horoball_polytope(trace, 0.0).is_bounded
     assert tr.horoball_polytope(trace, 1.0).is_bounded
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_seen_slope_derived_traces_solve_one_lp(monkeypatch):
     """Once a slope's pieces are decided, each derived trace solves its epigraph LP only."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(tr, "linprog", counting)
+    calls = counting_calls(monkeypatch, "linprog")
+    hulls = counting_calls(monkeypatch, "_gordan")
     rs = cx.build_root_system("A", rank=3)  # an empty slope memo
     theta = cx.project_to_chamber(rs, unit(rs.coweights.sum(axis=0)))
     assert tr.min_set(tr.symmetric_trace(rs, theta).shifted(-1.0)).polytope.is_bounded
-    assert len(calls) == 2
+    assert (len(calls), len(hulls)) == (1, 1)
     second = tr.symmetric_trace(rs, theta)
     for trace in (second, second.translated([0.3, -0.2, 0.5]), second.scaled(1.7)):
         calls.clear()
         assert tr.min_set(trace).polytope.is_bounded
         assert tr.horoball_polytope(trace, 1.0).is_bounded
         assert len(calls) == 1
+    assert len(hulls) == 1
 
 
-def test_independent_traces_on_equal_gradients_share_the_gordan_lp(monkeypatch):
-    """A second trace built from a copy of the gradients solves its epigraph LP only."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(tr, "linprog", counting)
+def test_independent_traces_on_equal_gradients_share_the_gradient_hull(monkeypatch):
+    """A second trace built from a copy of the gradients builds no second hull."""
+    calls = counting_calls(monkeypatch, "linprog")
+    hulls = counting_calls(monkeypatch, "_gordan")
     rs = cx.build_root_system("A", rank=3)  # an empty slope memo
     theta = cx.project_to_chamber(rs, unit(rs.coweights.sum(axis=0)))
     G = np.array(tr.symmetric_trace(rs, theta).gradients)
     first = tr.BusemannTrace(rs, theta, G.copy(), np.full(len(G), -1.0))
     assert tr.min_set(first).polytope.is_bounded
-    assert len(calls) == 2
-    calls.clear()
+    assert (len(calls), len(hulls)) == (1, 1)
     second = tr.BusemannTrace(rs, theta, G.copy(), np.linspace(-1.0, 0.0, len(G)))
     assert tr.min_set(second).polytope.is_bounded
-    assert len(calls) == 1
+    assert (len(calls), len(hulls)) == (2, 1)
 
 
 def test_bounded_sublevel_polytopes_solve_no_lp(monkeypatch):
     """A derived trace cut into bounded sublevel sets solves no LP until min_set."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(tr, "linprog", counting)
+    calls = counting_calls(monkeypatch, "linprog")
     rs = cx.build_root_system("A", rank=3)  # an empty slope memo
     theta = cx.project_to_chamber(rs, unit(rs.coweights.sum(axis=0)))
     base = tr.symmetric_trace(rs, theta).shifted(-1.0)
-    assert tr.min_set(base).polytope.is_bounded  # caches the Gordan outcome
+    assert tr.min_set(base).polytope.is_bounded  # caches the _gordan outcome
     trace = base.translated([0.3, -0.2, 0.5]).scaled(1.7)
     calls.clear()
     assert tr.horoball_polytope(trace, 0.0).is_bounded

@@ -61,16 +61,22 @@ def fills():
     yield "refine_partition", fl.refine_partition(cone, cone.mesh / 3)
 
 
-def main():
+def digest_lines():
+    """The printed lines, one per fill as it is made, then the digest of them all."""
     lines = []
     for name, fp in fills():
         lines.append(f"{name}: area={fp.area} {fill_digest(fp)}")
-        print(lines[-1], flush=True)
+        yield lines[-1]
     verts, tris = ms.octasphere(3)
     lines.append(f"octasphere(3): {digest(verts, tris)}")
-    print(lines[-1])
+    yield lines[-1]
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
-    print(f"all: {total}")
+    yield f"all: {total}"
+
+
+def main():
+    for line in digest_lines():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":
