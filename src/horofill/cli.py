@@ -303,8 +303,12 @@ def fit_command(args):
 
 
 def oracle_command(args):
-    vertices, triangles = ms.load_mesh(args.mesh_file)
-    cycle = ms.load_cycle(args.loop_file)
+    try:
+        vertices, triangles = ms.load_mesh(args.mesh_file)
+        cycle = ms.load_cycle(args.loop_file)
+    except (OSError, ValueError, LookupError, TypeError) as e:
+        print(f"oracle error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
     try:
         area = fl.brute_force_area(vertices, triangles, cycle)
     except fl.FillingError as e:

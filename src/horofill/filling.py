@@ -51,10 +51,10 @@ class FillingError(ValueError):
 # -- cone fill in a convex flat region ----------------------------------------
 
 
-def cone_fill(loop, mesh, basepoint_index=0):
+def cone_fill(loop, mesh):
     """Fan fill of a loop inside a convex flat region.
 
-    Spokes run from a loop vertex to every other sample; convexity keeps
+    Spokes run from loop vertex 0 to every other sample; convexity keeps
     the placed disk inside the region.  Area is at most a fixed multiple
     of (length / mesh)^2 for loops sampled near the mesh scale.
     """
@@ -63,7 +63,7 @@ def cone_fill(loop, mesh, basepoint_index=0):
     if loop.is_constant:
         return empty_partition(loop)
     fp = fill_to_mesh(
-        lambda spacing: (_cone_fill_once(loop, spacing, basepoint_index), None),
+        lambda spacing: (_cone_fill_once(loop, spacing), None),
         mesh / 3.0,
         mesh,
         "cone fill",
@@ -72,19 +72,17 @@ def cone_fill(loop, mesh, basepoint_index=0):
     return fp
 
 
-def _cone_fill_once(loop, spacing, basepoint_index):
+def _cone_fill_once(loop, spacing):
     res, orig_pos = loop.resampled(spacing)
-    roll = orig_pos[int(basepoint_index) % len(orig_pos)]
-    verts = np.roll(res.vertices, -roll, axis=0)
+    verts = res.vertices
     s = len(verts)
-    anchor = [(p - roll) % s for p in orig_pos]
     builder = DiskBuilder(verts.shape[1])
     bidx = builder.add_chain(verts)
     rows, counts = straight_segments(np.tile(verts[0], (s - 1, 1)), verts[1:], spacing)
     spokes = builder.add_segments(rows, counts, [bidx[0]] * (s - 1), bidx[1:])
     chains = [[bidx[0]]] + spokes + [[bidx[0]]]
     builder.add_ladders(zip(chains, chains[1:]))
-    return builder.build(bidx, anchor=anchor)
+    return builder.build(bidx, anchor=orig_pos)
 
 
 def convex_region_clear(trace, loop):
@@ -277,10 +275,8 @@ def refine_partition(fp, lam, allow_wild=False):
         points, tris, midpoint = subdivide(points, tris)
         mids = midpoint(boundary, np.roll(boundary, -1))
         boundary = np.stack([boundary, mids], axis=1).ravel()
-    anchor = fp.boundary_anchor
-    if anchor is not None:
-        anchor = [p * 2**levels for p in anchor]
-    out = FillingPartition(points, tris, boundary.tolist(), boundary_anchor=anchor)
+    anchor = [p * 2**levels for p in fp.boundary_anchor]
+    out = FillingPartition(points, tris, boundary.tolist(), anchor)
     if fp.census is not None:
         factor = 4**levels
         out.census = BrickCensus(

@@ -132,7 +132,7 @@ def load_mesh(path):
         data = json.load(fh)
     return np.array(data["vertices"], dtype=float), np.array(
         data["triangles"], dtype=int
-    )
+    ).reshape(-1, 3)
 
 
 def save_cycle(path, cycle):

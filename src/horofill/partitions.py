@@ -77,17 +77,18 @@ class BrickCensus:
 class FillingPartition:
     """Triangulated disk with vertex placements and a boundary cycle.
 
-    ``boundary_anchor``, when present, records where the vertices of the
-    loop that was filled sit inside the (possibly refined) boundary
-    cycle; validation checks the refinement against it segmentwise.
+    ``boundary_anchor`` records where the vertices of the loop that was
+    filled sit inside the (possibly refined) boundary cycle: anchor k is
+    the boundary position of loop vertex k.  Validation checks the
+    boundary against the loop segmentwise between anchors.
     """
 
     points: np.ndarray
     triangles: np.ndarray
     boundary: list
+    boundary_anchor: list
     mesh: float = field(init=False)
     census: BrickCensus = None
-    boundary_anchor: list = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -99,22 +100,22 @@ class FillingPartition:
         return int(len(self.triangles))
 
     def to_dict(self):
-        out = {
+        return {
             "points": [[round(float(c), 12) for c in p] for p in self.points],
             "triangles": [[int(i) for i in t] for t in self.triangles],
             "boundary": [int(i) for i in self.boundary],
+            "boundary_anchor": [int(i) for i in self.boundary_anchor],
         }
-        if self.boundary_anchor is not None:
-            out["boundary_anchor"] = [int(i) for i in self.boundary_anchor]
-        return out
 
     @staticmethod
     def from_dict(data):
+        if "boundary_anchor" not in data:
+            raise PartitionError("partition has no boundary_anchor")
         return FillingPartition(
             np.array(data["points"], dtype=float),
             np.array(data["triangles"], dtype=int).reshape(-1, 3),
             [int(i) for i in data["boundary"]],
-            boundary_anchor=data.get("boundary_anchor"),
+            data["boundary_anchor"],
         )
 
 
@@ -143,9 +144,11 @@ def validate_partition(loop, fp):
     """Recompute mesh and area after checking the disk invariants.
 
     Raises PartitionError naming the violated invariant: euler count,
-    edge manifoldness, boundary cycle shape, or boundary/loop mismatch.
-    The edges that lie in a single brick must be exactly the consecutive
-    pairs of the declared ``fp.boundary``.  Returns (mesh, area).
+    edge manifoldness, connectivity, boundary cycle, or boundary/loop
+    mismatch.  The edges that lie in a single brick must be exactly the
+    consecutive pairs of the declared ``fp.boundary``, a cycle of
+    distinct vertices, so the rim is that one simple cycle; the anchors
+    then tie it to the loop.  Returns (mesh, area).
     """
     tris = fp.triangles
     if len(tris) == 0:
@@ -168,31 +171,15 @@ def validate_partition(loop, fp):
     euler = len(used) - len(keys) + len(tris)
     if euler != 1:
         raise PartitionError(f"euler check failed: V-E+F = {euler} != 1")
-    rim = keys[counts == 1]
-    degree = np.bincount(np.concatenate([rim // n, rim % n]), minlength=n)
-    if np.any((degree != 0) & (degree != 2)):
-        raise PartitionError("boundary is not a simple cycle")
-    if len(np.unique(_component_labels(rim, n)[degree == 2])) > 1:
-        raise PartitionError("boundary has more than one cycle")
     boundary = np.asarray(fp.boundary, dtype=int)
     if len(np.unique(boundary)) != len(boundary):
         raise PartitionError("boundary is not a single cycle")
     declared = np.sort(edge_keys(boundary, np.roll(boundary, -1), n))
-    if not np.array_equal(declared, rim):
+    if not np.array_equal(declared, keys[counts == 1]):
         raise PartitionError("boundary cycle disagrees with the declared boundary")
     if len(np.unique(_component_labels(keys, n)[used])) != 1:
         raise PartitionError("complex is disconnected")
-    # boundary placements must traverse the loop (refinement allowed)
-    got = fp.points[boundary]
-    if len(got) < len(loop.vertices):
-        raise PartitionError(
-            f"boundary mismatch: {len(got)} boundary vertices cannot refine "
-            f"{len(loop.vertices)} loop vertices"
-        )
-    if fp.boundary_anchor is not None:
-        _check_anchored_boundary(loop, got, fp.boundary_anchor)
-    else:
-        _check_boundary_by_search(loop, got)
+    _check_anchored_boundary(loop, fp.points[boundary], fp.boundary_anchor)
     return compute_mesh(fp.points, tris), int(len(tris))
 
 
@@ -200,21 +187,29 @@ def _check_anchored_boundary(loop, got, boundary_anchor):
     """Boundary vs loop using the partition's declared vertex anchors.
 
     ``got`` holds the boundary placements in boundary order and the
-    anchors name positions in it.  The placements after anchor k, up to
+    anchors name positions in it: distinct integers in range that
+    increase around the cycle.  The placements after anchor k, up to
     anchor k + 1, must lie on loop segment k in order; the first
     offending placement, segment by segment, names the error.
     """
-    anchors = np.asarray(boundary_anchor, dtype=int)
+    anchors = np.asarray(boundary_anchor)
     want = loop.vertices
-    s = len(want)
-    if len(anchors) != s:
-        raise PartitionError(
-            f"anchor count {len(anchors)} differs from loop vertex count {s}"
-        )
+    s, nb = len(want), len(got)
+    if anchors.shape != (s,):
+        raise PartitionError(f"anchor shape {anchors.shape} differs from loop vertex count {s}")
+    if anchors.dtype.kind not in "iu":
+        raise PartitionError("boundary anchor entries must be integers")
+    anchors = anchors.astype(int)
+    if np.any(anchors < 0) or np.any(anchors >= nb):
+        raise PartitionError(f"boundary anchor entry outside [0, {nb})")
+    if len(np.unique(anchors)) != s:
+        raise PartitionError("repeated boundary anchor entries")
+    run = np.roll(anchors, -1) - anchors
+    if np.count_nonzero(run < 0) > 1:
+        raise PartitionError("boundary anchor does not increase around the cycle")
     if np.any(np.linalg.norm(got[anchors] - want, axis=1) > SURFACE_TOL):
         raise PartitionError("an anchored boundary vertex is off its loop vertex")
-    nb = len(got)
-    run = (np.roll(anchors, -1) - anchors) % nb  # placements checked on segment k
+    run %= nb  # placements checked on segment k
     seg = np.repeat(np.arange(s), run)
     start = np.cumsum(run) - run
     p = got[(anchors[seg] + np.arange(len(seg)) - start[seg] + 1) % nb]
@@ -237,23 +232,6 @@ def _check_anchored_boundary(loop, got, boundary_anchor):
         if off_loop[k]:
             raise PartitionError("a boundary vertex lies off the loop")
         raise PartitionError("boundary vertices do not traverse the loop in order")
-
-
-def _check_boundary_by_search(loop, got):
-    """Alignment search for partitions without anchors (exact refinements
-    are not supported here: boundary and loop must match vertexwise)."""
-    want = loop.vertices
-    s = len(want)
-    if len(got) != s:
-        raise PartitionError(
-            "unanchored boundary must match the loop vertex for vertex"
-        )
-    for shift in range(s):
-        for direction in (1, -1):
-            idx = [(shift + direction * k) % s for k in range(s)]
-            if np.all(np.linalg.norm(got[idx] - want, axis=1) <= SURFACE_TOL):
-                return
-    raise PartitionError("boundary vertices do not traverse the loop in order")
 
 
 class DiskBuilder:
@@ -409,13 +387,8 @@ class DiskBuilder:
             self.add_triangles(tris)
             lo = hi
 
-    def build(self, boundary, anchor=None):
-        return FillingPartition(
-            self.points.copy(),
-            self.triangles,
-            list(boundary),
-            boundary_anchor=list(anchor) if anchor is not None else None,
-        )
+    def build(self, boundary, anchor):
+        return FillingPartition(self.points.copy(), self.triangles, list(boundary), list(anchor))
 
 
 def subdivide(points, triangles):
@@ -473,4 +446,4 @@ def empty_partition(loop):
     """The area-zero filling of a constant loop."""
     if not loop.is_constant:
         raise PartitionError("only constant loops admit an empty filling")
-    return FillingPartition(loop.vertices[:1].copy(), np.zeros((0, 3), dtype=int), [])
+    return FillingPartition(loop.vertices[:1].copy(), np.zeros((0, 3), dtype=int), [], [])

@@ -159,25 +159,24 @@ def trace_a3_wrap(ell, mesh, seed):
     minimum point) and pulled out to the level surface along fibers;
     the per-edge stretch of the pullback is bounded by the sandwich
     ratio, so the sampling budget carries a corresponding margin.
+    The loop winds once at every length: the sphere's radius m = ell / 9
+    grows with the target, and a target of ell on the level surface asks
+    for at most 9 / (2 * pi) < 1.5 turns of length 2 * pi * m.
     """
     rng = np.random.default_rng(seed)
     rs = cx.build_root_system("A", rank=3)
     theta = cx.project_to_chamber(rs, rs.coweights[0])
-    prof = cx.delta_zero(rs, theta)
-    a = 1.0 / np.sin(prof.delta0)
     m = ell / 9.0
     trace = tr.symmetric_trace(rs, theta).shifted(-m)
     core = tr.min_set(trace).polytope
     core_pt = core.vertices[0]
     proj = tb.sandwich_project(tr.horoball_polytope(trace, 0.0), core, m)
-    target_tube = ell / a  # pullback stretches by up to a on average
-    k = max(1, int(round(target_tube / (2 * np.pi * m * 0.97))))
     wobble = 0.25 + 0.05 * rng.uniform(-1, 1)
     phase = rng.uniform(0, 2 * np.pi)
 
     def pulled(tvals):
         psi = np.pi / 2 + wobble * np.cos(2 * np.pi * tvals + phase)
-        phi = 2 * np.pi * k * tvals
+        phi = 2 * np.pi * tvals
         return proj.inverse_batch(core_pt + m * _sphere(psi, phi))
 
     # leave headroom for the final length rescale

@@ -734,6 +734,9 @@ class StadiumChart(_Chart):
         return abs(p0[0] - p1[0]) + abs(p0[1] - p1[1])
 
 
+AXIS_CLEARANCE = np.pi / 4  # least angle between a loop direction and a sphere chart's axis
+
+
 def chart_for(P, R, loop_vertices=None):
     """Exact chart for the canonical core shapes, or None."""
     try:
@@ -756,15 +759,25 @@ def chart_for(P, R, loop_vertices=None):
 
 
 def _fit_axis(loop_vertices, center):
-    """Total turning axis of a loop around a center (for sphere charts)."""
+    """Chart axis for a loop on a sphere around a center.
+
+    The loop's total turning axis, unless that axis passes within
+    AXIS_CLEARANCE of a loop direction (a loop that hardly turns, such
+    as a degree-0 serpentine): then the axis most nearly normal to all
+    loop directions, the least right-singular vector of the unit
+    directions.  Near a chart pole one loop step spans a large lifted
+    angle, and the fan's spokes stop shrinking with the spacing.
+    """
     v = np.asarray(loop_vertices, dtype=float) - center
     # a sequential sum from zero, as a running ``mom += cross`` would add
     edges = np.cross(v, np.roll(v, -1, axis=0))
     mom = np.cumsum(np.vstack([np.zeros(3), edges]), axis=0)[-1]
+    u = v / row_norms(v)[:, None]
     if np.linalg.norm(mom) > DECISION_TOL:
-        return unit(mom)
-    _, _, vt = np.linalg.svd(v - v.mean(axis=0))
-    return unit(vt[-1])
+        axis = unit(mom)
+        if np.all(np.abs(u @ axis) <= np.cos(AXIS_CLEARANCE)):
+            return axis
+    return unit(np.linalg.svd(u)[2][-1])
 
 
 # -- loop filling on tubes ---------------------------------------------------------------

@@ -225,11 +225,11 @@ def test_keep_partitions_revalidates(tmp_path):
 
 
 def test_run_contains_job_failures(tmp_path, capsys):
-    # an A3 tetrahedron trace with unequal offsets passes the config check,
-    # but at these seeds the tube fan of each fill misses the mesh
-    a3 = cx.build_root_system("A", rank=3)
-    th = cx.project_to_chamber(a3, a3.coweights[0])
-    skew = tr.BusemannTrace(a3, th, cx.slope_facts(a3, th).orbit, [-0.78, -0.11, -0.19, -1.07])
+    # an A1 x A1 trace with one deeper piece passes the config check, but
+    # its minimum set admits no thin strip, so every fill of it fails
+    a1a1 = cx.build_root_system("product", factors=[1, 1])
+    th = cx.project_to_chamber(a1a1, a1a1.coweights.sum(axis=0))
+    skew = tr.BusemannTrace(a1a1, th, cx.slope_facts(a1a1, th).orbit, [-1.5, -1, -1, -1])
     broken = {
         "name": "skew",
         "generator": "custom-trace",
@@ -249,7 +249,7 @@ def test_run_contains_job_failures(tmp_path, capsys):
             seed = cli._row_seed(27, 0, l_idx, 0)
             assert f"scenario skew length {ell} trial 0 seed {seed}: " in err
         assert err.count("job failed") == 2
-        assert err.count("PartitionError: tube fan missed the mesh after 6 attempts") == 2
+        assert err.count("FillingError: strip classification failed") == 2
 
 
 def test_fit_command(tmp_path, capsys):
@@ -284,6 +284,23 @@ def test_oracle_command(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "8"
     ms.save_cycle(lp, [0, 8])
     assert cli.main(["oracle", str(mp), str(lp)]) == 1
+    capsys.readouterr()
+    # unreadable input is exit 2 with a one-line error, not a traceback
+    no_vertices, pairs = tmp_path / "nv.json", tmp_path / "pairs.json"
+    no_vertices.write_text(json.dumps({"triangles": [[0, 1, 2]]}))
+    pairs.write_text(json.dumps({"vertices": v.tolist(), "triangles": [[0, 1]]}))
+    bad_cycle = tmp_path / "bc.json"
+    bad_cycle.write_text(json.dumps({"cycle": [0, "x", 2]}))
+    ms.save_cycle(lp, b)
+    for mesh_file, loop_file, why in [
+        (no_vertices, lp, "KeyError"),
+        (pairs, lp, "ValueError"),
+        (tmp_path / "missing.json", lp, "FileNotFoundError"),
+        (mp, bad_cycle, "ValueError"),
+    ]:
+        assert cli.main(["oracle", str(mesh_file), str(loop_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"oracle error: {why}") and err.count("\n") == 1
 
 
 def test_bootstrap_command(capsys):

@@ -59,11 +59,14 @@ def test_cone_fill_constant():
 
 
 def test_cone_fill_basepoint():
+    """The fan's basepoint is loop vertex 0, at boundary position 0, in the most bricks."""
     loop = Loop(np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]))
-    fp0 = fl.cone_fill(loop, 1.0, basepoint_index=0)
-    fp2 = fl.cone_fill(loop, 1.0, basepoint_index=2)
-    validate_partition(loop, fp2)
-    assert fp0.area != 0 and fp2.area != 0
+    fp = fl.cone_fill(loop, 1.0)
+    validate_partition(loop, fp)
+    hub = fp.boundary[0]
+    assert fp.boundary_anchor[0] == 0
+    assert np.array_equal(fp.points[hub], loop.vertices[0])
+    assert np.bincount(fp.triangles.ravel()).argmax() == hub
 
 
 def test_convex_region_clear(tri_trace):
@@ -144,6 +147,27 @@ def test_fill_flat_loop_custom_a3_loops_with_refined_edges(offsets):
     theta = cx.project_to_chamber(a3, a3.coweights[0])
     trace = tr.BusemannTrace(a3, theta, cx.slope_facts(a3, theta).orbit, offsets)
     trace, loop = sc.custom_trace_loop(trace, 8, 1.0, 0)
+    fp, census, info = fl.fill_flat_loop(trace, loop, mesh=1.0)
+    mesh, area = validate_partition(loop, fp)
+    assert mesh <= 1.0
+    assert census.total == area
+
+
+@pytest.mark.parametrize("ell, seed", [(8, 4), (8, 6), (8, 10), (8, 12), (16, 0), (16, 1)])
+def test_fill_flat_loop_custom_a3_serpentines_keep_the_chart_pole_off_the_loop(ell, seed):
+    """Degree-0 loops hardly turn; a sphere chart on their turning axis put a pole on the loop.
+
+    With the pole within a degree of a loop point, the tube fan's spokes
+    stayed about 0.4 long however small the spacing, and each of these
+    fills missed the mesh.
+    """
+    from horofill import scenarios as sc
+
+    a3 = cx.build_root_system("A", rank=3)
+    theta = cx.project_to_chamber(a3, a3.coweights[0])
+    orbit = cx.slope_facts(a3, theta).orbit
+    skew = tr.BusemannTrace(a3, theta, orbit, [-0.78, -0.11, -0.19, -1.07])
+    trace, loop = sc.custom_trace_loop(skew, ell, 1.0, seed)
     fp, census, info = fl.fill_flat_loop(trace, loop, mesh=1.0)
     mesh, area = validate_partition(loop, fp)
     assert mesh <= 1.0

@@ -6,13 +6,16 @@ from hypothesis import strategies as st
 from horofill import scenarios as sc
 from horofill import tube as tb
 from horofill.filling import cone_fill, refine_partition
-from horofill.geometry import straight_segments
+from horofill.geometry import DECISION_TOL, SQUARED_LENGTH_FLOOR, SURFACE_TOL, straight_segments
 from horofill.partitions import (
     MESH_ATTEMPTS,
     DiskBuilder,
     FillingPartition,
     Loop,
     PartitionError,
+    _component_labels,
+    compute_mesh,
+    edge_keys,
     empty_partition,
     fill_to_mesh,
     validate_partition,
@@ -27,7 +30,7 @@ def fan_partition(loop):
     """Hand-built fan over a quad from vertex 0."""
     pts = loop.vertices
     tris = np.array([[0, 1, 2], [0, 2, 3]])
-    return FillingPartition(pts, tris, [0, 1, 2, 3])
+    return FillingPartition(pts, tris, [0, 1, 2, 3], [0, 1, 2, 3])
 
 
 def test_loop_length_and_resample():
@@ -59,7 +62,7 @@ def test_validate_simple_fan():
 
 def test_validate_triangle_single_brick():
     loop = Loop(np.array([[0.0, 0], [1, 0], [0, 1]]))
-    fp = FillingPartition(loop.vertices, np.array([[0, 1, 2]]), [0, 1, 2])
+    fp = FillingPartition(loop.vertices, np.array([[0, 1, 2]]), [0, 1, 2], [0, 1, 2])
     mesh, area = validate_partition(loop, fp)
     assert area == 1
     assert abs(mesh - (2 + np.sqrt(2))) < 1e-12
@@ -70,7 +73,7 @@ def test_validate_rejects_extra_triangle():
     fp = fan_partition(loop)
     # flipping in a chord triangle breaks the boundary structure
     tris = np.vstack([fp.triangles, [[0, 1, 3]]])
-    bad = FillingPartition(fp.points, tris, fp.boundary)
+    bad = FillingPartition(fp.points, tris, fp.boundary, fp.boundary_anchor)
     with pytest.raises(PartitionError):
         validate_partition(loop, bad)
 
@@ -79,7 +82,7 @@ def test_validate_rejects_duplicate_triangle():
     loop = square_loop()
     fp = fan_partition(loop)
     tris = np.vstack([fp.triangles, fp.triangles[:1]])
-    bad = FillingPartition(fp.points, tris, fp.boundary)
+    bad = FillingPartition(fp.points, tris, fp.boundary, fp.boundary_anchor)
     with pytest.raises(PartitionError, match="manifold"):
         validate_partition(loop, bad)
 
@@ -93,7 +96,7 @@ def test_validate_rejects_annulus_euler():
         k2 = (k + 1) % 4
         tris.append([k, k2, 4 + k])
         tris.append([k2, 4 + k2, 4 + k])
-    bad = FillingPartition(pts, np.array(tris), [0, 1, 2, 3])
+    bad = FillingPartition(pts, np.array(tris), [0, 1, 2, 3], [0, 1, 2, 3])
     with pytest.raises(PartitionError, match="euler"):
         validate_partition(square_loop(), bad)
 
@@ -102,7 +105,7 @@ def test_validate_rejects_degenerate_triangle():
     loop = square_loop()
     fp = fan_partition(loop)
     tris = np.vstack([fp.triangles, [[1, 1, 2]]])
-    bad = FillingPartition(fp.points, tris, fp.boundary)
+    bad = FillingPartition(fp.points, tris, fp.boundary, fp.boundary_anchor)
     with pytest.raises(PartitionError, match="degenerate"):
         validate_partition(loop, bad)
 
@@ -114,7 +117,7 @@ def test_validate_rejects_boundary_mismatch():
     with pytest.raises(PartitionError):
         validate_partition(other, fp)
     # the disk's boundary edges are 01, 12, 23, 30, not the declared cycle's
-    bad = FillingPartition(fp.points, fp.triangles, [0, 2, 1, 3])
+    bad = FillingPartition(fp.points, fp.triangles, [0, 2, 1, 3], [0, 1, 2, 3])
     with pytest.raises(PartitionError, match="declared boundary"):
         validate_partition(loop, bad)
 
@@ -123,7 +126,7 @@ def test_validate_rejects_disconnected():
     loop = square_loop()
     pts = np.vstack([loop.vertices, [[5.0, 5], [6, 5], [5, 6]]])
     tris = np.array([[0, 1, 2], [0, 2, 3], [4, 5, 6]])
-    bad = FillingPartition(pts, tris, [0, 1, 2, 3])
+    bad = FillingPartition(pts, tris, [0, 1, 2, 3], [0, 1, 2, 3])
     with pytest.raises(PartitionError):
         validate_partition(loop, bad)
 
@@ -132,18 +135,47 @@ def test_validate_rejects_wrong_order():
     loop = square_loop()
     pts = loop.vertices[[0, 2, 1, 3]]
     tris = np.array([[0, 1, 2], [0, 2, 3]])
-    bad = FillingPartition(pts, tris, [0, 1, 2, 3])
+    bad = FillingPartition(pts, tris, [0, 1, 2, 3], [0, 1, 2, 3])
     with pytest.raises(PartitionError):
         validate_partition(loop, bad)
 
 
-def test_validate_accepts_reversed_and_rotated():
+def test_validate_rejects_reversed_and_rotated():
+    """The anchors fix the alignment: the same disk does not fill a shifted loop."""
     loop = square_loop()
     fp = fan_partition(loop)
-    rot = Loop(np.roll(loop.vertices, 2, axis=0))
-    validate_partition(rot, fp)
-    rev = Loop(loop.vertices[::-1])
-    validate_partition(rev, fp)
+    for other in (np.roll(loop.vertices, 2, axis=0), loop.vertices[::-1]):
+        with pytest.raises(PartitionError, match="off its loop vertex"):
+            validate_partition(Loop(other), fp)
+
+
+@pytest.mark.parametrize(
+    "anchor, message",
+    [
+        ([0, 1, 2, 99], r"outside \[0, 4\)"),
+        ([0, 1, 2, -7], r"outside \[0, 4\)"),
+        ([0, 1, 1, 3], "repeated"),
+        ([0, 2, 1, 3], "does not increase"),
+        ([0, 1, 2.5, 3], "integers"),
+        ([0, 1, 2], r"anchor shape \(3,\)"),
+        (3, r"anchor shape \(\)"),
+        ([[0, 1, 2, 3]], r"anchor shape \(1, 4\)"),
+    ],
+)
+def test_validate_rejects_bad_anchors(anchor, message):
+    loop = square_loop()
+    fp = fan_partition(loop)
+    fp.boundary_anchor = anchor
+    with pytest.raises(PartitionError, match=message):
+        validate_partition(loop, fp)
+
+
+def test_validate_accepts_a_rotated_anchor_cycle():
+    """Anchors increase around the cycle, not within the list: one wrap is allowed."""
+    loop = square_loop()
+    fp = fan_partition(loop)
+    shifted = FillingPartition(fp.points, fp.triangles, [1, 2, 3, 0], [3, 0, 1, 2])
+    assert validate_partition(loop, shifted) == validate_partition(loop, fp)
 
 
 def test_anchored_refinement_boundary():
@@ -182,7 +214,7 @@ def test_ladder_shared_endpoints():
     b = builder.add_chain([[0.0, 0], [0.5, -0.1], [1, 0]])
     # identify shared endpoints by reusing indices
     builder.add_ladder([a[0], a[1], a[2]], [a[0], b[1], a[2]])
-    fp = builder.build([a[0], a[1], a[2], b[1]])
+    fp = builder.build([a[0], a[1], a[2], b[1]], anchor=range(4))
     assert fp.area == 2
 
 
@@ -292,12 +324,13 @@ def test_fill_to_mesh_accepts_the_first_fit():
 
 def test_serialization_roundtrip(tmp_path):
     loop = square_loop()
-    fp = fan_partition(loop)
-    fp.boundary_anchor = [0, 1, 2, 3]
-    data = fp.to_dict()
+    data = fan_partition(loop).to_dict()
     back = FillingPartition.from_dict(data)
     validate_partition(loop, back)
     assert back.boundary_anchor == [0, 1, 2, 3]
+    del data["boundary_anchor"]
+    with pytest.raises(PartitionError, match="no boundary_anchor"):
+        FillingPartition.from_dict(data)
 
 
 def test_empty_partition_mesh_is_zero():
@@ -356,7 +389,7 @@ def test_hub_fan_with_uneven_spokes_validates():
         chains.append([hub] + builder.add_chain(np.outer(dists, dirs[k])))
     for k in range(6):
         builder.add_ladder(chains[k], chains[(k + 1) % 6])
-    fp = builder.build([c[-1] for c in chains])
+    fp = builder.build([c[-1] for c in chains], anchor=range(6))
     mesh, area = validate_partition(Loop(2.0 * dirs), fp)
     assert area == 22  # len(a) + len(b) - 3 per ladder: 5 + 3 + 3 + 3 + 3 + 5
 
@@ -373,9 +406,7 @@ def test_random_fans_validate(fan):
 def test_triangle_order_is_irrelevant(fan, rnd):
     loop, fp, _ = fan
     perm = np.array(rnd.sample(range(fp.area), fp.area))
-    shuffled = FillingPartition(
-        fp.points, fp.triangles[perm], fp.boundary, boundary_anchor=fp.boundary_anchor
-    )
+    shuffled = FillingPartition(fp.points, fp.triangles[perm], fp.boundary, fp.boundary_anchor)
     assert validate_partition(loop, shuffled) == validate_partition(loop, fp)
 
 
@@ -387,9 +418,7 @@ def test_one_triangle_more_or_less_is_rejected(fan, pick, duplicate):
         tris = np.vstack([fp.triangles, fp.triangles[k : k + 1]])
     else:
         tris = np.delete(fp.triangles, k, axis=0)
-    bad = FillingPartition(
-        fp.points, tris, fp.boundary, boundary_anchor=fp.boundary_anchor
-    )
+    bad = FillingPartition(fp.points, tris, fp.boundary, fp.boundary_anchor)
     with pytest.raises(PartitionError):
         validate_partition(loop, bad)
 
@@ -540,3 +569,197 @@ def test_tube_fill_matches_numpy_reference_ladder(monkeypatch):
     assert fast.area == 2126
     assert fast.points.tobytes() == ref.points.tobytes()
     assert np.array_equal(fast.triangles, ref.triangles)
+
+
+# -- the one boundary check against the validator it replaced ------------------
+
+
+def reference_validate(loop, fp):
+    """``validate_partition`` as it was with a second boundary path.
+
+    It checked the rim's vertex degrees and its cycle count before the
+    declared-cycle equality, and the boundary length before the anchors.
+    Its search over rotations and reversals of the loop ran only on
+    partitions without anchors, which no longer exist, so it is left out.
+    """
+    tris = fp.triangles
+    if len(tris) == 0:
+        if not loop.is_constant:
+            raise PartitionError("boundary mismatch: empty partition for a nonconstant loop")
+        return 0.0, 0
+    n = len(fp.points)
+    if np.any(tris < 0) or np.any(tris >= n):
+        raise PartitionError("triangle index out of range")
+    a, b, c = tris.T
+    if np.any((a == b) | (b == c) | (c == a)):
+        raise PartitionError("degenerate triangle (repeated vertex)")
+    keys, counts = np.unique(
+        edge_keys(np.concatenate([a, b, c]), np.concatenate([b, c, a]), n),
+        return_counts=True,
+    )
+    if np.any(counts > 2):
+        raise PartitionError("edge manifoldness violated: an edge lies in >2 bricks")
+    used = np.unique(tris)
+    euler = len(used) - len(keys) + len(tris)
+    if euler != 1:
+        raise PartitionError(f"euler check failed: V-E+F = {euler} != 1")
+    rim = keys[counts == 1]
+    degree = np.bincount(np.concatenate([rim // n, rim % n]), minlength=n)
+    if np.any((degree != 0) & (degree != 2)):
+        raise PartitionError("boundary is not a simple cycle")
+    if len(np.unique(_component_labels(rim, n)[degree == 2])) > 1:
+        raise PartitionError("boundary has more than one cycle")
+    boundary = np.asarray(fp.boundary, dtype=int)
+    if len(np.unique(boundary)) != len(boundary):
+        raise PartitionError("boundary is not a single cycle")
+    declared = np.sort(edge_keys(boundary, np.roll(boundary, -1), n))
+    if not np.array_equal(declared, rim):
+        raise PartitionError("boundary cycle disagrees with the declared boundary")
+    if len(np.unique(_component_labels(keys, n)[used])) != 1:
+        raise PartitionError("complex is disconnected")
+    got = fp.points[boundary]
+    if len(got) < len(loop.vertices):
+        raise PartitionError("boundary mismatch: too few boundary vertices")
+    reference_anchored_boundary(loop, got, fp.boundary_anchor)
+    return compute_mesh(fp.points, tris), int(len(tris))
+
+
+def reference_anchored_boundary(loop, got, boundary_anchor):
+    """The anchored boundary check as it was, without the checks of the anchor itself."""
+    anchors = np.asarray(boundary_anchor, dtype=int)
+    want = loop.vertices
+    s = len(want)
+    if len(anchors) != s:
+        raise PartitionError("anchor count differs from loop vertex count")
+    if np.any(np.linalg.norm(got[anchors] - want, axis=1) > SURFACE_TOL):
+        raise PartitionError("an anchored boundary vertex is off its loop vertex")
+    nb = len(got)
+    run = (np.roll(anchors, -1) - anchors) % nb
+    seg = np.repeat(np.arange(s), run)
+    start = np.cumsum(run) - run
+    p = got[(anchors[seg] + np.arange(len(seg)) - start[seg] + 1) % nb]
+    w = want[seg]
+    d = want[(seg + 1) % s] - w
+    L2 = np.sum(d * d, axis=1)
+    flat = L2 < SQUARED_LENGTH_FLOOR
+    t = np.sum((p - w) * d, axis=1) / np.where(flat, 1.0, L2)
+    q = w + np.clip(t, 0.0, 1.0)[:, None] * d
+    t_prev = np.minimum(np.concatenate([[0.0], t]), 1.0)[:-1]
+    t_prev[start[run > 0]] = 0.0
+    off_flat = flat & (np.linalg.norm(p - w, axis=1) > SURFACE_TOL)
+    off_loop = ~flat & (np.linalg.norm(p - q, axis=1) > SURFACE_TOL)
+    backward = ~flat & (t < t_prev - DECISION_TOL)
+    if np.any(off_flat | off_loop | backward):
+        raise PartitionError("boundary does not traverse the loop")
+
+
+def torus_triangles(first, m=3):
+    """An m x m grid torus (V - E + F = 0) on the vertices first, first + 1, ..."""
+    i, j = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    i, j = i.ravel(), j.ravel()
+
+    def v(di, dj):
+        return first + ((i + di) % m) * m + (j + dj) % m
+
+    return np.vstack([
+        np.stack([v(0, 0), v(1, 0), v(1, 1)], 1),
+        np.stack([v(0, 0), v(1, 1), v(0, 1)], 1),
+    ])
+
+
+def corrupt(kind, fp, rng):
+    """A copy of fp with one corruption of the named kind.
+
+    "flip" turns a brick over one of its edges: over an inner edge the two
+    bricks on it take the other diagonal of their quadrilateral, which
+    keeps a disk; over a rim edge the brick folds out onto a new apex,
+    which does not.  "rewire" moves one corner of a brick to another
+    vertex; "torus" joins a disjoint grid torus, which keeps V - E + F
+    and the rim and breaks only connectivity.
+    """
+    pts, tris = fp.points, fp.triangles.copy()
+    boundary, n = list(fp.boundary), len(fp.points)
+    k = int(rng.integers(len(tris)))
+    far = pts.max(axis=0) + 10.0
+    if kind == "drop":
+        tris = np.delete(tris, k, axis=0)
+    elif kind == "duplicate":
+        tris = np.vstack([tris, tris[k : k + 1]])
+    elif kind == "flip":
+        i = int(rng.integers(3))
+        u, v, x = tris[k, i], tris[k, (i + 1) % 3], tris[k, (i + 2) % 3]
+        pair = np.flatnonzero(np.isin(tris, [u, v]).sum(axis=1) == 2)
+        if len(pair) == 2:
+            y = int(np.setdiff1d(tris[pair].ravel(), [u, v, x])[0])
+            tris[pair] = [[u, x, y], [v, y, x]]
+        else:
+            pts = np.vstack([pts, pts[u] + pts[v] - pts[x]])
+            tris[k] = [u, v, n]
+    elif kind == "rewire":
+        slot = int(rng.integers(3))
+        tris[k, slot] = (tris[k, slot] + int(rng.integers(1, n))) % n
+    elif kind == "swap boundary":
+        i, j = rng.choice(len(boundary), 2, replace=False)
+        boundary[i], boundary[j] = boundary[j], boundary[i]
+    elif kind == "drop boundary":
+        del boundary[int(rng.integers(len(boundary)))]
+    elif kind == "disjoint brick":
+        pts = np.vstack([pts, far + rng.normal(size=(3, pts.shape[1]))])
+        tris = np.vstack([tris, [[n, n + 1, n + 2]]])
+    elif kind == "torus":
+        pts = np.vstack([pts, far + rng.normal(size=(9, pts.shape[1]))])
+        tris = np.vstack([tris, torus_triangles(n)])
+    return FillingPartition(pts, tris, boundary, list(fp.boundary_anchor))
+
+
+# the outcomes each kind has on these fills: a dropped, duplicated or
+# rewired brick, an edited boundary and an extra component always break
+# the disk
+CORRUPTIONS = {
+    "none": {"accept"},
+    "flip": {"accept", "reject"},
+    "drop": {"reject"},
+    "duplicate": {"reject"},
+    "rewire": {"reject"},
+    "swap boundary": {"reject"},
+    "drop boundary": {"reject"},
+    "disjoint brick": {"reject"},
+    "torus": {"reject"},
+}
+
+
+def outcome(validate, loop, fp):
+    try:
+        return validate(loop, fp)
+    except PartitionError:
+        return "reject"
+
+
+def corruption_bases():
+    """Cone fills of random star-shaped polygons and tube chart fans, all small."""
+    rng = np.random.default_rng(0)
+    for s in (3, 4, 5, 7, 9):
+        angles = 2 * np.pi * np.cumsum(rng.uniform(0.5, 1.0, s))
+        angles *= 2 * np.pi / angles[-1]
+        radii = rng.uniform(1.0, 3.0, s)[:, None]
+        loop = Loop(radii * np.stack([np.cos(angles), np.sin(angles)], 1))
+        yield loop, cone_fill(loop, rng.uniform(0.8, 2.0))
+    for name, seed in (("tube-point", 0), ("tube-segment", 1), ("tube-square", 2)):
+        host, loop = sc.GENERATORS[name](8, 1.0, seed)
+        yield loop, tb.fill_tube_loop(host, sc.TUBE_RADIUS, loop, 3.0)[0]
+
+
+def test_one_boundary_check_agrees_with_the_old_validator():
+    rng = np.random.default_rng(1)
+    seen = {kind: set() for kind in CORRUPTIONS}
+    cases = 0
+    for loop, fp in corruption_bases():
+        for kind in CORRUPTIONS:
+            for _ in range(30):
+                bad = corrupt(kind, fp, rng)
+                got = outcome(validate_partition, loop, bad)
+                assert got == outcome(reference_validate, loop, bad), kind
+                seen[kind].add("reject" if got == "reject" else "accept")
+                cases += 1
+    assert cases >= 2000
+    assert seen == CORRUPTIONS

@@ -597,7 +597,13 @@ def test_classify_strip_matches_the_per_direction_loop(name):
 
 
 def test_fit_axis_matches_the_running_sum():
-    """Planar loops through the center give exact zeros, whose sign the sum keeps."""
+    """Planar loops through the center give exact zeros, whose sign the sum keeps.
+
+    The turning axis is kept unless it passes within AXIS_CLEARANCE of
+    a loop direction: the first circle, centered, keeps it; the second,
+    off center, the random cloud and the tiny loop (no turning) take the
+    least singular direction.
+    """
     rng = np.random.default_rng(2)
     t = np.linspace(0, 2 * np.pi, 17, endpoint=False)
     loops = [
@@ -606,17 +612,19 @@ def test_fit_axis_matches_the_running_sum():
         rng.normal(size=(30, 3)),
         rng.normal(size=(3, 3)) * 1e-9,
     ]
+    kept = []
     for v in loops:
         center = v[0] * 0.0 if rng.integers(2) else rng.normal(size=3)
         w = v - center
         mom = np.zeros(3)
         for i in range(len(w)):
             mom += np.cross(w[i], w[(i + 1) % len(w)])
-        if np.linalg.norm(mom) > tb.DECISION_TOL:
-            want = tb.unit(mom)
-        else:
-            want = tb.unit(np.linalg.svd(w - w.mean(axis=0))[2][-1])
+        u = np.array([x / np.linalg.norm(x) for x in w])
+        turns = np.linalg.norm(mom) > tb.DECISION_TOL
+        kept.append(bool(turns and np.all(np.abs(u @ tb.unit(mom)) <= np.cos(tb.AXIS_CLEARANCE))))
+        want = tb.unit(mom) if kept[-1] else tb.unit(np.linalg.svd(u)[2][-1])
         assert tb._fit_axis(v, center).tobytes() == want.tobytes()
+    assert kept == [True, False, False, False]
 
 
 def reference_loop_case(P, vertices):
