@@ -15,7 +15,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .geometry import DECISION_TOL, DEDUP_TOL, SQUARED_LENGTH_FLOOR, SURFACE_TOL, row_norms
 
-MESH_ATTEMPTS = 6  # sampling attempts per fill to reach the requested mesh
+MESH_ATTEMPTS = 8  # sampling attempts per fill to reach the requested mesh
 LADDER_BLOCK = 1 << 13  # bricks laid per block of ladders; bounds add_ladders' scratch
 
 

@@ -212,6 +212,8 @@ def custom_trace_loop(trace, ell, mesh, seed):
     Rank-2 traces walk the level polygon by arclength; rank-3 traces
     with a point minimum set go through the sandwich sphere.  Other
     hosts are rejected by ``check_custom_trace`` (fill them directly).
+    The rank-3 swing amplitude is min(ell / (4m), 8) * 0.9 radians on the
+    sphere of radius m, so those loops stop growing once ell / (4m) passes 8.
     """
     rng = np.random.default_rng(seed)
     ms, hb = check_custom_trace(trace)

@@ -114,11 +114,9 @@ class TubePoint:
     lateral: np.ndarray  # component of point-base inside the span
 
 
-def make_tube_point(P, x, R=None):
+def make_tube_point(P, x, R):
     x = np.asarray(x, dtype=float)
     base, d = nearest_point(P, x)
-    if R is None:
-        R = d
     if abs(d - R) > SURFACE_TOL:
         raise TubeError(f"point is at distance {d:.9g}, not R={R:.9g}, from the core")
     v = x - base
@@ -142,32 +140,21 @@ def beta_angle(x, y):
 ARC_STEP = 0.05  # tube-path arcs are sampled at most this many radians apart
 
 
-def _arc(center, v_from, v_to, radius):
-    """Circle arc from center+v_from to center+v_to within their plane.
-
-    Degeneracy is decided on the perpendicular component (the arccos of
-    a clipped dot product is noisy near parallel/antipodal pairs).
-    """
-    e1 = unit(v_from)
-    w = v_to - np.dot(v_to, e1) * e1
-    if np.linalg.norm(w) < DECISION_TOL * radius:
-        if np.dot(v_to, e1) > 0:
-            return [center + v_from], 0.0
-        raise TubeError("antipodal arc needs an explicit swing direction")
-    return _circle_arc(center, v_from, v_to, radius, angle_between(v_from, v_to))
-
-
-def _circle_arc(center, v_from, toward, radius, angle):
+def _arc(center, v_from, toward, radius, angle):
     """Arc of the given angle from center+v_from, turning toward ``toward``.
 
-    Returns (points, length), sampled at most ARC_STEP radians apart.
+    Returns the arc's points after its first, sampled at most ARC_STEP
+    radians apart, as one array, and its length radius * angle.  An arc
+    whose ``toward`` has a perpendicular component below DECISION_TOL *
+    radius has no points and no length: the arccos of a clipped dot
+    product is noisy near parallel pairs, so the angle cannot decide.
     """
     e1 = unit(v_from)
-    e2 = unit(toward - np.dot(toward, e1) * e1)
-    n = max(2, int(np.ceil(angle / ARC_STEP)) + 1)
-    ts = np.linspace(0.0, angle, n)
-    pts = [center + radius * (np.cos(t) * e1 + np.sin(t) * e2) for t in ts]
-    return pts, float(radius * angle)
+    w = toward - np.dot(toward, e1) * e1
+    if np.linalg.norm(w) < DECISION_TOL * radius:
+        return np.empty((0, len(e1))), 0.0
+    t = np.linspace(0.0, angle, max(2, int(np.ceil(angle / ARC_STEP)) + 1))[1:, None]
+    return center + radius * (np.cos(t) * e1 + np.sin(t) * unit(w)), float(radius * angle)
 
 
 def _outward_in_span(P, z):
@@ -222,7 +209,9 @@ def tube_path(P, R, x, y):
     codimension-1 span separating the endpoints is routed through the
     boundary point z minimizing d(x0,z)+d(z,y0), the exact reflection
     point on its point or edge facets (higher-dimensional facets raise
-    TubeError), with a half circle of length pi*R.
+    TubeError), with a half circle of length pi*R.  A translate starts at
+    the last point sampled before it (x when x has no slant arc, x.base +
+    vx after an empty fiber arc); the separating return leg at z + vy.
 
     The hypothesis "[x', y'] intersects the core" is checked; violations
     raise HypothesisViolated naming the clause.
@@ -237,55 +226,38 @@ def tube_path(P, R, x, y):
         raise HypothesisViolated(
             "the segment [x', y'] between the span projections misses the core"
         )
-    poly = [x.point]
-    total = 0.0
-    case = "A"
-    vx, vy = x.vertical.copy(), y.vertical.copy()
-    if np.linalg.norm(x.lateral) > DECISION_TOL:
-        case = "B"
-        vx = _vertical_target(P, x, y)
-        arc, alen = _arc(x.base, x.point - x.base, vx, R)
-        poly.extend(arc[1:])
-        total += alen
-    if np.linalg.norm(y.lateral) > DECISION_TOL:
-        case = "C" if case == "B" else "B"
-        vy = _vertical_target(P, y, x)
-    # verticalized endpoints: px over x.base, py over y.base
+    slant_x = bool(np.linalg.norm(x.lateral) > DECISION_TOL)
+    slant_y = bool(np.linalg.norm(y.lateral) > DECISION_TOL)
+    case = "ABC"[slant_x + slant_y]
+    vx = _vertical_target(P, x, y) if slant_x else x.vertical
+    vy = _vertical_target(P, y, x) if slant_y else y.vertical
+    # each arc is (points after its first, length); an upright y ends at y.point
+    arc_x, arc_y = (np.empty((0, P.ambient_dim)), 0.0), (y.point[None], 0.0)
+    if slant_x:
+        u = x.point - x.base
+        arc_x = _arc(x.base, u, vx, R, angle_between(u, vx))
+    if slant_y:
+        u = y.point - y.base
+        arc_y = _arc(y.base, vy, u, R, angle_between(vy, u))
+    # verticalized endpoints: x.base + vx and py over y.base
+    py = y.base + vy
     separating = P.codim == 1 and float(np.dot(vx, vy)) < 0.0
     if separating:
         z = _min_distance_sum_on_boundary(P, x.base, y.base)
-        x2 = z + vx
-        poly.append(x2)
-        total += float(np.linalg.norm(poly[-2] - x2))
-        swing = _outward_in_span(P, z)
-        half, hlen = _circle_arc(z, vx, swing, R, np.pi)
-        poly.extend(half[1:])
-        total += hlen
-        y2 = z + vy
-        py = y.base + vy
-        total += float(np.linalg.norm(y2 - py))
-        poly.append(py)
+        half = _arc(z, vx, _outward_in_span(P, z), R, np.pi)
+        start = arc_x[0][-1] if len(arc_x[0]) else x.point
+        middle = [z + vx, half[0]]
+        legs = [np.linalg.norm(start - (z + vx)), half[1], np.linalg.norm(z + vy - py)]
     else:
-        e1 = unit(vx)
-        w = vy - np.dot(vy, e1) * e1
-        if np.linalg.norm(w) < DECISION_TOL * R and np.dot(vx, vy) < 0:
-            perp = _perpendicular_vertical(P, vx)
-            arc, alen = _circle_arc(x.base, vx, perp, R, np.pi)
-        else:
-            arc, alen = _arc(x.base, vx, vy, R)
-        poly.extend(arc[1:])
-        total += alen
-        py = y.base + vy
-        total += float(np.linalg.norm(np.asarray(arc[-1]) - py))
-        poly.append(py)
-    if np.linalg.norm(y.lateral) > DECISION_TOL:
-        arc, alen = _arc(y.base, vy, y.point - y.base, R)
-        poly.extend(arc[1:])
-        total += alen
-    else:
-        poly.append(y.point)
-    poly = _dedup_consecutive(poly)
-    return TubePathResult(np.array(poly), float(total), case, separating)
+        fiber = _arc(x.base, vx, vy, R, angle_between(vx, vy))
+        if not len(fiber[0]) and np.dot(vx, vy) < 0:  # antipodal: turn through a perpendicular
+            fiber = _arc(x.base, vx, _perpendicular_vertical(P, vx), R, np.pi)
+        end = fiber[0][-1] if len(fiber[0]) else x.base + vx
+        middle = [fiber[0]]
+        legs = [fiber[1], np.linalg.norm(end - py)]
+    poly = np.vstack([x.point, arc_x[0], *middle, py, arc_y[0]])
+    poly = poly[np.r_[True, row_norms(np.diff(poly, axis=0)) > DEDUP_TOL]]
+    return TubePathResult(poly, float(sum([arc_x[1], *legs, arc_y[1]])), case, separating)
 
 
 def _vertical_target(P, tp, other):
@@ -312,14 +284,6 @@ def _perpendicular_vertical(P, v):
         if np.linalg.norm(w) > DECISION_TOL:
             return unit(w)
     raise TubeError("no orthogonal direction available (codim 0 core?)")
-
-
-def _dedup_consecutive(pts):
-    out = [np.asarray(pts[0], dtype=float)]
-    for p in pts[1:]:
-        if np.linalg.norm(np.asarray(p) - out[-1]) > DEDUP_TOL:
-            out.append(np.asarray(p, dtype=float))
-    return out
 
 
 # -- radial projection between tubes ----------------------------------------------
@@ -437,15 +401,18 @@ class StripClass:
     directions: tuple = ()
 
 
-def _span_directions(P, n_grid):
+STRIP_GRID = 360  # strip directions: a half-turn grid in a 2-dim span, STRIP_GRID**2 random above
+
+
+def _span_directions(P):
     """The sampled unit span directions, one per row."""
     if P.dim == 1:
         U = np.ones((1, 1))
     elif P.dim == 2:
-        t = np.linspace(0.0, np.pi, n_grid, endpoint=False)
+        t = np.linspace(0.0, np.pi, STRIP_GRID, endpoint=False)
         U = np.stack([np.cos(t), np.sin(t)], axis=1)
     else:
-        U = np.random.default_rng(0).normal(size=(n_grid**2, P.dim))
+        U = np.random.default_rng(0).normal(size=(STRIP_GRID**2, P.dim))
         U = U / row_norms(U)[:, None]
     return matvec(P.basis.T, U)
 
@@ -462,7 +429,7 @@ def _first_min(values):
     return best, best_v
 
 
-def classify_strip(P, n_grid=360):
+def classify_strip(P):
     """Strip degeneracy class of the core polytope.
 
     codim >= 3 passes outright; codim 2 needs one thin direction (the
@@ -476,7 +443,7 @@ def classify_strip(P, n_grid=360):
         return StripClass("codim2-in-1strip", 0.0, float("nan"))
     if P.codim == 0:
         return StripClass("fails", float("nan"), float("nan"))
-    dirs = _span_directions(P, n_grid)
+    dirs = _span_directions(P)
     vals = matvec(P.vertices, dirs)
     widths = vals.max(axis=1) - vals.min(axis=1)
     if P.codim == 2:
@@ -514,7 +481,7 @@ class _Chart:
     maps an (n, dim) point sequence back to parameter arrays with phi
     unwrapped continuously along the sequence.  ``points`` works row by
     row, so a row's point does not depend on the rows beside it.
-    ``point``, ``coords`` and ``segments`` are views of these two;
+    ``point`` and ``segments`` are views of ``points``;
     ``segments`` places any number of straight parameter segments with
     one ``points`` call.
     """
@@ -523,10 +490,6 @@ class _Chart:
 
     def point(self, t, phi):
         return self.points([t], [phi])[0]
-
-    def coords(self, x):
-        ts, phis = self.lift([x])
-        return float(ts[0]), float(phis[0])
 
     def segments(self, starts, stops, counts):
         """Points along straight parameter segments, stacked segment by segment.

@@ -174,6 +174,28 @@ def test_fill_flat_loop_custom_a3_serpentines_keep_the_chart_pole_off_the_loop(e
     assert census.total == area
 
 
+@pytest.mark.parametrize("seed", [2, 11, 24])
+def test_fill_flat_loop_custom_a3_generic_slope_meets_the_mesh_on_its_seventh_try(seed):
+    """A 24-piece A3 trace on a generic slope, whose pullback shrinks slowly with the knob.
+
+    The flat pipeline's mesh falls from 1.6-2.1 at the first try to just
+    above 1.0 at the sixth (1.011, 1.109 and 1.0005 for these seeds) and
+    meets it at the seventh, inside MESH_ATTEMPTS.
+    """
+    from horofill import scenarios as sc
+
+    offsets = [-0.43, -1.40, -1.49, -0.56, -0.17, -1.49, -0.88, -0.92, -1.23, -0.55, -1.66, -1.23]
+    offsets += [-1.12, -0.18, -0.67, -0.62, -0.10, -1.49, -0.81, -1.71, -1.61, -0.65, -0.41, -0.76]
+    a3 = cx.build_root_system("A", rank=3)
+    theta = cx.project_to_chamber(a3, [0.565, 0.534, 0.628])
+    generic = tr.BusemannTrace(a3, theta, cx.slope_facts(a3, theta).orbit, offsets)
+    trace, loop = sc.custom_trace_loop(generic, 8, 1.0, seed)
+    fp, census, info = fl.fill_flat_loop(trace, loop, mesh=1.0)
+    mesh, area = validate_partition(loop, fp)
+    assert mesh <= 1.0
+    assert census.total == area
+
+
 def test_fill_flat_loop_census_tags_facet_bricks(a2):
     from horofill import scenarios as sc
 

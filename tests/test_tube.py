@@ -46,11 +46,11 @@ def test_shapes(point3, segment3, square3):
 
 
 def test_tube_point_fields(segment3):
-    tp = tb.make_tube_point(segment3, np.array([0.5, 1.0, 0.0]))
+    tp = tb.make_tube_point(segment3, np.array([0.5, 1.0, 0.0]), 1.0)
     assert tp.alpha == 0.0
     assert np.allclose(tp.base, [0.5, 0, 0])
     assert np.allclose(tp.foot, tp.base)  # foot in span equals base here
-    tp2 = tb.make_tube_point(segment3, np.array([1 + np.sqrt(0.5), np.sqrt(0.5), 0.0]))
+    tp2 = tb.make_tube_point(segment3, np.array([1 + np.sqrt(0.5), np.sqrt(0.5), 0.0]), 1.0)
     assert abs(tp2.alpha - np.pi / 4) < 1e-9
     with pytest.raises(tb.TubeError):
         tb.make_tube_point(segment3, np.array([0.5, 1.0, 0.0]), R=2.0)
@@ -223,6 +223,155 @@ def test_tube_path_formula_band(frozen, point3, segment3, square3):
     assert checked > 150
 
 
+def reference_arc(center, v_from, v_to, radius):
+    """The point-by-point ``_arc``, with its antipodal branch."""
+    e1 = tb.unit(v_from)
+    w = v_to - np.dot(v_to, e1) * e1
+    if np.linalg.norm(w) < tb.DECISION_TOL * radius:
+        if np.dot(v_to, e1) > 0:
+            return [center + v_from], 0.0
+        raise tb.TubeError("antipodal arc needs an explicit swing direction")
+    return reference_circle_arc(center, v_from, v_to, radius, tb.angle_between(v_from, v_to))
+
+
+def reference_circle_arc(center, v_from, toward, radius, angle):
+    e1 = tb.unit(v_from)
+    e2 = tb.unit(toward - np.dot(toward, e1) * e1)
+    n = max(2, int(np.ceil(angle / tb.ARC_STEP)) + 1)
+    ts = np.linspace(0.0, angle, n)
+    pts = [center + radius * (np.cos(t) * e1 + np.sin(t) * e2) for t in ts]
+    return pts, float(radius * angle)
+
+
+def reference_tube_path(P, R, x, y):
+    """The ``tube_path`` that appends its polyline point by point."""
+    if not tb.proper_core(P):
+        raise tb.TubeError("core must have codimension >= 1")
+    if not tb.segment_hits_polytope(x.foot, y.foot, P):
+        raise tb.HypothesisViolated(
+            "the segment [x', y'] between the span projections misses the core"
+        )
+    poly = [x.point]
+    total = 0.0
+    case = "A"
+    vx, vy = x.vertical.copy(), y.vertical.copy()
+    if np.linalg.norm(x.lateral) > tb.DECISION_TOL:
+        case = "B"
+        vx = tb._vertical_target(P, x, y)
+        arc, alen = reference_arc(x.base, x.point - x.base, vx, R)
+        poly.extend(arc[1:])
+        total += alen
+    if np.linalg.norm(y.lateral) > tb.DECISION_TOL:
+        case = "C" if case == "B" else "B"
+        vy = tb._vertical_target(P, y, x)
+    separating = P.codim == 1 and float(np.dot(vx, vy)) < 0.0
+    if separating:
+        z = _min_distance_sum_on_boundary(P, x.base, y.base)
+        x2 = z + vx
+        poly.append(x2)
+        total += float(np.linalg.norm(poly[-2] - x2))
+        swing = tb._outward_in_span(P, z)
+        half, hlen = reference_circle_arc(z, vx, swing, R, np.pi)
+        poly.extend(half[1:])
+        total += hlen
+        y2 = z + vy
+        py = y.base + vy
+        total += float(np.linalg.norm(y2 - py))
+        poly.append(py)
+    else:
+        e1 = tb.unit(vx)
+        w = vy - np.dot(vy, e1) * e1
+        if np.linalg.norm(w) < tb.DECISION_TOL * R and np.dot(vx, vy) < 0:
+            perp = tb._perpendicular_vertical(P, vx)
+            arc, alen = reference_circle_arc(x.base, vx, perp, R, np.pi)
+        else:
+            arc, alen = reference_arc(x.base, vx, vy, R)
+        poly.extend(arc[1:])
+        total += alen
+        py = y.base + vy
+        total += float(np.linalg.norm(np.asarray(arc[-1]) - py))
+        poly.append(py)
+    if np.linalg.norm(y.lateral) > tb.DECISION_TOL:
+        arc, alen = reference_arc(y.base, vy, y.point - y.base, R)
+        poly.extend(arc[1:])
+        total += alen
+    else:
+        poly.append(y.point)
+    out = [np.asarray(poly[0], dtype=float)]
+    for p in poly[1:]:
+        if np.linalg.norm(np.asarray(p) - out[-1]) > tb.DEDUP_TOL:
+            out.append(np.asarray(p, dtype=float))
+    return tb.TubePathResult(np.array(out), float(total), case, separating)
+
+
+def random_core(rng):
+    """A polygon in a random plane of E^3, a segment in E^2 or E^3, or a point in E^2."""
+    kind = rng.integers(4)
+    if kind == 0:
+        frame = np.linalg.qr(rng.normal(size=(3, 3)))[0][:, :2]
+        return tb.VPolytope(rng.normal(size=3) + rng.normal(size=(rng.integers(3, 7), 2)) @ frame.T)
+    if kind == 3:
+        return tb.point_polytope(rng.normal(size=2))
+    n = 2 + kind - 1
+    a = rng.normal(size=n)
+    return tb.segment_polytope(a, a + rng.normal(size=n))
+
+
+def constructed_pairs():
+    """(core, R, x, y) for the branches random pairs seldom reach."""
+    point, segment, square = (tb.standard_shape(n) for n in ("point", "segment", "square"))
+    R = np.sqrt(0.75)
+    return [
+        (segment, 1.0, [0.5, 0.0, 1.0], [0.5, 0.0, -1.0]),  # antipodal verticals
+        (segment, 1.0, [0.2, 0.0, 1.0], [0.9, -1.0, 0.0]),
+        (segment, 1.0, [-1.0, 0.0, 0.0], [0.5, 0.0, 1.0]),  # zero vertical at x
+        (segment, 1.0, [-1.0, 0.0, 0.0], [2.0, 0.0, 0.0]),  # zero verticals at both
+        (square, 1.0, [-1.0, 0.5, 0.0], [2.0, 0.5, 0.0]),
+        (point, 1.0, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]),  # x == y
+        (segment, 0.7, [0.3, 0.0, 0.7], [0.3, 0.0, 0.7]),
+        (square, 1.0, [0.5, 0.5, 1.0], [0.5, 0.5, -1.0]),  # separating
+        (square, R, [1.5, 1.5, 0.5], [0.5, 0.5, -R]),
+        (square, 1.0, [0.5, -0.6, 0.8], [0.5, 1.6, -0.8]),
+    ]
+
+
+def path_or_error(f, P, R, x, y):
+    try:
+        res = f(P, R, x, y)
+    except Exception as err:
+        return type(err), str(err)
+    poly = res.polyline
+    return res.case, res.separating, poly.shape, poly.tobytes(), np.float64(res.length).tobytes()
+
+
+def test_tube_path_matches_the_point_by_point_construction(point3, segment3, square3):
+    """Paths from the array-built polyline equal the appended one bit for bit.
+
+    Draws: random pairs on the three standard shapes, on random cores
+    (codimension 1 polygons and segments route separating pairs through
+    their boundary) and constructed pairs for the antipodal, zero-vertical,
+    x == y and separating branches.  Both versions get the same tube
+    points and must raise the same error or give the same case,
+    separating flag, polyline bytes and length bits.
+    """
+    rng = np.random.default_rng(5)
+    draws = []
+    for P in (point3, segment3, square3):
+        draws += [(P, R, *random_tube_pair(P, R, rng)) for R in rng.uniform(0.3, 3.0, 500)]
+    for _ in range(2000):
+        P, R = random_core(rng), rng.uniform(0.3, 3.0)
+        draws.append((P, R, *random_tube_pair(P, R, rng)))
+    draws += constructed_pairs()
+    kinds = set()
+    for P, R, x, y in draws:
+        tx, ty = (tb.make_tube_point(P, np.asarray(p, dtype=float), R) for p in (x, y))
+        got = path_or_error(tb.tube_path, P, R, tx, ty)
+        assert got == path_or_error(reference_tube_path, P, R, tx, ty)
+        kinds.add(got[:2])
+    missed = (tb.HypothesisViolated, "the segment [x', y'] between the span projections misses the core")
+    assert kinds == {missed} | {(case, sep) for case in "ABC" for sep in (False, True)}
+
+
 def test_radial_projection_point_core(point3):
     path = np.array(
         [[np.cos(a) * 2, np.sin(a) * 2, 0.0] for a in np.linspace(0, 1.0, 30)]
@@ -336,14 +485,14 @@ def test_charts_roundtrip(point3, segment3, square3):
                 t = rng.uniform(0.05, 0.95) * chart.T
                 phi = rng.uniform(-np.pi, np.pi)
                 p = chart.point(t, phi)
-                t2, phi2 = chart.coords(p)
+                (t2,), (phi2,) = chart.lift([p])
                 assert abs(t - t2) < 1e-9
                 assert abs((phi - phi2 + np.pi) % (2 * np.pi) - np.pi) < 1e-9
             else:
                 s = rng.uniform(0.1, 0.9) * chart.Lu
                 m = rng.uniform(0, chart.M)
                 p = chart.point(s, m)
-                s2, m2 = chart.coords(p)
+                (s2,), (m2,) = chart.lift([p])
                 assert abs(s - s2) < 1e-9
                 assert abs((m - m2 + chart.M / 2) % chart.M - chart.M / 2) < 1e-9
             assert abs(tb.tube_distance(P, p) - R) < 1e-9
@@ -383,7 +532,7 @@ def charts(draw):
 
 @given(charts())
 def test_chart_coords_roundtrip(case):
-    """coords(point(t, phi)) gives back t, and phi modulo the chart period.
+    """lift([point(t, phi)]) gives back t, and phi modulo the chart period.
 
     t stays 1 % of the domain away from its ends: the poles of a
     revolution chart, where phi is undefined, and the far ends of the
@@ -392,7 +541,7 @@ def test_chart_coords_roundtrip(case):
     chart, T, rng = case
     period = chart.period
     for t, phi in zip(rng.uniform(0.01, 0.99, 20) * T, rng.uniform(-50, 50, 20)):
-        t2, phi2 = chart.coords(chart.point(t, phi))
+        (t2,), (phi2,) = chart.lift([chart.point(t, phi)])
         assert abs(t2 - t) <= 1e-9 * max(1.0, T)
         assert abs((phi2 - phi + period / 2) % period - period / 2) <= 1e-9 * max(1.0, abs(phi))
 
@@ -429,7 +578,7 @@ def test_segments_match_linspace_bit_for_bit(case, counts):
 def test_stadium_band_guard(square3):
     chart = tb.StadiumChart(square3, 1.0)
     with pytest.raises(tb.ChartError, match="central band"):
-        chart.coords(np.array([2.0, 0.5, 1.0]))
+        chart.lift([np.array([2.0, 0.5, 1.0])])
 
 
 def test_loop_degree_detection(point3, segment3, square3):
@@ -552,7 +701,7 @@ def near_points(P, rng, k=40):
     return X
 
 
-def reference_strip(P, n_grid=360):
+def reference_strip(P, n_grid):
     """The direction-by-direction ``classify_strip``."""
     if P.dim == 1:
         dirs = [P.basis.T @ np.array([1.0])]
@@ -583,13 +732,14 @@ def reference_strip(P, n_grid=360):
 
 
 @pytest.mark.parametrize("name", ["segment", "square", "triangle", "segment2", "tetra4"])
-def test_classify_strip_matches_the_per_direction_loop(name):
-    if name == "tetra4":  # a 3-dimensional core in E^4 samples random directions
-        P, n_grid = tb.VPolytope(np.vstack([np.zeros(4), np.diag([1.0, 2.0, 0.5, 0.0])[:3]])), 12
+def test_classify_strip_matches_the_per_direction_loop(name, monkeypatch):
+    if name == "tetra4":  # a 3-dimensional core in E^4 samples STRIP_GRID**2 random directions
+        P = tb.VPolytope(np.vstack([np.zeros(4), np.diag([1.0, 2.0, 0.5, 0.0])[:3]]))
+        monkeypatch.setattr(tb, "STRIP_GRID", 12)
     else:
-        P, n_grid = CORES[name], 360
-    got = tb.classify_strip(P, n_grid)
-    case, delta, dirs = reference_strip(P, n_grid)
+        P = CORES[name]
+    got = tb.classify_strip(P)
+    case, delta, dirs = reference_strip(P, tb.STRIP_GRID)
     assert got.case == case
     if delta is not None:
         assert np.float64(got.delta).tobytes() == np.float64(delta).tobytes()
