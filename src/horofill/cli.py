@@ -117,7 +117,7 @@ def _run_job(scn, scenario_idx, length_idx, ell, trial, base_seed, keep):
     if not keep:
         return row, None
     artifact = {
-        "loop": [[float(c) for c in p] for p in loop.vertices],
+        "loop": loop.vertices.tolist(),
         "partition": fp.to_dict(),
     }
     return row, artifact

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix, hstack
 
-from .geometry import DECISION_TOL, LOG_FLOOR, SURFACE_TOL, straight_segments
+from .geometry import CENSUS_MARGIN, DECISION_TOL, LOG_FLOOR, SURFACE_TOL, straight_segments
 from .partitions import (
     BrickCensus,
     DiskBuilder,
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-CENSUS_BLOCK = 16384  # bricks per block of brick_census probes
+CENSUS_BLOCK = 16384  # points or bricks per block of brick_census
 
 
 class FillingError(ValueError):
@@ -125,12 +125,32 @@ def brick_census(trace, fp):
     A brick counts as flat when a 7-point probe (vertices, edge
     midpoints, centroid) stays at envelope value >= -SURFACE_TOL: such bricks
     lie in the apartment exterior or inside a single level-set facet.
-    The probes run over blocks of CENSUS_BLOCK bricks, so temporaries
-    stay bounded however large the fill.
+
+    Most bricks are settled without the probe.  Each point's best piece
+    is found once; a brick is surely flat when the best piece at one of
+    its vertices is at least -SURFACE_TOL + CENSUS_MARGIN at all three
+    vertices, because the piece is affine, so at least that at every
+    probe, and the envelope is at least the piece.  Only the other bricks
+    are probed.  Points and bricks go in blocks of CENSUS_BLOCK, so
+    temporaries stay bounded however large the fill.
     """
+    G, c = trace.gradients, trace.offsets
+    best = np.empty(len(fp.points), dtype=int)
+    for lo in range(0, len(best), CENSUS_BLOCK):
+        vals = fp.points[lo : lo + CENSUS_BLOCK] @ G.T + c
+        best[lo : lo + CENSUS_BLOCK] = np.argmax(vals, axis=1)
+    cols = fp.points.T
+    floor = -SURFACE_TOL + CENSUS_MARGIN
     flat = 0
     for lo in range(0, fp.area, CENSUS_BLOCK):
-        pts = fp.points[fp.triangles[lo : lo + CENSUS_BLOCK]]  # (block, 3, n)
+        block = fp.triangles[lo : lo + CENSUS_BLOCK]
+        tris = block.T.copy()  # (3, block)
+        for k in range(3):
+            # vertex k's best piece at all three vertices; keep the bricks it does not settle
+            p = best[tris[k]]
+            vals = sum((g[p] * col[tris] for g, col in zip(G.T, cols)), c[p])
+            tris = tris[:, vals.min(axis=0) < floor]
+        pts = fp.points[tris.T]  # (unsettled, 3, n)
         probes = [
             pts[:, 0],
             pts[:, 1],
@@ -143,7 +163,7 @@ def brick_census(trace, fp):
         ok = np.ones(len(pts), dtype=bool)
         for q in probes:
             ok &= trace.values(q) >= -SURFACE_TOL
-        flat += int(np.sum(ok))
+        flat += len(block) - len(pts) + int(np.sum(ok))
     return BrickCensus(flat_bricks=flat, wild_bricks=fp.area - flat)
 
 

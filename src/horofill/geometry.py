@@ -11,6 +11,7 @@ Tolerance policy (documented once, used everywhere):
 ``CHORD_TOL``             1e-10  a corner on the chord of a level-polygon walk
 ``LOG_FLOOR``             1e-300 positive floor under a logarithm's argument
 ``BOOTSTRAP_TOL``         1e-6   default stopping excess of ``horofill bootstrap``
+``CENSUS_MARGIN``         1e-8   headroom over a piece's rounding in the brick census's vertex test
 """
 
 import itertools
@@ -27,6 +28,15 @@ SQUARED_LENGTH_FLOOR = 1e-18
 CHORD_TOL = 1e-10
 LOG_FLOOR = 1e-300
 BOOTSTRAP_TOL = 1e-6
+CENSUS_MARGIN = 1e-8
+"""Margin by which ``filling.brick_census`` settles a brick from its vertices.
+
+A piece's computed value at a computed probe point is off from the
+exact value at the exact point by about ulp * (|g| |x| + |c|), far below
+1e-8 for |g| |x| up to about 1e6; within that coordinate range a piece at
+least ``-SURFACE_TOL + CENSUS_MARGIN`` at a brick's vertices is at least
+``-SURFACE_TOL`` at every probe, as the probe computes it.
+"""
 
 MAX_PIECES_FOR_PROJECTION = 40
 VERTEX_BLOCK = 1 << 14  # n-subsets per batched solve; bounds memory on large systems

@@ -101,10 +101,10 @@ class FillingPartition:
 
     def to_dict(self):
         return {
-            "points": [[round(float(c), 12) for c in p] for p in self.points],
-            "triangles": [[int(i) for i in t] for t in self.triangles],
-            "boundary": [int(i) for i in self.boundary],
-            "boundary_anchor": [int(i) for i in self.boundary_anchor],
+            "points": [[round(c, 12) for c in p] for p in self.points.tolist()],
+            "triangles": self.triangles.tolist(),
+            "boundary": np.asarray(self.boundary, dtype=int).tolist(),
+            "boundary_anchor": np.asarray(self.boundary_anchor, dtype=int).tolist(),
         }
 
     @staticmethod
@@ -120,12 +120,27 @@ class FillingPartition:
 
 
 def compute_mesh(points, triangles):
+    """Largest brick perimeter, one coordinate column at a time.
+
+    Each edge's squared length is summed column by column from the
+    gathered coordinates, square-rooted, and the three edges are added in
+    the order (0, 1) + (1, 2) + (2, 0).  This equals the maximum of
+    ``norm(P[:, i] - P[:, j], axis=1)`` sums over the gathered ``(T, 3, n)``
+    array bit for bit only because numpy sums such short rows in
+    sequence, first coordinate first, as the columns are added here.
+    """
     if len(triangles) == 0:
         return 0.0
-    P = points[np.asarray(triangles, dtype=int)]
-    e0 = np.linalg.norm(P[:, 0] - P[:, 1], axis=1)
-    e1 = np.linalg.norm(P[:, 1] - P[:, 2], axis=1)
-    e2 = np.linalg.norm(P[:, 2] - P[:, 0], axis=1)
+    T = np.asarray(triangles, dtype=int)
+    corners = [T[:, k].copy() for k in range(3)]
+    sq = np.zeros((3, len(T)))
+    for col in np.asarray(points, dtype=float).T:
+        g = [col[c] for c in corners]
+        for s, (i, j) in zip(sq, ((0, 1), (1, 2), (2, 0))):
+            d = g[i] - g[j]
+            d *= d
+            s += d
+    e0, e1, e2 = np.sqrt(sq, out=sq)
     return float(np.max(e0 + e1 + e2))
 
 

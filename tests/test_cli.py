@@ -226,7 +226,8 @@ def test_keep_partitions_revalidates(tmp_path):
 
 def test_run_contains_job_failures(tmp_path, capsys):
     # an A1 x A1 trace with one deeper piece passes the config check, but
-    # its minimum set admits no thin strip, so every fill of it fails
+    # its minimum set admits no thin strip: short loops still fill by the
+    # cone route, and its l = 8 and 16 jobs, which need the strip, fail
     a1a1 = cx.build_root_system("product", factors=[1, 1])
     th = cx.project_to_chamber(a1a1, a1a1.coweights.sum(axis=0))
     skew = tr.BusemannTrace(a1a1, th, cx.slope_facts(a1a1, th).orbit, [-1.5, -1, -1, -1])

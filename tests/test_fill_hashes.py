@@ -6,20 +6,7 @@ change that moves any point, triangle, boundary index or anchor of these
 disks fails here, without a manual run of the tool.
 """
 
-import importlib.util
-import os
-
 import pytest
-
-TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "fill_hashes.py")
-
-
-@pytest.fixture(scope="module")
-def fill_hashes():
-    spec = importlib.util.spec_from_file_location("fill_hashes", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize(

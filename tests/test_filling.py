@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from horofill import coxeter as cx
 from horofill import filling as fl
 from horofill import meshes as ms
+from horofill import scenarios as sc
 from horofill import trace as tr
-from horofill.partitions import Loop, validate_partition
+from horofill.geometry import CENSUS_MARGIN, SURFACE_TOL
+from horofill.partitions import BrickCensus, FillingPartition, Loop, validate_partition
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +218,104 @@ def test_brick_census_in_blocks_matches_one_block(monkeypatch):
     assert fp.area > 10 * 997
     assert fl.brick_census(trace, fp) == whole == census
     assert whole.flat_bricks > 0 and whole.wild_bricks > 0
+
+
+def reference_brick_census(trace, fp):
+    """``brick_census`` as it was: the 7-point probe on every brick."""
+    flat = 0
+    for lo in range(0, fp.area, fl.CENSUS_BLOCK):
+        pts = fp.points[fp.triangles[lo : lo + fl.CENSUS_BLOCK]]
+        probes = [
+            pts[:, 0],
+            pts[:, 1],
+            pts[:, 2],
+            0.5 * (pts[:, 0] + pts[:, 1]),
+            0.5 * (pts[:, 1] + pts[:, 2]),
+            0.5 * (pts[:, 2] + pts[:, 0]),
+            (pts[:, 0] + pts[:, 1] + pts[:, 2]) / 3.0,
+        ]
+        ok = np.ones(len(pts), dtype=bool)
+        for q in probes:
+            ok &= trace.values(q) >= -SURFACE_TOL
+        flat += int(np.sum(ok))
+    return BrickCensus(flat_bricks=flat, wild_bricks=fp.area - flat)
+
+
+def hashed_trace_fills(fill_hashes, hashed_fills):
+    """(trace, partition) of every trace fill that ``tools/fill_hashes.py`` hashes."""
+    for gen in ("trace-a2", "trace-a3"):
+        for ell in fill_hashes.LENGTHS.get(gen, fill_hashes.DEFAULT_LENGTHS):
+            for seed in fill_hashes.SEEDS:
+                trace = sc.GENERATORS[gen](ell, 1.0, seed)[0]
+                yield trace, hashed_fills[f"{gen} l={ell} seed={seed}"]
+
+
+def test_brick_census_matches_the_probe_on_every_hashed_trace_fill(fill_hashes, hashed_fills):
+    fills = list(hashed_trace_fills(fill_hashes, hashed_fills))
+    assert len(fills) == 14
+    for trace, fp in fills:
+        assert fl.brick_census(trace, fp) == reference_brick_census(trace, fp) == fp.census
+
+
+def test_brick_census_matches_the_probe_on_random_realizable_traces(fill_hashes, hashed_fills):
+    """Symmetric traces scaled, shifted and centred on a random point of a hashed fill.
+
+    The horoball then cuts through the fill, so many bricks straddle its
+    rim and the vertex test and the probe both decide bricks.
+    """
+    by_rank = {}
+    for trace, fp in hashed_trace_fills(fill_hashes, hashed_fills):
+        if fp.area < 12_000:
+            by_rank.setdefault(trace.apartment_dim, []).append((trace, fp))
+    rng = np.random.default_rng(73)
+    flat = wild = 0
+    for k in range(40):
+        fills = by_rank[2 + k % 2]
+        trace, fp = fills[int(rng.integers(len(fills)))]
+        rs = trace.root_system
+        slope = rs.coweights[int(rng.integers(rs.rank))] + rng.uniform(0, 0.5, rs.rank)
+        theta = cx.project_to_chamber(rs, slope)
+        centre = fp.points[int(rng.integers(len(fp.points)))]
+        host = (
+            tr.symmetric_trace(rs, theta)
+            .shifted(-rng.uniform(0.2, 1.0))
+            .scaled(rng.uniform(0.5, 2.0))
+            .translated(centre)
+        )
+        census = fl.brick_census(host, fp)
+        assert census == reference_brick_census(host, fp)
+        flat += census.flat_bricks
+        wild += census.wild_bricks
+    assert flat > 0 and wild > 0
+
+
+def test_brick_census_probes_a_brick_with_a_vertex_inside_the_margin(tri_trace, monkeypatch):
+    """A vertex below -SURFACE_TOL + CENSUS_MARGIN leaves its brick to the 7-point probe.
+
+    Three bricks in piece 0's region: one with a vertex inside the margin
+    (flat by the probe), one clear of the level set (flat by the vertex
+    test alone) and one with a vertex below -SURFACE_TOL (wild).
+    """
+    g, c0 = tri_trace.gradients[0], tri_trace.offsets[0]
+    out = g / np.dot(g, g)  # moves piece 0's value by one per unit
+    side = np.array([-g[1], g[0]]) / np.linalg.norm(g)
+
+    def brick(value):
+        first = (value - c0) * out
+        return [first, first + 0.1 * out + 0.05 * side, first + 0.1 * out - 0.05 * side]
+
+    in_margin = -SURFACE_TOL + 0.5 * CENSUS_MARGIN
+    pts = np.array(brick(in_margin) + brick(0.05) + brick(-2 * SURFACE_TOL))
+    vals = tri_trace.values(pts)
+    assert -SURFACE_TOL <= vals[0] < -SURFACE_TOL + CENSUS_MARGIN and vals[6] < -SURFACE_TOL
+    assert np.all(vals[[1, 2, 3, 4, 5, 7, 8]] > 0)
+    fp = FillingPartition(pts, np.arange(9).reshape(3, 3), [], [])
+    want = reference_brick_census(tri_trace, fp)
+    probed = []
+    values = tri_trace.values
+    monkeypatch.setattr(tri_trace, "values", lambda X: probed.append(len(X)) or values(X))
+    assert fl.brick_census(tri_trace, fp) == want == BrickCensus(2, 1)
+    assert probed == [2] * 7
 
 
 def test_sandwich_fill_takes_one_census_and_one_level_projection(monkeypatch):

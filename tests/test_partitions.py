@@ -1,3 +1,6 @@
+import json
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -338,6 +341,56 @@ def test_empty_partition_mesh_is_zero():
     back = FillingPartition.from_dict(fp.to_dict())
     assert fp.mesh == back.mesh == 0.0
     assert refine_partition(back, 0.5) is back
+
+
+def reference_mesh(points, triangles):
+    """``compute_mesh`` as it was: row norms over one gathered (T, 3, n) array."""
+    if len(triangles) == 0:
+        return 0.0
+    P = points[np.asarray(triangles, dtype=int)]
+    e0 = np.linalg.norm(P[:, 0] - P[:, 1], axis=1)
+    e1 = np.linalg.norm(P[:, 1] - P[:, 2], axis=1)
+    e2 = np.linalg.norm(P[:, 2] - P[:, 0], axis=1)
+    return float(np.max(e0 + e1 + e2))
+
+
+def test_mesh_matches_the_gathered_norms_on_random_complexes():
+    rng = np.random.default_rng(41)
+    for dim in range(2, 6):
+        for scale in np.logspace(-3, 3, 7):
+            for _ in range(40):
+                pts = rng.standard_normal((int(rng.integers(3, 60)), dim)) * scale
+                tris = rng.integers(0, len(pts), size=(int(rng.integers(1, 200)), 3))
+                assert compute_mesh(pts, tris) == reference_mesh(pts, tris)
+
+
+def test_mesh_matches_the_gathered_norms_on_the_hashed_fills(hashed_fills):
+    assert len(hashed_fills) == 40
+    for name, fp in hashed_fills.items():
+        want = reference_mesh(fp.points, fp.triangles)
+        assert compute_mesh(fp.points, fp.triangles) == want, name
+
+
+def reference_to_dict(fp):
+    """``FillingPartition.to_dict`` as it was: one Python conversion per entry."""
+    return {
+        "points": [[round(float(c), 12) for c in p] for p in fp.points],
+        "triangles": [[int(i) for i in t] for t in fp.triangles],
+        "boundary": [int(i) for i in fp.boundary],
+        "boundary_anchor": [int(i) for i in fp.boundary_anchor],
+    }
+
+
+def test_to_dict_writes_the_bytes_of_the_per_entry_conversion(hashed_fills):
+    rng = np.random.default_rng(5)
+    pts = rng.standard_normal((40, 3)) * np.logspace(-14, 14, 40)[:, None]
+    pts[0] = [-0.0, 0.0, -1e-13]
+    odd = FillingPartition(pts, rng.integers(0, 40, size=(30, 3)), np.arange(8), list(range(8)))
+    short = [fp for name, fp in hashed_fills.items() if " l=8 " in name]
+    for fp in [odd, hashed_fills["cone_fill"], *short]:
+        got, want = fp.to_dict(), reference_to_dict(fp)
+        assert json.dumps(got) == json.dumps(want)
+        assert pickle.dumps(got) == pickle.dumps(want)
 
 
 # -- properties of the array path ------------------------------------------------
