@@ -47,11 +47,18 @@ def load_config(path):
         data = json.load(fh)
     if "scenarios" not in data or not isinstance(data["scenarios"], list):
         raise ConfigError("config needs a 'scenarios' list")
+    names = set()
     for i, scn in enumerate(data["scenarios"]):
         where = f"scenarios[{i}]"
         for field in ("name", "generator", "lengths"):
             if field not in scn:
                 raise ConfigError(f"{where}: missing field '{field}'")
+        # a name keys the scenario's rows, slope fit and output files
+        name = scn["name"]
+        if not isinstance(name, str) or not name:
+            raise ConfigError(f"{where}: name must be a nonempty string")
+        if name in (".", "..") or "/" in name or os.sep in name:
+            raise ConfigError(f"{where}: name {name!r} is not a file name")
         lengths = scn["lengths"]
         if not isinstance(lengths, list) or not all(
             isinstance(x, (int, float)) and not isinstance(x, bool) for x in lengths
@@ -80,6 +87,9 @@ def load_config(path):
         trials = scn.setdefault("trials", 1)
         if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
             raise ConfigError(f"{where}: trials must be a nonnegative integer")
+        if name in names:
+            raise ConfigError(f"{where}: repeated name {name!r}")
+        names.add(name)
     return data
 
 

@@ -19,6 +19,7 @@ from .partitions import (
     DiskBuilder,
     FillingPartition,
     Loop,
+    consecutive_ladders,
     edge_keys,
     empty_partition,
     fill_to_mesh,
@@ -79,9 +80,11 @@ def _cone_fill_once(loop, spacing):
     builder = DiskBuilder(verts.shape[1])
     bidx = builder.add_chain(verts)
     rows, counts = straight_segments(np.tile(verts[0], (s - 1, 1)), verts[1:], spacing)
-    spokes = builder.add_segments(rows, counts, [bidx[0]] * (s - 1), bidx[1:])
-    chains = [[bidx[0]]] + spokes + [[bidx[0]]]
-    builder.add_ladders(zip(chains, chains[1:]))
+    spokes = builder.add_segments(rows, counts, np.full(s - 1, bidx[0]), bidx[1:])
+    # the one-point chains at vertex 0 around the spokes close the fan
+    chains = np.concatenate([bidx[:1], spokes, bidx[:1]])
+    lens = np.concatenate([[1], counts, [1]])
+    builder.add_ladders(*consecutive_ladders(chains, lens))
     return builder.build(bidx, anchor=orig_pos)
 
 
@@ -248,25 +251,25 @@ def _flat_pipeline(V, orig_pos, level_pts, tube_loop, proj, core, m, spacing, tu
     # ring vertices pull back to their exact level projections.  The
     # ring positions increase, so the ring is placed in boundary order.
     lookup = np.full(len(disk.points), -1)
-    lookup[np.asarray(disk.boundary)[ring_positions]] = builder.add_chain(level_pts)
+    lookup[disk.boundary[ring_positions]] = builder.add_chain(level_pts)
     rest = np.flatnonzero(lookup < 0)
     if len(rest):
         lookup[rest] = builder.add_chain(proj.inverse_batch(disk.points[rest]))
     builder.add_triangles(lookup[disk.triangles])
     # radial chains from each loop vertex down to its level projection
-    rim = lookup[np.asarray(disk.boundary)]
+    rim = lookup[disk.boundary]
     rows, counts = straight_segments(V, level_pts, spacing)
-    radial = builder.add_segments(rows, counts, outer_idx, rim[ring_positions].tolist())
+    radial = builder.add_segments(rows, counts, outer_idx, rim[ring_positions])
     # between radial chains k and k + 1 the ladder runs along the pulled
-    # boundary arc from ring vertex k to ring vertex k + 1
-    nb = len(rim)
-    twice = np.concatenate([rim, rim]).tolist()
-    ladders = []
-    for k in range(s):
-        p1, p2 = ring_positions[k], ring_positions[(k + 1) % s]
-        arc = twice[p1 : p1 + (p2 - p1) % nb + 1]
-        ladders.append((radial[k][:-1] + arc, radial[(k + 1) % s]))
-    builder.add_ladders(ladders)
+    # boundary arc from ring vertex k to ring vertex k + 1: chain a is
+    # radial chain k and the arc after ring vertex k, and these arcs tile
+    # the rim from the one after ring vertex 0
+    arcs = np.diff(ring_positions, append=ring_positions[0] + len(rim))
+    on_radial = np.repeat(np.tile([True, False], s), np.stack([counts, arcs], axis=1).ravel())
+    a = np.empty(len(on_radial), dtype=int)
+    a[on_radial] = radial
+    a[~on_radial] = np.roll(rim, -ring_positions[0] - 1)
+    builder.add_ladders(a, counts + arcs, np.roll(radial, -counts[0]), np.roll(counts, -1))
     return builder.build(outer_idx, anchor=orig_pos), {"tube": tube_info}
 
 
@@ -290,13 +293,12 @@ def refine_partition(fp, lam, allow_wild=False):
         return fp
     levels = int(np.ceil(np.log2(fp.mesh / lam)))
     points, tris = fp.points, fp.triangles
-    boundary = np.asarray(fp.boundary, dtype=int)
+    boundary = fp.boundary
     for _ in range(levels):
         points, tris, midpoint = subdivide(points, tris)
         mids = midpoint(boundary, np.roll(boundary, -1))
         boundary = np.stack([boundary, mids], axis=1).ravel()
-    anchor = [p * 2**levels for p in fp.boundary_anchor]
-    out = FillingPartition(points, tris, boundary.tolist(), anchor)
+    out = FillingPartition(points, tris, boundary, fp.boundary_anchor * 2**levels)
     if fp.census is not None:
         factor = 4**levels
         out.census = BrickCensus(

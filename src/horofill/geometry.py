@@ -418,7 +418,7 @@ class VPolytope:
 
 
 def segment_hits_polytope(a, b, poly):
-    """Whether the segment [a, b] meets the polytope.
+    """Whether the segment [a, b], or each segment between rows of a and b, meets the polytope.
 
     The in-span facet constraints cut the parameter to an interval; the
     perpendicular offset is affine in the parameter, so its norm is
@@ -428,23 +428,22 @@ def segment_hits_polytope(a, b, poly):
     b = np.asarray(b, dtype=float)
     va = a - project_affine(a, poly.origin, poly.basis)
     vb = b - project_affine(b, poly.origin, poly.basis)
-    ga = poly.normals @ poly.to_span(a) - poly.bounds
-    dg = poly.normals @ poly.to_span(b) - poly.bounds - ga
+    ga = matvec(poly.normals, poly.to_span(a)) - poly.bounds
+    dg = matvec(poly.normals, poly.to_span(b)) - poly.bounds - ga
     flat = np.abs(dg) < LENGTH_FLOOR
-    if np.any(ga[flat] > DECISION_TOL):
-        return False
     with np.errstate(divide="ignore", invalid="ignore"):
         t = -ga / dg
-    lo = float(np.max(t[~flat & (dg < 0)], initial=0.0))
-    hi = float(np.min(t[~flat & (dg > 0)], initial=1.0))
-    if lo > hi + DECISION_TOL:
-        return False
+    lo = np.max(np.where(~flat & (dg < 0), t, 0.0), axis=-1, initial=0.0)
+    hi = np.min(np.where(~flat & (dg > 0), t, 1.0), axis=-1, initial=1.0)
     dv = vb - va
-    denom = float(np.dot(dv, dv))
-    t_q = 0.5 * (lo + hi) if denom < SQUARED_LENGTH_FLOOR else float(-np.dot(va, dv) / denom)
-    t_star = min(max(t_q, lo), hi)
-    perp = np.linalg.norm((1 - t_star) * va + t_star * vb)
-    return perp <= SURFACE_TOL
+    denom = (dv[..., None, :] @ dv[..., :, None])[..., 0, 0]  # each np.dot(dv, dv)
+    short = denom < SQUARED_LENGTH_FLOOR
+    t_q = -(va[..., None, :] @ dv[..., :, None])[..., 0, 0] / np.where(short, 1.0, denom)
+    t_star = np.clip(np.where(short, 0.5 * (lo + hi), t_q), lo, hi)
+    perp = row_norms((1 - t_star)[..., None] * va + t_star[..., None] * vb)
+    hit = ~np.any(flat & (ga > DECISION_TOL), axis=-1) & (lo <= hi + DECISION_TOL)
+    hit &= perp <= SURFACE_TOL
+    return hit if hit.ndim else bool(hit)
 
 
 def polyline_length(points):

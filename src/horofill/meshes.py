@@ -10,41 +10,26 @@ import json
 
 import numpy as np
 
-from .geometry import DECISION_TOL
+from .geometry import DECISION_TOL, row_norms
 from .partitions import subdivide
 
 
 def octasphere(level=3):
     """Unit geodesic sphere from a subdivided octahedron (8 * 4^level faces)."""
-    verts = [
-        np.array([1.0, 0, 0]),
-        np.array([-1.0, 0, 0]),
-        np.array([0, 1.0, 0]),
-        np.array([0, -1.0, 0]),
-        np.array([0, 0, 1.0]),
-        np.array([0, 0, -1.0]),
-    ]
-    tris = [
-        (0, 2, 4),
-        (2, 1, 4),
-        (1, 3, 4),
-        (3, 0, 4),
-        (2, 0, 5),
-        (1, 2, 5),
-        (3, 1, 5),
-        (0, 3, 5),
-    ]
+    verts = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]])
+    tris = np.array(
+        [[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4], [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]]
+    )
     for _ in range(level):
         verts, tris, _ = subdivide(verts, tris)
-    verts = [v / np.linalg.norm(v) for v in verts]
-    return np.array(verts), np.array(tris, dtype=int)
+    return verts / row_norms(verts)[:, None], tris
 
 
 def equator_cycle(vertices):
     """Vertex cycle of the z = 0 equator of an octasphere, in angle order."""
-    idx = [i for i, v in enumerate(vertices) if abs(v[2]) <= DECISION_TOL]
-    idx.sort(key=lambda i: np.arctan2(vertices[i][1], vertices[i][0]))
-    return idx
+    idx = np.flatnonzero(np.abs(vertices[:, 2]) <= DECISION_TOL)
+    angles = np.arctan2(vertices[idx, 1], vertices[idx, 0])
+    return idx[np.argsort(angles, kind="stable")].tolist()
 
 
 def capped_cylinder(n_around=16, n_along=6, n_cap=4):
@@ -54,68 +39,35 @@ def capped_cylinder(n_around=16, n_along=6, n_cap=4):
     n_cap latitude rows closed at two pole vertices.  Ring m of the
     cylinder part is a loop on the mesh.
     """
-    verts = []
-    rings = []
-
-    def add_ring(x, rho):
-        ring = []
-        for k in range(n_around):
-            phi = 2 * np.pi * k / n_around
-            ring.append(len(verts))
-            verts.append(np.array([x, rho * np.cos(phi), rho * np.sin(phi)]))
-        return ring
-
-    # bottom cap rows (from the pole at -1 up to the cylinder rim)
-    pole_bottom = len(verts)
-    verts.append(np.array([-1.0, 0.0, 0.0]))
-    for r in range(1, n_cap + 1):
-        th = np.pi / 2 * r / n_cap
-        rings.append(add_ring(-np.cos(th), np.sin(th)))
-    for m in range(1, n_along):
-        rings.append(add_ring(m / n_along, 1.0))
-    for r in range(n_cap, 0, -1):
-        th = np.pi / 2 * r / n_cap
-        rings.append(add_ring(1.0 + np.cos(th), np.sin(th)))
-    pole_top = len(verts)
-    verts.append(np.array([2.0, 0.0, 0.0]))
-
-    tris = []
-    first = rings[0]
-    for k in range(n_around):
-        tris.append((pole_bottom, first[k], first[(k + 1) % n_around]))
-    for a, b in zip(rings[:-1], rings[1:]):
-        for k in range(n_around):
-            k2 = (k + 1) % n_around
-            tris.append((a[k], b[k], b[k2]))
-            tris.append((a[k], b[k2], a[k2]))
-    last = rings[-1]
-    for k in range(n_around):
-        tris.append((pole_top, last[(k + 1) % n_around], last[k]))
-    return np.array(verts), np.array(tris, dtype=int), rings
+    th = np.pi / 2 * np.arange(1, n_cap + 1) / n_cap  # bottom cap rows, pole to rim
+    x = np.concatenate([-np.cos(th), np.arange(1, n_along) / n_along, 1.0 + np.cos(th[::-1])])
+    rho = np.concatenate([np.sin(th), np.ones(n_along - 1), np.sin(th[::-1])])
+    phi = 2 * np.pi * np.arange(n_around) / n_around
+    ring_pts = np.stack(
+        np.broadcast_arrays(x[:, None], rho[:, None] * np.cos(phi), rho[:, None] * np.sin(phi)),
+        axis=-1,
+    )
+    verts = np.vstack([[-1.0, 0.0, 0.0], ring_pts.reshape(-1, 3), [2.0, 0.0, 0.0]])
+    rings = 1 + np.arange(len(x) * n_around).reshape(len(x), n_around)
+    nxt = np.roll(rings, -1, axis=1)  # the next vertex around each ring
+    a, b, a2, b2 = rings[:-1], rings[1:], nxt[:-1], nxt[1:]
+    tris = np.vstack([
+        np.stack([np.zeros(n_around, dtype=int), rings[0], nxt[0]], axis=1),
+        np.stack([a, b, b2, a, b2, a2], axis=-1).reshape(-1, 3),
+        np.stack([np.full(n_around, len(verts) - 1), nxt[-1], rings[-1]], axis=1),
+    ])
+    return verts, tris, rings.tolist()
 
 
 def grid_square(n=2):
     """n x n right-triangle grid of the unit square; boundary cycle included."""
-    verts = []
-    for j in range(n + 1):
-        for i in range(n + 1):
-            verts.append(np.array([i / n, j / n, 0.0]))
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            a = j * (n + 1) + i
-            b = a + 1
-            c = a + (n + 1)
-            d = c + 1
-            tris.append((a, b, d))
-            tris.append((a, d, c))
-    boundary = (
-        [j for j in range(n)]
-        + [n + j * (n + 1) for j in range(n)]
-        + [(n + 1) * (n + 1) - 1 - j for j in range(n)]
-        + [n * (n + 1) - j * (n + 1) for j in range(n)]
-    )
-    return np.array(verts), np.array(tris, dtype=int), boundary
+    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1))
+    verts = np.stack([i.ravel() / n, j.ravel() / n, np.zeros(i.size)], axis=1)
+    a = (i[:-1, :-1] + (n + 1) * j[:-1, :-1]).ravel()  # lower-left corner of each cell
+    tris = np.stack([a, a + 1, a + n + 2, a, a + n + 2, a + n + 1], axis=1).reshape(-1, 3)
+    k = np.arange(n)
+    boundary = np.concatenate([k, n + k * (n + 1), (n + 1) ** 2 - 1 - k, n * (n + 1) - k * (n + 1)])
+    return verts, tris, boundary.tolist()
 
 
 def save_mesh(path, vertices, triangles):

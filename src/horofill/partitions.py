@@ -7,7 +7,6 @@ length, and the area is the brick count.
 """
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -60,7 +59,7 @@ class Loop:
         j = np.arange(len(seg)) - pos[seg]
         out = v[seg] + (j / k[seg])[:, None] * step[seg]
         out[pos] = v  # exact copies: a + 0 * step would turn -0.0 into 0.0
-        return Loop(out), pos.tolist()
+        return Loop(out), pos
 
 
 @dataclass
@@ -85,14 +84,17 @@ class FillingPartition:
 
     points: np.ndarray
     triangles: np.ndarray
-    boundary: list
-    boundary_anchor: list
+    boundary: np.ndarray
+    boundary_anchor: np.ndarray
     mesh: float = field(init=False)
     census: BrickCensus = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
         self.triangles = np.asarray(self.triangles, dtype=int).reshape(-1, 3)
+        self.boundary = np.asarray(self.boundary, dtype=int)
+        # as given, so that validation rejects non-integer anchors read from JSON
+        self.boundary_anchor = np.asarray(self.boundary_anchor)
         self.mesh = compute_mesh(self.points, self.triangles)
 
     @property
@@ -103,8 +105,8 @@ class FillingPartition:
         return {
             "points": [[round(c, 12) for c in p] for p in self.points.tolist()],
             "triangles": self.triangles.tolist(),
-            "boundary": np.asarray(self.boundary, dtype=int).tolist(),
-            "boundary_anchor": np.asarray(self.boundary_anchor, dtype=int).tolist(),
+            "boundary": self.boundary.tolist(),
+            "boundary_anchor": self.boundary_anchor.tolist(),
         }
 
     @staticmethod
@@ -114,7 +116,7 @@ class FillingPartition:
         return FillingPartition(
             np.array(data["points"], dtype=float),
             np.array(data["triangles"], dtype=int).reshape(-1, 3),
-            [int(i) for i in data["boundary"]],
+            data["boundary"],
             data["boundary_anchor"],
         )
 
@@ -186,7 +188,7 @@ def validate_partition(loop, fp):
     euler = len(used) - len(keys) + len(tris)
     if euler != 1:
         raise PartitionError(f"euler check failed: V-E+F = {euler} != 1")
-    boundary = np.asarray(fp.boundary, dtype=int)
+    boundary = fp.boundary
     if len(np.unique(boundary)) != len(boundary):
         raise PartitionError("boundary is not a single cycle")
     declared = np.sort(edge_keys(boundary, np.roll(boundary, -1), n))
@@ -270,38 +272,38 @@ class DiskBuilder:
         return np.concatenate(self._tris) if self._tris else np.zeros((0, 3), dtype=int)
 
     def add_chain(self, pts):
-        """Append points in order; returns the list of their indices."""
+        """Append points in order; returns the array of their indices."""
         pts = np.asarray(pts, dtype=float)
         if pts.size == 0:
-            return []
+            return np.arange(0)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise PartitionError(f"points of shape {pts.shape} in builder of dim {self.dim}")
         first, self._n = self._n, self._n + len(pts)
         if self._n > len(self._pts):  # at least double the capacity; rows past _n are scratch
             self._pts = np.resize(self._pts, (max(self._n, 2 * len(self._pts)), self.dim))
         self._pts[first : self._n] = pts
-        return list(range(first, self._n))
+        return np.arange(first, self._n)
 
     def add_point(self, p):
-        return self.add_chain(np.asarray(p, dtype=float)[None])[0]
+        return int(self.add_chain(np.asarray(p, dtype=float)[None])[0])
 
     def add_segments(self, rows, counts, firsts, lasts):
         """Index chains along segments of counts[i] >= 2 stacked rows each.
 
         The end rows of segment i give way to the placed vertices
         firsts[i] and lasts[i]; the interior rows are appended, segment
-        after segment.  Returns the chains [firsts[i], *interior, lasts[i]].
+        after segment.  Returns the chains stacked in one index array
+        laid out like ``rows``.
         """
         counts = np.asarray(counts, dtype=int)
         last = np.cumsum(counts) - 1
+        first = last - counts + 1
+        idx = np.empty(len(rows), dtype=int)
         inner = np.ones(len(rows), dtype=bool)
-        inner[last] = inner[last - counts + 1] = False
-        idx = self.add_chain(np.asarray(rows)[inner])
-        cut = np.cumsum(counts - 2).tolist()
-        return [
-            [a] + idx[c - k : c] + [b]
-            for a, b, c, k in zip(firsts, lasts, cut, (counts - 2).tolist())
-        ]
+        inner[last] = inner[first] = False
+        idx[inner] = self.add_chain(np.asarray(rows)[inner])
+        idx[first], idx[last] = firsts, lasts
+        return idx
 
     def add_triangles(self, tris):
         """Append index rows, dropping degenerate ones (chains sharing an end)."""
@@ -311,14 +313,16 @@ class DiskBuilder:
 
     def add_ladder(self, chain_a, chain_b):
         """The ladder between one pair of index chains (see ``add_ladders``)."""
-        self.add_ladders([(chain_a, chain_b)])
+        self.add_ladders(chain_a, [len(chain_a)], chain_b, [len(chain_b)])
 
-    def add_ladders(self, pairs):
+    def add_ladders(self, a, len_a, b, len_b):
         """Zip-triangulate between each pair of index chains (shared ends allowed).
 
-        Chains of a pair run in the same direction; advancing picks the
-        shorter placed diagonal, which keeps bricks close to the chain
-        spacing.  Off a shared start h, the second step goes along the
+        Ladder i runs between the i-th chain of the index stack ``a``,
+        whose chains have the lengths ``len_a``, and the i-th chain of
+        ``b``.  Chains of a pair run in the same direction; advancing
+        picks the shorter placed diagonal, which keeps bricks close to
+        the chain spacing.  Off a shared start h, the second step goes along the
         other chain: a brick (h, a1, a2) lies on one chain, and the
         ladder on that chain's other side would lay it too.  Once one
         chain is used up the rest of the other one is laid without
@@ -336,18 +340,13 @@ class DiskBuilder:
         use, not a law: the tests compare every brick with the per-step
         loop.
         """
-        pairs = list(pairs)
-        if not pairs:
-            return
-        flat_a = np.fromiter(chain.from_iterable(a for a, _ in pairs), dtype=int)
-        flat_b = np.fromiter(chain.from_iterable(b for _, b in pairs), dtype=int)
-        na = np.fromiter((len(a) for a, _ in pairs), dtype=int, count=len(pairs)) - 1
-        nb = np.fromiter((len(b) for _, b in pairs), dtype=int, count=len(pairs)) - 1
+        flat_a, flat_b = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
+        na, nb = np.asarray(len_a, dtype=int) - 1, np.asarray(len_b, dtype=int) - 1
         off_a, off_b = np.cumsum(na + 1) - na - 1, np.cumsum(nb + 1) - nb - 1
         steps = na + nb
         first = np.cumsum(steps) - steps  # bit position of each ladder's first step
         bits = np.zeros(int(steps.sum()), dtype=bool)  # True: the step goes along a
-        decided = np.zeros(len(pairs), dtype=int)  # steps decided by comparing
+        decided = np.zeros(len(na), dtype=int)  # steps decided by comparing
         tail_a = na > 0  # whether the steps after them go along a
         # the ladders still comparing, as positions in the flat chains
         live = np.flatnonzero((na > 0) & (nb > 0))
@@ -383,7 +382,7 @@ class DiskBuilder:
         # per-brick scratch stays near LADDER_BLOCK bricks however large the fill
         ends = np.cumsum(steps)
         lo = 0
-        while lo < len(pairs):
+        while lo < len(na):
             hi = max(lo + 1, int(np.searchsorted(ends, first[lo] + LADDER_BLOCK, side="right")))
             ladder = np.repeat(np.arange(lo, hi), steps[lo:hi])
             step = np.arange(first[lo], ends[hi - 1]) - first[ladder]
@@ -403,7 +402,22 @@ class DiskBuilder:
             lo = hi
 
     def build(self, boundary, anchor):
-        return FillingPartition(self.points.copy(), self.triangles, list(boundary), list(anchor))
+        return FillingPartition(self.points.copy(), self.triangles, boundary, anchor)
+
+
+def consecutive_ladders(chains, lens):
+    """``add_ladders`` arguments for each chain of a stack and the next one.
+
+    The stack holds the chains' indices one chain after another, and
+    ``lens`` their lengths: a is every chain but the last, b every chain
+    but the first.
+    """
+    return chains[: -lens[-1]], lens[:-1], chains[lens[0] :], lens[1:]
+
+
+def cyclic_ladders(chains, lens):
+    """``consecutive_ladders`` and one more ladder, from the last chain to the first."""
+    return chains, lens, np.roll(chains, -lens[0]), np.roll(lens, -1)
 
 
 def subdivide(points, triangles):
@@ -461,4 +475,5 @@ def empty_partition(loop):
     """The area-zero filling of a constant loop."""
     if not loop.is_constant:
         raise PartitionError("only constant loops admit an empty filling")
-    return FillingPartition(loop.vertices[:1].copy(), np.zeros((0, 3), dtype=int), [], [])
+    none = np.zeros(0, dtype=int)
+    return FillingPartition(loop.vertices[:1].copy(), none.reshape(0, 3), none, none)

@@ -28,7 +28,7 @@ from .geometry import (
     segment_params,
     unit,
 )
-from .partitions import DiskBuilder, empty_partition, fill_to_mesh
+from .partitions import DiskBuilder, consecutive_ladders, cyclic_ladders, empty_partition, fill_to_mesh
 
 
 class TubeError(ValueError):
@@ -755,13 +755,13 @@ def loop_case(P, loop):
     feet = project_affine(loop.vertices, P.origin, P.basis)
     if np.any(P.contains(feet)):
         return 1
-    s = len(feet)
-    step = max(1, s // 64)
-    for i in range(0, s, step):
-        for j in range(i + 1, s, step):
-            if segment_hits_polytope(feet[i], feet[j], P):
-                return 2
-    return 3
+    step = max(1, len(feet) // 64)
+    # the chords from every step-th foot i to the feet i + 1, i + 1 + step, ...
+    starts = np.arange(0, len(feet), step)
+    j = starts[:, None] + 1 + starts
+    i = np.broadcast_to(starts[:, None], j.shape)
+    chords = j < len(feet)
+    return 2 if np.any(segment_hits_polytope(feet[i[chords]], feet[j[chords]], P)) else 3
 
 
 def loop_degree(chart, vertices):
@@ -827,7 +827,6 @@ def _chart_fan(P, chart, loop, spacing, degree):
     """
     res, orig_pos = loop.resampled(spacing)
     verts = res.vertices
-    s = len(verts)
     ts, phis = chart.lift(verts)
     q_end = (ts[0], phis[0] + degree * chart.period)
     hub_p = (float(np.median(ts)), float(np.median(np.concatenate([phis, [q_end[1]]]))))
@@ -836,26 +835,34 @@ def _chart_fan(P, chart, loop, spacing, degree):
     hub_idx = builder.add_point(chart.point(*hub_p))
 
     def spokes(targets, ends):
-        """Chains from the hub to the (m, 2) parameter targets, placed in one chart call."""
+        """Chains from the hub to the (m, 2) parameter targets, placed in one chart call.
+
+        Returns the chains stacked in one index array and their lengths.
+        """
         d = chart.param_distance(hub_p, targets.T)
         n = np.maximum(2, np.ceil(d / spacing).astype(int) + 1)
-        hubs = np.tile(hub_p, (len(targets), 1))
-        return builder.add_segments(chart.segments(hubs, targets, n), n, [hub_idx] * len(n), ends)
+        rows = chart.segments(np.tile(hub_p, (len(targets), 1)), targets, n)
+        return builder.add_segments(rows, n, np.full(len(n), hub_idx), ends), n
 
+    targets = np.stack([ts, phis], axis=1)
     if degree == 0:
-        chains = spokes(np.stack([ts, phis], axis=1), bidx)
-        ladders = list(zip(chains, chains[1:] + chains[:1]))
+        ladders = [cyclic_ladders(*spokes(targets, bidx))]
     else:
-        chains = spokes(np.vstack([np.stack([ts, phis], axis=1), q_end]), bidx + bidx[:1])
+        chains, n = spokes(np.vstack([targets, q_end]), np.append(bidx, bidx[0]))
         fiber_chain, fiber_params = _wrapped_fiber_chain(
             builder, chart, (ts[0], phis[0]), degree, spacing, bidx[0]
         )
         # wedge between the two lift copies of vertex 0: fan from the
         # same hub over the wrapped fiber circle
-        wedge = [chains[0]] + spokes(fiber_params[1:-1], fiber_chain[1:-1]) + [chains[s]]
-        ladders = list(zip(chains, chains[1:])) + list(zip(wedge, wedge[1:]))
-        ladders += _pole_cap(builder, chart, fiber_chain, fiber_params, spacing)
-    builder.add_ladders(ladders)
+        inner, inner_n = spokes(fiber_params[1:-1], fiber_chain[1:-1])
+        wedge = np.concatenate([chains[: n[0]], inner, chains[-n[-1] :]])
+        wedge_n = np.concatenate([n[:1], inner_n, n[-1:]])
+        ladders = [
+            consecutive_ladders(chains, n),
+            consecutive_ladders(wedge, wedge_n),
+            _pole_cap(builder, chart, fiber_chain, fiber_params, spacing),
+        ]
+    builder.add_ladders(*map(np.concatenate, zip(*ladders)))
     return builder.build(bidx, anchor=orig_pos)
 
 
@@ -868,7 +875,7 @@ def _wrapped_fiber_chain(builder, chart, q0, degree, spacing, idx0):
     d = chart.param_distance(q0, q_end)
     n = max(3, int(np.ceil(d / spacing)) + 1)
     params = segment_params([q0], [q_end], [n])
-    (chain,) = builder.add_segments(chart.points(params[:, 0], params[:, 1]), [n], [idx0], [idx0])
+    chain = builder.add_segments(chart.points(params[:, 0], params[:, 1]), [n], [idx0], [idx0])
     return chain, params
 
 
@@ -878,7 +885,7 @@ def _pole_cap(builder, chart, fiber_chain, fiber_params, spacing):
     The pole (profile parameter 0) is a single placement, so meridians at
     all lifted angles share one combinatorial apex and the winding is
     absorbed there.  Places the pole and the meridians, and returns the
-    pairs of neighbouring meridians for the caller to ladder.
+    ``add_ladders`` arguments for each meridian and the next one around.
     """
     pole_idx = builder.add_point(chart.point(0.0, 0.0))
     n = len(fiber_chain) - 1  # fiber_chain[-1] is fiber_chain[0] again
@@ -886,5 +893,4 @@ def _pole_cap(builder, chart, fiber_chain, fiber_params, spacing):
     starts = np.stack([np.zeros(n), ends[:, 1]], axis=1)
     m = np.maximum(2, np.ceil(ends[:, 0] / spacing).astype(int))
     rows = chart.segments(starts, ends, m)
-    meridians = builder.add_segments(rows, m, [pole_idx] * n, fiber_chain[:n])
-    return list(zip(meridians, meridians[1:] + meridians[:1]))
+    return cyclic_ladders(builder.add_segments(rows, m, np.full(n, pole_idx), fiber_chain[:n]), m)

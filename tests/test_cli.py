@@ -64,6 +64,13 @@ def test_config_validation_errors(tmp_path, capsys):
             ({"mesh": "one"}, "mesh must be a positive number"),
             ({"lengths": [-6]}, "lengths must be positive and strictly increasing"),
             ({"radius": 2.0}, "the tube radius is fixed at 1"),
+            ({"name": ""}, "name must be a nonempty string"),
+            ({"name": 7}, "name must be a nonempty string"),
+            ({"name": None}, "name must be a nonempty string"),
+            ({"name": "a/b"}, "name 'a/b' is not a file name"),
+            ({"name": "../up"}, "name '../up' is not a file name"),
+            ({"name": "."}, "name '.' is not a file name"),
+            ({"name": ".."}, "name '..' is not a file name"),
         ]
     ):
         cfg = write_config(tmp_path / f"c5{k}.json", [dict(small_scenario(), **change)])
@@ -71,6 +78,12 @@ def test_config_validation_errors(tmp_path, capsys):
         assert cli.main(["run", cfg, "--out-dir", str(out)]) == 2
         assert f"config error: scenarios[0]: {message}" in capsys.readouterr().err
         assert not (out / "runs.csv").exists()
+
+    # two scenarios of one name would share one SVG and one slope fit
+    twice = write_config(tmp_path / "c6.json", [small_scenario(), small_scenario()])
+    assert cli.main(["run", twice, "--out-dir", str(tmp_path / "o6")]) == 2
+    assert "config error: scenarios[1]: repeated name 'mini'" in capsys.readouterr().err
+    assert not (tmp_path / "o6" / "runs.csv").exists()
 
     missing = str(tmp_path / "no-such-config.json")
     assert cli.main(["run", missing, "--out-dir", str(tmp_path / "o2b")]) == 2

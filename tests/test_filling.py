@@ -8,7 +8,7 @@ from horofill import filling as fl
 from horofill import meshes as ms
 from horofill import scenarios as sc
 from horofill import trace as tr
-from horofill.geometry import CENSUS_MARGIN, SURFACE_TOL
+from horofill.geometry import CENSUS_MARGIN, DEDUP_TOL, SURFACE_TOL
 from horofill.partitions import BrickCensus, FillingPartition, Loop, validate_partition
 
 
@@ -536,3 +536,51 @@ def test_oracle_mesh_io_roundtrip(tmp_path):
     ms.save_cycle(lp, b)
     v2, t2 = ms.load_mesh(mp)
     assert fl.brute_force_area(v2, t2, ms.load_cycle(lp)) == 8
+
+
+# -- whole fills as the CLI makes them --------------------------------------------------------
+
+
+@st.composite
+def scenario_loops(draw):
+    """A host and loop: a scenario generator's, or a custom A2/A3 trace's.
+
+    Generators draw lengths 4-16 (trace-a3 4-8).  Custom traces are
+    realizable: the symmetric trace on a coweight slope, or one pushed
+    into the chamber, shifted down, translated and scaled, with its loop
+    from ``custom_trace_loop`` at length 4-16 (rank 3: 4-8).
+    """
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(sc.GENERATORS)))
+        ell = draw(st.integers(4, 8 if name == "trace-a3" else 16))
+        return sc.GENERATORS[name](ell, 1.0, seed)
+    rank = draw(st.sampled_from([2, 3]))
+    rs = cx.build_root_system("A", rank=rank)
+    rng = np.random.default_rng(seed)
+    slope = rs.coweights[draw(st.integers(0, rank - 1))]
+    if draw(st.booleans()):
+        slope = slope + rng.uniform(0.0, 0.5, rank) @ rs.coweights
+    trace = (
+        tr.symmetric_trace(rs, cx.project_to_chamber(rs, slope))
+        .shifted(-rng.uniform(0.5, 2.0))
+        .translated(rng.normal(size=rank) * 3.0)
+        .scaled(rng.uniform(0.5, 2.0))
+    )
+    ell = draw(st.integers(4, 16 if rank == 2 else 8))
+    return sc.custom_trace_loop(trace, ell, 1.0, seed)
+
+
+@given(scenario_loops())
+def test_whole_fills_validate_and_survive_serialization(case):
+    host, loop = case
+    if isinstance(host, tr.BusemannTrace):
+        fp, census, _ = fl.fill_flat_loop(host, loop, mesh=1.0)
+    else:
+        fp = fl.fill_tube_loop(host, sc.TUBE_RADIUS, loop, 1.0)[0]
+        census = fp.census or BrickCensus(0, fp.area)
+    mesh, area = validate_partition(loop, fp)
+    assert mesh <= 1.0 + DEDUP_TOL  # the mesh that fill_to_mesh accepts
+    assert census.flat_bricks + census.wild_bricks == area == fp.area
+    back = FillingPartition.from_dict(fp.to_dict())
+    assert validate_partition(loop, back)[1] == area

@@ -41,7 +41,7 @@ def test_loop_length_and_resample():
     assert abs(loop.length - 4.0) < 1e-12
     res, pos = loop.resampled(0.3)
     assert len(res.vertices) == 16
-    assert pos == [0, 4, 8, 12]
+    assert pos.tolist() == [0, 4, 8, 12]
     assert abs(res.length - 4.0) < 1e-12
 
 
@@ -231,11 +231,11 @@ def add_straight_chains(builder, firsts, lasts, spacing):
 def test_add_segment_spacing():
     builder = DiskBuilder(2)
     i, j = builder.add_chain([[0.0, 0], [1.0, 0]])
-    (chain,) = add_straight_chains(builder, [i], [j], 0.3)
+    chain = add_straight_chains(builder, [i], [j], 0.3)
     assert chain[0] == i and chain[-1] == j
     assert len(chain) == 5  # ceil(1 / 0.3) + 1 points
     assert np.allclose(builder.points[chain][:, 0], np.linspace(0.0, 1.0, 5))
-    assert add_straight_chains(builder, [i], [j], 2.0) == [[i, j]]
+    assert add_straight_chains(builder, [i], [j], 2.0).tolist() == [i, j]
 
 
 def reference_chain(builder, i, j, spacing):
@@ -243,7 +243,7 @@ def reference_chain(builder, i, j, spacing):
     pi, pj = builder.points[i], builder.points[j]
     n = max(2, int(np.ceil(float(np.linalg.norm(pj - pi)) / spacing)) + 1)
     interior = builder.add_chain(pi + np.linspace(0.0, 1.0, n)[1:-1, None] * (pj - pi))
-    return [i] + interior + [j]
+    return [i, *interior.tolist(), j]
 
 
 @st.composite
@@ -288,7 +288,7 @@ def test_straight_chains_match_per_pair_linspace(case):
     ref.add_chain(pts)
     got = add_straight_chains(builder, firsts, lasts, spacing)
     want = [reference_chain(ref, i, j, spacing) for i, j in zip(firsts, lasts)]
-    assert got == want
+    assert got.tolist() == [k for chain in want for k in chain]
     assert builder.points.tobytes() == ref.points.tobytes()
 
 
@@ -330,7 +330,7 @@ def test_serialization_roundtrip(tmp_path):
     data = fan_partition(loop).to_dict()
     back = FillingPartition.from_dict(data)
     validate_partition(loop, back)
-    assert back.boundary_anchor == [0, 1, 2, 3]
+    assert back.boundary_anchor.tolist() == [0, 1, 2, 3]
     del data["boundary_anchor"]
     with pytest.raises(PartitionError, match="no boundary_anchor"):
         FillingPartition.from_dict(data)
@@ -421,7 +421,7 @@ def spoke_fans(draw):
         n = max(2, int(np.ceil(radii[i] / spacing)) + 1)
         fractions = np.linspace(0.0, 1.0, n)[1:-1] ** powers[i]
         interior = builder.add_chain(fractions[:, None] * rim[i])
-        chains.append([hub] + interior + [bidx[i]])
+        chains.append([hub, *interior, bidx[i]])
     built = 0
     for i in range(s):
         a, b = chains[i], chains[(i + 1) % s]
@@ -439,7 +439,7 @@ def test_hub_fan_with_uneven_spokes_validates():
     chains = []
     for k in range(6):
         dists = [0.1, 0.2, 1.0, 2.0] if k == 0 else [1.0, 2.0]
-        chains.append([hub] + builder.add_chain(np.outer(dists, dirs[k])))
+        chains.append([hub, *builder.add_chain(np.outer(dists, dirs[k]))])
     for k in range(6):
         builder.add_ladder(chains[k], chains[(k + 1) % 6])
     fp = builder.build([c[-1] for c in chains], anchor=range(6))
@@ -492,7 +492,7 @@ def test_refinement_keeps_the_anchored_boundary(disk, levels):
     loop, fp, _ = disk
     fine = refine_partition(fp, fp.mesh / 2**levels)
     validate_partition(loop, fine)
-    assert fine.boundary_anchor == [p * 2**levels for p in fp.boundary_anchor]
+    assert fine.boundary_anchor.tolist() == [p * 2**levels for p in fp.boundary_anchor]
     assert fine.area == 4**levels * fp.area
 
 
@@ -562,7 +562,7 @@ def ladder_triangles(ladder, a, b, shared):
     ia = builder.add_chain(a)
     ib = builder.add_chain(b)
     if shared:
-        ib = [ia[0]] + ib[1:]
+        ib[0] = ia[0]
     ladder(builder, ia, ib)
     return builder.triangles
 
@@ -581,7 +581,9 @@ def ladder_batches(draw):
 
     Pairs come from ``ladder_chains`` in one dimension, so they finish
     in different rounds; one-point chains, shared starts and shared
-    ends all occur.
+    ends all occur.  Returns the builder and the ``add_ladders``
+    arguments: the a-chains stacked, their lengths, and the b-chains
+    likewise.
     """
     dim = draw(st.sampled_from([2, 3]))
     specs = draw(st.lists(st.tuples(ladder_chains(dim), st.booleans()), min_size=1, max_size=8))
@@ -594,22 +596,24 @@ def ladder_batches(draw):
         if shared_end:
             ib[-1] = ia[-1]
         pairs.append((ia, ib))
-    return builder, pairs
+    a, b = zip(*pairs)
+    return builder, (np.concatenate(a), list(map(len, a)), np.concatenate(b), list(map(len, b)))
 
 
-def reference_ladders(self, pairs):
-    for a, b in pairs:
-        reference_ladder(self, a, b)
+def reference_ladders(self, a, len_a, b, len_b):
+    chains_a = np.split(np.asarray(a), np.cumsum(len_a)[:-1])
+    for chain_a, chain_b in zip(chains_a, np.split(np.asarray(b), np.cumsum(len_b)[:-1])):
+        reference_ladder(self, chain_a, chain_b)
 
 
 @given(ladder_batches())
 @settings(max_examples=100)
 def test_add_ladders_matches_per_pair_reference(batch):
-    builder, pairs = batch
+    builder, stacks = batch
     ref = DiskBuilder(builder.dim)
     ref.add_chain(builder.points)
-    reference_ladders(ref, pairs)
-    builder.add_ladders(pairs)
+    reference_ladders(ref, *stacks)
+    builder.add_ladders(*stacks)
     assert np.array_equal(builder.triangles, ref.triangles)
 
 
