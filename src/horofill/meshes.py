@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .geometry import DECISION_TOL, row_norms
-from .partitions import subdivide
+from .partitions import round12, subdivide
 
 
 def octasphere(level=3):
@@ -72,8 +72,8 @@ def grid_square(n=2):
 
 def save_mesh(path, vertices, triangles):
     data = {
-        "vertices": [[round(float(c), 12) for c in v] for v in vertices],
-        "triangles": [[int(i) for i in t] for t in triangles],
+        "vertices": round12(vertices).tolist(),
+        "triangles": np.asarray(triangles, dtype=int).tolist(),
     }
     with open(path, "w") as fh:
         json.dump(data, fh)

@@ -9,7 +9,7 @@ length, and the area is the brick count.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .geometry import DECISION_TOL, DEDUP_TOL, SQUARED_LENGTH_FLOOR, SURFACE_TOL, row_norms
@@ -91,8 +91,8 @@ class FillingPartition:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
-        self.triangles = np.asarray(self.triangles, dtype=int).reshape(-1, 3)
-        self.boundary = np.asarray(self.boundary, dtype=int)
+        self.triangles = _indices(self.triangles, "triangle").reshape(-1, 3)
+        self.boundary = _indices(self.boundary, "boundary")
         # as given, so that validation rejects non-integer anchors read from JSON
         self.boundary_anchor = np.asarray(self.boundary_anchor)
         self.mesh = compute_mesh(self.points, self.triangles)
@@ -103,7 +103,7 @@ class FillingPartition:
 
     def to_dict(self):
         return {
-            "points": [[round(c, 12) for c in p] for p in self.points.tolist()],
+            "points": round12(self.points).tolist(),
             "triangles": self.triangles.tolist(),
             "boundary": self.boundary.tolist(),
             "boundary_anchor": self.boundary_anchor.tolist(),
@@ -114,11 +114,44 @@ class FillingPartition:
         if "boundary_anchor" not in data:
             raise PartitionError("partition has no boundary_anchor")
         return FillingPartition(
-            np.array(data["points"], dtype=float),
-            np.array(data["triangles"], dtype=int).reshape(-1, 3),
+            data["points"],
+            data["triangles"],
             data["boundary"],
             data["boundary_anchor"],
         )
+
+
+def _indices(entries, what):
+    """An int array of index entries; any other dtype is an error unless empty."""
+    a = np.asarray(entries)
+    if a.size and a.dtype.kind not in "iu":
+        raise PartitionError(f"{what} entries must be integers")
+    return a.astype(int, copy=False)
+
+
+def round12(x):
+    """``round(c, 12)`` of every entry of a float array, bit for bit.
+
+    Python's ``round`` takes S = x * 10**12 exactly, rounds it to the
+    nearest integer k (ties to even) and returns the double nearest
+    k * 10**-12.  Here s = x * 1e12 is S correctly rounded, since 1e12 is
+    exact in binary.  Below 2**52 every half-integer is a double, and
+    rounding is monotone, so s is never on the other side of a
+    half-integer than S; when s is no half-integer (s - rint(s) is exact,
+    by Sterbenz), k = rint(s).  Then ``k / 1e12`` is that nearest double:
+    k and 1e12 are exact and the division is correctly rounded.  The
+    other entries (s a half-integer, |s| >= 2**52, nan) go through
+    Python's ``round`` one by one.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = x * 1e12
+        k = np.rint(s)
+        sure = (np.abs(s) < 2.0**52) & (np.abs(s - k) != 0.5)
+    out = k / 1e12
+    rest = np.flatnonzero(~sure)
+    out.flat[rest] = [round(c, 12) for c in x.flat[rest].tolist()]
+    return out
 
 
 def compute_mesh(points, triangles):
@@ -152,8 +185,11 @@ def edge_keys(a, b, n):
 
 
 def _component_labels(keys, n):
-    """Connected-component label of each vertex of the graph on these edges."""
-    graph = coo_matrix((np.ones(len(keys)), (keys // n, keys % n)), shape=(n, n))
+    """Connected-component label of each vertex of the graph on these sorted edge keys."""
+    rows, cols = np.divmod(keys, n)
+    row_starts = np.zeros(n + 1, dtype=int)
+    np.cumsum(np.bincount(rows, minlength=n), out=row_starts[1:])
+    graph = csr_matrix((np.ones(len(keys)), cols, row_starts), shape=(n, n))
     return connected_components(graph, directed=False)[1]
 
 
@@ -178,23 +214,27 @@ def validate_partition(loop, fp):
     a, b, c = tris.T
     if np.any((a == b) | (b == c) | (c == a)):
         raise PartitionError("degenerate triangle (repeated vertex)")
-    keys, counts = np.unique(
-        edge_keys(np.concatenate([a, b, c]), np.concatenate([b, c, a]), n),
-        return_counts=True,
-    )
-    if np.any(counts > 2):
+    sides = edge_keys(np.concatenate([a, b, c]), np.concatenate([b, c, a]), n)
+    sides.sort()
+    if np.any(sides[2:] == sides[:-2]):
         raise PartitionError("edge manifoldness violated: an edge lies in >2 bricks")
-    used = np.unique(tris)
-    euler = len(used) - len(keys) + len(tris)
+    # starts[i]: sides[i] begins a run of equal keys; the extra last entry ends the last run
+    starts = np.ones(len(sides) + 1, dtype=bool)
+    np.not_equal(sides[1:], sides[:-1], out=starts[1:-1])
+    keys = sides[starts[:-1]]  # each edge once
+    used = np.bincount(tris.ravel(), minlength=n) > 0
+    euler = np.count_nonzero(used) - len(keys) + len(tris)
     if euler != 1:
         raise PartitionError(f"euler check failed: V-E+F = {euler} != 1")
     boundary = fp.boundary
     if len(np.unique(boundary)) != len(boundary):
         raise PartitionError("boundary is not a single cycle")
     declared = np.sort(edge_keys(boundary, np.roll(boundary, -1), n))
-    if not np.array_equal(declared, keys[counts == 1]):
+    rim = sides[starts[:-1] & starts[1:]]  # runs of one: the edges of a single brick
+    if not np.array_equal(declared, rim):
         raise PartitionError("boundary cycle disagrees with the declared boundary")
-    if len(np.unique(_component_labels(keys, n)[used])) != 1:
+    labels = _component_labels(keys, n)[used]
+    if np.any(labels != labels[0]):
         raise PartitionError("complex is disconnected")
     _check_anchored_boundary(loop, fp.points[boundary], fp.boundary_anchor)
     return compute_mesh(fp.points, tris), int(len(tris))

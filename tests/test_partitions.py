@@ -21,6 +21,7 @@ from horofill.partitions import (
     edge_keys,
     empty_partition,
     fill_to_mesh,
+    round12,
     validate_partition,
 )
 
@@ -126,12 +127,47 @@ def test_validate_rejects_boundary_mismatch():
 
 
 def test_validate_rejects_disconnected():
+    """A disjoint grid torus keeps V - E + F = 1 and the rim; only connectivity breaks."""
     loop = square_loop()
-    pts = np.vstack([loop.vertices, [[5.0, 5], [6, 5], [5, 6]]])
-    tris = np.array([[0, 1, 2], [0, 2, 3], [4, 5, 6]])
+    pts = np.vstack([loop.vertices, 5.0 + np.arange(18.0).reshape(9, 2)])
+    tris = np.vstack([[[0, 1, 2], [0, 2, 3]], torus_triangles(4)])
     bad = FillingPartition(pts, tris, [0, 1, 2, 3], [0, 1, 2, 3])
-    with pytest.raises(PartitionError):
+    with pytest.raises(PartitionError, match="disconnected"):
         validate_partition(loop, bad)
+
+
+def test_validate_counts_only_the_vertices_of_bricks():
+    """A point in no brick is not a vertex of the disk: V - E + F stays 1."""
+    loop = square_loop()
+    fp = fan_partition(loop)
+    extra = FillingPartition(
+        np.vstack([fp.points, [[7.0, 7.0]]]), fp.triangles, fp.boundary, fp.boundary_anchor
+    )
+    assert validate_partition(loop, extra) == validate_partition(loop, fp)
+
+
+@pytest.mark.parametrize(
+    "field, entries, message",
+    [
+        ("triangles", [[0, 1, 2], [0, 2, 3.2]], "triangle entries must be integers"),
+        ("boundary", [0, 1.9, 2.2, 3], "boundary entries must be integers"),
+    ],
+)
+def test_non_integer_indices_are_rejected(field, entries, message):
+    """Read as ints they would truncate to the square fan, which validates."""
+    data = fan_partition(square_loop()).to_dict()
+    data[field] = entries
+    with pytest.raises(PartitionError, match=message):
+        FillingPartition.from_dict(data)
+
+
+def test_empty_index_arrays_of_any_dtype_are_accepted():
+    loop = Loop(np.zeros((3, 2)))
+    for dtype in (float, bool, np.uint8, int):
+        none = np.zeros(0, dtype=dtype)
+        fp = FillingPartition(loop.vertices[:1], none, none, np.zeros(0, dtype=int))
+        assert fp.triangles.shape == (0, 3) and fp.boundary.dtype == int
+        assert validate_partition(loop, fp) == (0.0, 0)
 
 
 def test_validate_rejects_wrong_order():
@@ -391,6 +427,50 @@ def test_to_dict_writes_the_bytes_of_the_per_entry_conversion(hashed_fills):
         got, want = fp.to_dict(), reference_to_dict(fp)
         assert json.dumps(got) == json.dumps(want)
         assert pickle.dumps(got) == pickle.dumps(want)
+
+
+def assert_rounds_like_python(x):
+    """``round12`` agrees with ``round(c, 12)`` on every entry, as int64 bit patterns."""
+    x = np.asarray(x, dtype=float)
+    want = np.array([round(c, 12) for c in x.ravel().tolist()], dtype=float)
+    np.testing.assert_array_equal(round12(x).ravel().view(np.int64), want.view(np.int64))
+
+
+def test_round12_on_ties_and_their_neighbours():
+    rng = np.random.default_rng(12)
+    k = np.concatenate([np.arange(-50, 50), rng.integers(-(2**50), 2**50, 20000)])
+    ties = (k + 0.5) * 1e-12
+    odd = (2 * rng.integers(0, 2**30, 5000) + 1) / 2.0**13  # x * 10**12 is a half-integer
+    for x in (ties, odd, -odd):
+        assert_rounds_like_python(x)
+        assert_rounds_like_python(np.nextafter(x, np.inf))
+        assert_rounds_like_python(np.nextafter(x, -np.inf))
+
+
+@pytest.mark.parametrize("limit", [2.0**51, 2.0**52, 2.0**53])
+def test_round12_near_the_fast_range_limit(limit):
+    x = limit / 1e12 * (1 + np.linspace(-1e-9, 1e-9, 4001))
+    for y in (x, -x, np.nextafter(x, 0), np.nextafter(x, np.inf)):
+        assert_rounds_like_python(y)
+
+
+def test_round12_on_signed_zeros_subnormals_and_non_finite_values():
+    tiny = np.array([5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308])
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308, 4.9e-13, -4.9e-13]
+    assert_rounds_like_python(np.concatenate([tiny, -tiny, special]))
+
+
+@given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=200))
+def test_round12_matches_python_round(values):
+    assert_rounds_like_python(values)
+
+
+def test_round12_on_random_and_fill_coordinates(hashed_fills):
+    rng = np.random.default_rng(13)
+    assert_rounds_like_python(rng.standard_normal(50000) * np.logspace(-16, 16, 50000))
+    assert_rounds_like_python(rng.uniform(-100, 100, (1000, 3)))
+    for name in ("trace-a3 l=32 seed=0", "tube-square l=64 seed=1", "refine_partition"):
+        assert_rounds_like_python(hashed_fills[name].points)
 
 
 # -- properties of the array path ------------------------------------------------

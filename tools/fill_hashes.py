@@ -33,32 +33,49 @@ def digest(points, triangles, boundary=(), anchor=None):
     return h.hexdigest()[:16]
 
 
-def fill(gen, ell, seed):
-    """The mesh-1 filling of one scenario loop, as the hashed fills make it."""
+def scenario_fill(gen, ell, seed):
+    """(host, loop, partition): one scenario loop and its mesh-1 filling."""
     host, loop = sc.GENERATORS[gen](ell, 1.0, seed)
     if isinstance(host, tr.BusemannTrace):
-        return fl.fill_flat_loop(host, loop, mesh=1.0)[0]
-    return fl.fill_tube_loop(host, sc.TUBE_RADIUS, loop, 1.0)[0]
+        return host, loop, fl.fill_flat_loop(host, loop, mesh=1.0)[0]
+    return host, loop, fl.fill_tube_loop(host, sc.TUBE_RADIUS, loop, 1.0)[0]
+
+
+def fill(gen, ell, seed):
+    """The mesh-1 filling of one scenario loop, as the hashed fills make it."""
+    return scenario_fill(gen, ell, seed)[2]
 
 
 def fill_digest(fp):
     return digest(fp.points, fp.triangles, fp.boundary, fp.boundary_anchor)
 
 
-def ellipse_cone_fill():
-    """The mesh-1 cone fill of a 40-point ellipse with semi-axes 3 and 2."""
+def ellipse_loop():
+    """A 40-point ellipse with semi-axes 3 and 2."""
     t = np.linspace(0, 2 * np.pi, 40, endpoint=False)
-    return fl.cone_fill(Loop(np.stack([3 * np.cos(t), 2 * np.sin(t)], axis=1)), 1.0)
+    return Loop(np.stack([3 * np.cos(t), 2 * np.sin(t)], axis=1))
 
 
-def fills():
+def ellipse_cone_fill():
+    """The mesh-1 cone fill of ``ellipse_loop()``."""
+    return fl.cone_fill(ellipse_loop(), 1.0)
+
+
+def cases():
+    """(name, host, loop, partition) of every hashed fill; the cone fills have no host."""
     for gen in sc.GENERATORS:
         for ell in LENGTHS.get(gen, DEFAULT_LENGTHS):
             for seed in SEEDS:
-                yield f"{gen} l={ell} seed={seed}", fill(gen, ell, seed)
-    cone = ellipse_cone_fill()
-    yield "cone_fill", cone
-    yield "refine_partition", fl.refine_partition(cone, cone.mesh / 3)
+                yield f"{gen} l={ell} seed={seed}", *scenario_fill(gen, ell, seed)
+    loop = ellipse_loop()
+    cone = fl.cone_fill(loop, 1.0)
+    yield "cone_fill", None, loop, cone
+    yield "refine_partition", None, loop, fl.refine_partition(cone, cone.mesh / 3)
+
+
+def fills():
+    for name, _, _, fp in cases():
+        yield name, fp
 
 
 def digest_lines():
