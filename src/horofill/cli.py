@@ -173,7 +173,7 @@ def run_command(args):
                 os.makedirs(pdir, exist_ok=True)
                 name = f"{row['scenario']}-l{row['length']}-t{row['trial']}.json"
                 with open(os.path.join(pdir, name), "w") as pf:
-                    json.dump(artifact, pf)
+                    pf.write(json.dumps(artifact))  # the C encoder; json.dump is pure Python
     if rows:
         _emit_svg(rows, args.out_dir)
     print(f"wrote {csv_path} ({len(rows)} rows)")

@@ -360,78 +360,73 @@ class DiskBuilder:
 
         Ladder i runs between the i-th chain of the index stack ``a``,
         whose chains have the lengths ``len_a``, and the i-th chain of
-        ``b``.  Chains of a pair run in the same direction; advancing
-        picks the shorter placed diagonal, which keeps bricks close to
-        the chain spacing.  Off a shared start h, the second step goes along the
-        other chain: a brick (h, a1, a2) lies on one chain, and the
-        ladder on that chain's other side would lay it too.  Once one
-        chain is used up the rest of the other one is laid without
-        comparing.  Bricks come out pair by pair, each in step order.
+        ``b``.  Chains of a pair run in the same direction, and a ladder
+        takes one step, one brick, per point after the first of either
+        chain.  A step picks the shorter placed diagonal, which keeps
+        bricks close to the chain spacing.  Off a shared start h, the
+        second step goes along the other chain: a brick (h, a1, a2) lies
+        on one chain, and the ladder on that chain's other side would
+        lay it too.  A step off a used-up chain is forced along the
+        other chain, whatever the diagonals and the shared start say.
+        Bricks come out pair by pair, each in step order.
 
-        All ladders advance in lock step, one brick per round, and one
-        matmul decides the round: a ladder at (i, j) steps along chain a
-        when its diagonal u = a[i+1] - b[j] has ``u @ u <= v @ v`` for
-        v = b[j+1] - a[i].  The squared lengths are row-wise
-        ``(1, d) @ (d, 1)`` products, which numpy computes with the same
-        dot routine as the scalar ``u @ u``, so every bit is the one a
-        per-step numpy loop picks; ``einsum`` and ``(u * u).sum(1)`` sum
-        in another order and differ from it on about a fifth of the
-        rows.  That bit-identity is a property of the numpy and BLAS in
-        use, not a law: the tests compare every brick with the per-step
-        loop.
+        All ladders step in rounds, one step each per round, longest
+        first: ladders are ordered by step count, so the ones still
+        stepping in round r are a prefix of that order, and no ladder
+        leaves it early.  One matmul decides a round: a ladder at (i, j)
+        steps along chain a when its diagonal u = a[i+1] - b[j] has
+        ``u @ u <= v @ v`` for v = b[j+1] - a[i].  The squared lengths
+        are row-wise ``(1, d) @ (d, 1)`` products, which numpy computes
+        with the same dot routine as the scalar ``u @ u``, so every bit
+        is the one a per-step numpy loop picks; ``einsum`` and
+        ``(u * u).sum(1)`` sum in another order and differ from it on
+        about a fifth of the rows.  That bit-identity is a property of
+        the numpy and BLAS in use, not a law: the tests compare every
+        brick with the per-step loop.
         """
         flat_a, flat_b = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
         na, nb = np.asarray(len_a, dtype=int) - 1, np.asarray(len_b, dtype=int) - 1
         off_a, off_b = np.cumsum(na + 1) - na - 1, np.cumsum(nb + 1) - nb - 1
         steps = na + nb
         first = np.cumsum(steps) - steps  # bit position of each ladder's first step
-        bits = np.zeros(int(steps.sum()), dtype=bool)  # True: the step goes along a
-        decided = np.zeros(len(na), dtype=int)  # steps decided by comparing
-        tail_a = na > 0  # whether the steps after them go along a
-        # the ladders still comparing, as positions in the flat chains
-        live = np.flatnonzero((na > 0) & (nb > 0))
-        ga, gb = off_a[live], off_b[live]
-        a0, end_a, end_b = ga.copy(), ga + na[live], gb + nb[live]
-        shared = flat_a[ga] == flat_b[gb]
-        pos = first[live]
-        pts, rnd = self._pts, 0
-        while len(live):
-            a, a1 = flat_a.take(ga), flat_a.take(ga + 1)
-            b, b1 = flat_b.take(gb), flat_b.take(gb + 1)
-            u = pts.take(a1, axis=0) - pts.take(b, axis=0)
-            v = pts.take(b1, axis=0) - pts.take(a, axis=0)
-            w = np.concatenate([u, v])
-            d = (w[:, None, :] @ w[:, :, None])[:, 0, 0]
-            adv = d[: len(live)] <= d[len(live) :]
-            if rnd == 1:  # off a shared start, step along the chain that stood still
-                adv = np.where(shared, ga == a0, adv)
-            bits[pos] = adv
-            ga += adv
-            gb += ~adv
-            pos += 1
-            rnd += 1
-            going = (ga < end_a) & (gb < end_b)
-            if not going.all():
-                out = live[~going]
-                decided[out] = rnd
-                tail_a[out] = ga[~going] < end_a[~going]
-                live, ga, gb, a0, end_a, end_b, shared, pos = (
-                    x[going] for x in (live, ga, gb, a0, end_a, end_b, shared, pos)
-                )
+        bits = np.empty(int(steps.sum()), dtype=bool)  # True: the step goes along a
+        order = np.argsort(-steps, kind="stable")
+        going = np.searchsorted(-steps[order], -np.arange(steps.max(initial=0)))  # per round
+        # the a-stack then the b-stack, each with one padding entry that
+        # only forced steps read; g holds each ladder's current places in
+        # it and end its last ones, a above b, longest ladder first
+        flat = np.concatenate([flat_a, flat_a[-1:], flat_b, flat_b[-1:]])
+        after, pts = flat[1:], self._pts
+        g = np.stack([off_a, off_b + len(flat_a) + 1])[:, order]
+        end = g + np.stack([na, nb])[:, order]
+        shared = (flat_a[off_a] == flat_b[off_b])[order]
+        pos = first[order]
+        for r, k in enumerate(going):
+            gk = g[:, :k]
+            w = pts.take(after.take(gk), axis=0) - pts.take(flat.take(gk[::-1]), axis=0)  # [u; v]
+            d = (w[..., None, :] @ w[..., :, None])[..., 0, 0]
+            adv = d[0] <= d[1]
+            if r == 1:  # off a shared start, step along the chain that stood still
+                adv = np.where(shared[:k], ~bits[pos[:k]], adv)
+            used = gk == end[:, :k]
+            adv = (adv | used[1]) & ~used[0]
+            bits[pos[:k] + r] = adv
+            gk[0] += adv
+            gk[1] += ~adv
         # lay the bricks a block of whole ladders at a time, so the
         # per-brick scratch stays near LADDER_BLOCK bricks however large the fill
         ends = np.cumsum(steps)
         lo = 0
         while lo < len(na):
             hi = max(lo + 1, int(np.searchsorted(ends, first[lo] + LADDER_BLOCK, side="right")))
-            ladder = np.repeat(np.arange(lo, hi), steps[lo:hi])
-            step = np.arange(first[lo], ends[hi - 1]) - first[ladder]
-            tail = step >= decided[ladder]
             block = bits[first[lo] : ends[hi - 1]]
-            block[tail] = tail_a[ladder[tail]]
-            i = np.cumsum(block) - block
-            i -= i[first[ladder] - first[lo]]  # steps along a before this one
-            ia, jb = off_a[ladder] + i, off_b[ladder] + step - i
+            # every ladder uses up both its chains, so a step's places in the
+            # stacks are the block's first ones plus the steps along each
+            # chain before it plus one point for each ladder before it
+            before = np.repeat(np.arange(hi - lo), steps[lo:hi])  # ladders
+            i = np.cumsum(block) - block  # steps along a
+            ia = off_a[lo] + before + i
+            jb = off_b[lo] + before + np.arange(len(block)) - i
             # a step reads only the next point of the chain it goes along;
             # clipping keeps the unread ones past the last chain in range
             tris = np.empty((len(block), 3), dtype=int)

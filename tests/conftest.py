@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import sys
 
 import pytest
 from hypothesis import settings
@@ -20,14 +21,26 @@ def frozen():
         return json.load(fh)
 
 
-@pytest.fixture(scope="session")
-def fill_hashes():
-    """The ``tools/fill_hashes.py`` module, loaded from its file."""
-    tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "fill_hashes.py")
-    spec = importlib.util.spec_from_file_location("fill_hashes", tool)
+def load_tool(name):
+    """The module ``tools/<name>.py``, loaded from its file."""
+    tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, tool)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def fill_hashes():
+    """The ``tools/fill_hashes.py`` module, loaded from its file."""
+    return load_tool("fill_hashes")
+
+
+@pytest.fixture(scope="session")
+def layer_timings(fill_hashes):
+    """The ``tools/layer_timings.py`` module, which imports ``fill_hashes`` by name."""
+    sys.modules.setdefault("fill_hashes", fill_hashes)
+    return load_tool("layer_timings")
 
 
 @pytest.fixture(scope="session")

@@ -229,7 +229,9 @@ def test_keep_partitions_revalidates(tmp_path):
     for row in rows:
         name = f"{row['scenario']}-l{row['length']}-t{row['trial']}.json"
         with open(pdir / name) as fh:
-            artifact = json.load(fh)
+            text = fh.read()
+        artifact = json.loads(text)
+        assert text == json.dumps(artifact)  # pins the bytes: json.dumps' own format
         loop = Loop(np.array(artifact["loop"]))
         fp = FillingPartition.from_dict(artifact["partition"])
         mesh, area = validate_partition(loop, fp)

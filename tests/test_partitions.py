@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from horofill import scenarios as sc
 from horofill import tube as tb
-from horofill.filling import cone_fill, refine_partition
+from horofill.filling import cone_fill, fill_flat_loop, refine_partition
 from horofill.geometry import DECISION_TOL, SQUARED_LENGTH_FLOOR, SURFACE_TOL, straight_segments
 from horofill.partitions import (
     MESH_ATTEMPTS,
@@ -657,19 +657,31 @@ def test_ladder_matches_numpy_reference(chains):
 
 @st.composite
 def ladder_batches(draw):
-    """A builder and 1-8 chain pairs of mixed lengths placed in it.
+    """A builder and 1-40 chain pairs of mixed lengths placed in it.
 
-    Pairs come from ``ladder_chains`` in one dimension, so they finish
-    in different rounds; one-point chains, shared starts and shared
-    ends all occur.  Returns the builder and the ``add_ladders``
+    Most pairs come from ``ladder_chains`` in one dimension, so they
+    finish in different rounds; one-point chains beside long ones,
+    shared starts and shared ends all occur.  A pair may also be two
+    one-point chains, which take no step, a one-point chain beside a
+    chain of up to 24 points, or new random chains with the lengths of
+    the pair before it, so that step counts tie and such ladders share
+    their prefix rounds to the last one.  Returns the builder and the ``add_ladders``
     arguments: the a-chains stacked, their lengths, and the b-chains
     likewise.
     """
     dim = draw(st.sampled_from([2, 3]))
-    specs = draw(st.lists(st.tuples(ladder_chains(dim), st.booleans()), min_size=1, max_size=8))
+    kinds = st.sampled_from(["chains", "chains", "points", "point beside chain", "tie"])
+    specs = draw(st.lists(st.tuples(kinds, ladder_chains(dim), st.booleans()), min_size=1, max_size=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     builder = DiskBuilder(dim)
     pairs = []
-    for (a, b, shared), shared_end in specs:
+    for kind, (a, b, shared), shared_end in specs:
+        if kind == "points":
+            a, b = rng.normal(size=(1, dim)), rng.normal(size=(1, dim))
+        elif kind == "point beside chain":
+            a, b = (a[:1], b) if rng.random() < 0.5 else (a, b[:1])
+        elif kind == "tie" and pairs:
+            a, b = rng.normal(size=(len(pairs[-1][0]), dim)), rng.normal(size=(len(pairs[-1][1]), dim))
         ia, ib = builder.add_chain(a), builder.add_chain(b)
         if shared:
             ib[0] = ia[0]
@@ -695,6 +707,24 @@ def test_add_ladders_matches_per_pair_reference(batch):
     reference_ladders(ref, *stacks)
     builder.add_ladders(*stacks)
     assert np.array_equal(builder.triangles, ref.triangles)
+
+
+def test_add_ladders_of_no_pairs_lays_no_brick():
+    for n in (0, 3):
+        builder = DiskBuilder(2)
+        builder.add_chain(np.zeros((n, 2)))
+        builder.add_ladders([], [], [], [])
+        assert builder.triangles.shape == (0, 3)
+
+
+def test_flat_fill_matches_numpy_reference_ladder(monkeypatch):
+    """A flat fill, whose ladders run down radial chains and along the rim arcs."""
+    host, loop = sc.GENERATORS["trace-a2"](8, 1.0, 0)
+    fast = fill_flat_loop(host, loop, mesh=1.0)[0]
+    monkeypatch.setattr(DiskBuilder, "add_ladders", reference_ladders)
+    ref = fill_flat_loop(host, loop, mesh=1.0)[0]
+    assert fast.points.tobytes() == ref.points.tobytes()
+    assert np.array_equal(fast.triangles, ref.triangles)
 
 
 def test_tube_fill_matches_numpy_reference_ladder(monkeypatch):
