@@ -12,7 +12,9 @@ gradients alone.  Both go in the root system's slope memo, keyed by the
 gradient bytes, so every trace with byte-equal gradients on a slope (its
 translated, scaled and shifted copies, the slope's symmetric traces)
 validates and builds that hull once.  The minimum value depends on the
-offsets: one epigraph LP, cached on the trace.  A bounded sublevel
+offsets: one epigraph LP, cached on the trace, which ``linprog`` hands
+straight to HiGHS (the solve of scipy's ``linprog(method="highs")``, bit
+for bit, without its per-call wrapper).  A bounded sublevel
 polytope decides its own emptiness from its vertices; only ``min_set``,
 ``level_project``, unbounded systems and cuts within HV_TOL of the
 minimum read the minimum value.  So a trace solves at most one LP, and
@@ -22,7 +24,12 @@ none if it is only cut into bounded sublevel sets away from its minimum.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+
+# HiGHS through the bindings that scipy's ``linprog(method="highs")``
+# calls (``_linprog_highs`` -> ``_highs_wrapper``).  scipy has no public
+# API to them, and its wrapper costs several times the solve; the module
+# is private, so pyproject.toml asks for the scipy it was checked on.
+from scipy.optimize._highspy import _core as highs
 
 from .coxeter import delta_zero, root_system_from_descriptor, slope_facts
 from .geometry import (
@@ -189,7 +196,8 @@ def _envelope_minimum(trace):
     """The min-set result without its polytope, cached on the trace.
 
     Boundedness comes from the gradient hull (``_gordan_outcome``); the
-    epigraph LP, the one LP a trace solves, gives the minimum value.
+    epigraph LP min s subject to <x, g_i> + c_i <= s, the one LP a trace
+    solves (through ``linprog``), gives the minimum value.
     ``min_set``, ``level_project`` and the sublevel sets that
     ``horoball_polytope`` cannot decide from their vertices (unbounded
     ones, and bounded ones within HV_TOL of the minimum) ask for it.
@@ -202,17 +210,67 @@ def _envelope_minimum(trace):
         return trace._min_cache
     r = trace.apartment_dim
     m = len(trace.gradients)
-    res = linprog(
+    x = linprog(
         np.concatenate([np.zeros(r), [1.0]]),
-        A_ub=np.hstack([trace.gradients, -np.ones((m, 1))]),
-        b_ub=-trace.offsets,
-        bounds=[(None, None)] * (r + 1),
-        method="highs",
+        np.hstack([trace.gradients, -np.ones((m, 1))]),
+        -trace.offsets,
     )
-    if res.status != 0:
-        raise TraceError(f"min-set LP failed with status {res.status}")
-    trace._min_cache = MinSetResult(True, float(res.x[-1]), sublevels_bounded)
+    trace._min_cache = MinSetResult(True, float(x[-1]), sublevels_bounded)
     return trace._min_cache
+
+
+# What ``linprog(method="highs")`` sets at its defaults, checked once here
+# instead of on every solve.
+_HIGHS_OPTIONS = highs.HighsOptions()
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_HIGHS_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+_HIGHS_OPTIONS.output_flag = False
+_HIGHS_OPTIONS.log_to_console = False
+
+# scipy's ``_check_result`` tolerance at its default ``tol`` of 1e-9.
+_LP_ROW_TOL = np.sqrt(1e-9) * 10
+
+
+def linprog(c, A_ub, b_ub):
+    """x minimizing c @ x subject to A_ub @ x <= b_ub, x free.
+
+    The same HiGHS solve as ``scipy.optimize.linprog(c, A_ub, b_ub,
+    bounds=(None, None), method="highs").x``, bit for bit: the same
+    options and the same column-wise model (zeros dropped, as
+    ``csc_array`` does), on a fresh solver each time, since a reused one
+    warm-starts from its last basis.  Raises ``TraceError`` where that
+    ``linprog`` would report failure: a model status other than optimal,
+    a NaN in x, or a row violated by more than ``_LP_ROW_TOL``.
+    """
+    A = np.asarray(A_ub, dtype=float)
+    b = np.asarray(b_ub, dtype=float)
+    m, n = A.shape
+    nonzero = A.T != 0
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
+    lp.a_matrix_.index_ = np.nonzero(nonzero)[1]
+    lp.a_matrix_.value_ = A.T[nonzero]
+    lp.col_cost_ = np.asarray(c, dtype=float)
+    lp.col_lower_ = np.full(n, -highs.kHighsInf)
+    lp.col_upper_ = np.full(n, highs.kHighsInf)
+    lp.row_lower_ = np.full(m, -highs.kHighsInf)
+    lp.row_upper_ = b
+    solver = highs._Highs()
+    solver.passOptions(_HIGHS_OPTIONS)
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise TraceError(f"LP not solved: HiGHS model status {solver.modelStatusToString(status)}")
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    if np.isnan(x).any() or not np.all(np.array(solution.row_value) - b <= _LP_ROW_TOL):
+        raise TraceError("LP solution violates its rows beyond the solver tolerance")
+    return x
 
 
 def _gordan_outcome(trace):

@@ -21,9 +21,9 @@ def frozen():
         return json.load(fh)
 
 
-def load_tool(name):
-    """The module ``tools/<name>.py``, loaded from its file."""
-    tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools", f"{name}.py")
+def load_tool(name, folder="tools"):
+    """The module ``<folder>/<name>.py``, loaded from its file."""
+    tool = os.path.join(os.path.dirname(__file__), os.pardir, folder, f"{name}.py")
     spec = importlib.util.spec_from_file_location(name, tool)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -34,6 +34,12 @@ def load_tool(name):
 def fill_hashes():
     """The ``tools/fill_hashes.py`` module, loaded from its file."""
     return load_tool("fill_hashes")
+
+
+@pytest.fixture(scope="session")
+def tracing():
+    """The benchmark's ``perfbench/tracing.py`` module, loaded from its file."""
+    return load_tool("tracing", folder="perfbench")
 
 
 @pytest.fixture(scope="session")

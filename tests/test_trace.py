@@ -332,6 +332,53 @@ def test_near_minimum_cuts_match_the_lp_decision(rank, k):
             assert hb.vertices.tobytes() == ref.vertices.tobytes()
 
 
+# The epigraph LP: trace.linprog against scipy's linprog(method="highs").
+
+# ORBIT_SLOPES plus A4's wall slopes whose gradients have exact zero
+# entries, and A4's regular slope (the 120-piece orbit)
+EPIGRAPH_SLOPES = ORBIT_SLOPES + [(4, 0), (4, 2), (4, None)]
+
+
+def _epigraph_lp(trace):
+    r, m = trace.apartment_dim, len(trace.gradients)
+    c = np.concatenate([np.zeros(r), [1.0]])
+    return c, np.hstack([trace.gradients, -np.ones((m, 1))]), -trace.offsets
+
+
+def _scipy_x(c, A, b):
+    return linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * len(c), method="highs").x
+
+
+@pytest.mark.parametrize("rank,k", EPIGRAPH_SLOPES)
+def test_linprog_matches_scipy_bit_for_bit(rank, k):
+    """Seeded realizable traces (shifted, translated and scaled copies of the
+    symmetric trace) and the same gradients under random offsets."""
+    rs, theta, G = _orbit(rank, k)
+    if k in (0, 2) and rank == 4:
+        assert np.any(G == 0.0)  # dropped from the column-wise model
+    base = tr.symmetric_trace(rs, theta)
+    rng = np.random.default_rng([rank, len(G)])
+    for _ in range(8):
+        shift, scale = rng.normal(size=rank) * 3.0, rng.uniform(0.5, 2.0)
+        realizable = base.shifted(-rng.uniform(0.5, 2.0)).translated(shift).scaled(scale)
+        skew = tr.BusemannTrace(rs, theta, G, -rng.uniform(0.0, 2.0, size=len(G)))
+        for trace in (realizable, skew):
+            c, A, b = _epigraph_lp(trace)
+            assert tr.linprog(c, A, b).tobytes() == _scipy_x(c, A, b).tobytes()
+
+
+def test_linprog_matches_scipy_on_an_all_zero_column(slab):
+    """The slab's epigraph LP leaves x2 out of every row: an empty column."""
+    c, A, b = _epigraph_lp(slab.translated([0.7, 0.0]))
+    assert not A[:, 1].any()
+    assert tr.linprog(c, A, b).tobytes() == _scipy_x(c, A, b).tobytes()
+
+
+def test_linprog_names_the_status_of_an_unbounded_lp():
+    with pytest.raises(tr.TraceError, match="HiGHS model status Unbounded"):
+        tr.linprog(np.array([0.0, 1.0]), np.array([[1.0, -1.0]]), np.array([0.0]))
+
+
 def test_level_project_single_piece(a1a1):
     e1 = cx.project_to_chamber(a1a1, np.array([1.0, 0.0]))
     single = tr.BusemannTrace(a1a1, e1, np.array([[1.0, 0.0]]), np.array([0.0]))
