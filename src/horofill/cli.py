@@ -126,11 +126,7 @@ def _run_job(scn, scenario_idx, length_idx, ell, trial, base_seed, keep):
     }
     if not keep:
         return row, None
-    artifact = {
-        "loop": loop.vertices.tolist(),
-        "partition": fp.to_dict(),
-    }
-    return row, artifact
+    return row, {"loop": loop.vertices, **fp.to_dict()}
 
 
 def run_command(args):
@@ -147,6 +143,9 @@ def run_command(args):
         for l_idx, ell in enumerate(scn["lengths"])
         for trial in range(scn["trials"])
     ]
+    pdir = os.path.join(args.out_dir, "partitions")
+    if args.keep_partitions:
+        os.makedirs(pdir, exist_ok=True)
     rows = []
     status = 0
     with open(csv_path, "w", newline="") as fh:
@@ -169,11 +168,8 @@ def run_command(args):
             fh.flush()
             rows.append(row)
             if args.keep_partitions:
-                pdir = os.path.join(args.out_dir, "partitions")
-                os.makedirs(pdir, exist_ok=True)
-                name = f"{row['scenario']}-l{row['length']}-t{row['trial']}.json"
-                with open(os.path.join(pdir, name), "w") as pf:
-                    pf.write(json.dumps(artifact))  # the C encoder; json.dump is pure Python
+                name = f"{row['scenario']}-l{row['length']}-t{row['trial']}.npz"
+                np.savez(os.path.join(pdir, name), **artifact)
     if rows:
         _emit_svg(rows, args.out_dir)
     print(f"wrote {csv_path} ({len(rows)} rows)")

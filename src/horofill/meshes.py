@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .geometry import DECISION_TOL, row_norms
-from .partitions import round12, subdivide
+from .partitions import subdivide
 
 
 def octasphere(level=3):
@@ -72,7 +72,7 @@ def grid_square(n=2):
 
 def save_mesh(path, vertices, triangles):
     data = {
-        "vertices": round12(vertices).tolist(),
+        "vertices": np.asarray(vertices, dtype=float).tolist(),  # repr round-trips exactly
         "triangles": np.asarray(triangles, dtype=int).tolist(),
     }
     with open(path, "w") as fh:

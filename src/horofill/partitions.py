@@ -93,7 +93,7 @@ class FillingPartition:
         self.points = np.asarray(self.points, dtype=float)
         self.triangles = _indices(self.triangles, "triangle").reshape(-1, 3)
         self.boundary = _indices(self.boundary, "boundary")
-        # as given, so that validation rejects non-integer anchors read from JSON
+        # as given, so that validation rejects non-integer anchors read from a file
         self.boundary_anchor = np.asarray(self.boundary_anchor)
         self.mesh = compute_mesh(self.points, self.triangles)
 
@@ -102,15 +102,21 @@ class FillingPartition:
         return int(len(self.triangles))
 
     def to_dict(self):
+        """The four arrays that define the disk, by field name, as held (not copied).
+
+        ``np.savez(path, **fp.to_dict())`` writes them at full precision
+        and ``from_dict(np.load(path))`` reads them back bit for bit.
+        """
         return {
-            "points": round12(self.points).tolist(),
-            "triangles": self.triangles.tolist(),
-            "boundary": self.boundary.tolist(),
-            "boundary_anchor": self.boundary_anchor.tolist(),
+            "points": self.points,
+            "triangles": self.triangles,
+            "boundary": self.boundary,
+            "boundary_anchor": self.boundary_anchor,
         }
 
     @staticmethod
     def from_dict(data):
+        """The partition in a mapping of array-likes, such as an ``np.load`` of a ``.npz``."""
         if "boundary_anchor" not in data:
             raise PartitionError("partition has no boundary_anchor")
         return FillingPartition(
@@ -127,31 +133,6 @@ def _indices(entries, what):
     if a.size and a.dtype.kind not in "iu":
         raise PartitionError(f"{what} entries must be integers")
     return a.astype(int, copy=False)
-
-
-def round12(x):
-    """``round(c, 12)`` of every entry of a float array, bit for bit.
-
-    Python's ``round`` takes S = x * 10**12 exactly, rounds it to the
-    nearest integer k (ties to even) and returns the double nearest
-    k * 10**-12.  Here s = x * 1e12 is S correctly rounded, since 1e12 is
-    exact in binary.  Below 2**52 every half-integer is a double, and
-    rounding is monotone, so s is never on the other side of a
-    half-integer than S; when s is no half-integer (s - rint(s) is exact,
-    by Sterbenz), k = rint(s).  Then ``k / 1e12`` is that nearest double:
-    k and 1e12 are exact and the division is correctly rounded.  The
-    other entries (s a half-integer, |s| >= 2**52, nan) go through
-    Python's ``round`` one by one.
-    """
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = x * 1e12
-        k = np.rint(s)
-        sure = (np.abs(s) < 2.0**52) & (np.abs(s - k) != 0.5)
-    out = k / 1e12
-    rest = np.flatnonzero(~sure)
-    out.flat[rest] = [round(c, 12) for c in x.flat[rest].tolist()]
-    return out
 
 
 def compute_mesh(points, triangles):

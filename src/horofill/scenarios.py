@@ -84,7 +84,7 @@ def tube_square_serpentine(ell, mesh, seed):
     chart = tb.StadiumChart(P, TUBE_RADIUS)
     amp = ell / 4.0 * 0.93
     t = _loop_params(ell, mesh, SERPENTINE_SAFETY)
-    m0 = chart.M * (0.12 + 0.02 * rng.uniform(-1, 1))
+    m0 = chart.period * (0.12 + 0.02 * rng.uniform(-1, 1))
     m = m0 + amp * np.sin(2 * np.pi * t)
     band = 0.18 + 0.04 * rng.uniform(-1, 1)
     s = chart.Lu * (0.5 + band * np.cos(2 * np.pi * t + rng.uniform(0, 2 * np.pi)))

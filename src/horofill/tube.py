@@ -625,7 +625,7 @@ class StadiumChart(_Chart):
     Cross sections orthogonal to the first edge direction are offset
     stadia; parameters are (s, m) with s the station along the edge and
     m the meridian arclength around the stadium, measured from the top
-    face and periodic with period M.  Exact while 0 < s < edge length,
+    face and periodic with ``period``.  Exact while 0 < s < edge length,
     so loops must keep away from the two far ends where corner effects
     change the cross section; ``lift`` rejects points outside that band.
     """
@@ -646,13 +646,14 @@ class StadiumChart(_Chart):
         self.w, self.Lw = unit(w), float(np.linalg.norm(w))
         self.n = np.cross(self.u, self.w)
         self.R = float(R)
-        self.period = self.M = 2 * self.Lw + 2 * np.pi * self.R
+        self.period = 2 * self.Lw + 2 * np.pi * self.R
+        self.M = self.period  # an alias kept only for perfbench/workloads.py, which reads it
 
     def points(self, s, m):
-        """Tube points at stations s and meridian arclengths m (taken mod M)."""
+        """Tube points at stations s and meridian arclengths m (taken mod the period)."""
         R, Lw = self.R, self.Lw
         s = np.asarray(s, dtype=float)
-        m = np.asarray(m, dtype=float) % self.M
+        m = np.asarray(m, dtype=float) % self.period
         base = self.o + s[:, None] * self.u
         out = np.empty((len(s), 3))
         reg1 = m <= Lw
@@ -689,9 +690,9 @@ class StadiumChart(_Chart):
                 Lw + R * np.arctan2(tau - Lw, h),  # eta in [0, pi] on the tube
                 2 * Lw + np.pi * R + R * np.arctan2(-tau, -h),
             ),
-        ) % self.M
-        turns = np.concatenate([[0.0], np.cumsum(np.round((m[:-1] - m[1:]) / self.M))])
-        return s, m + turns * self.M
+        ) % self.period
+        turns = np.concatenate([[0.0], np.cumsum(np.round((m[:-1] - m[1:]) / self.period))])
+        return s, m + turns * self.period
 
     def param_distance(self, p0, p1):
         return abs(p0[0] - p1[0]) + abs(p0[1] - p1[1])

@@ -211,7 +211,7 @@ def test_criterion_6_bilipschitz_radial(frozen):
                     pts.append(chart.point(t, phi))
             else:
                 s = chart.Lu * 0.5
-                mcoord = rng.uniform(0, chart.M)
+                mcoord = rng.uniform(0, chart.period)
                 for _ in range(40):
                     s = float(np.clip(s + rng.normal() * 0.05, 0.2 * chart.Lu, 0.8 * chart.Lu))
                     mcoord += rng.normal() * 0.3

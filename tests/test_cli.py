@@ -216,27 +216,28 @@ def test_run_parallel_jobs_match_serial(tmp_path):
     assert strip(read_rows(serial / "runs.csv")) == strip(read_rows(par / "runs.csv"))
 
 
-def test_keep_partitions_revalidates(tmp_path):
-    cfg = write_config(tmp_path / "c8.json", [small_scenario("kept")])
+def test_keep_partitions_revalidates(tmp_path, fill_hashes):
+    """Each kept .npz reloads to the disk its job built, bit for bit."""
+    scenarios = [small_scenario("kept"), {"name": "flat", "generator": "trace-a2", "lengths": [8]}]
+    cfg = write_config(tmp_path / "c8.json", scenarios)
     out = tmp_path / "o8"
     assert cli.main(
         ["run", cfg, "--seed", "3", "--keep-partitions", "--out-dir", str(out)]
     ) == 0
     rows = read_rows(out / "runs.csv")
     pdir = out / "partitions"
-    files = sorted(os.listdir(pdir))
-    assert len(files) == len(rows)
-    for row in rows:
-        name = f"{row['scenario']}-l{row['length']}-t{row['trial']}.json"
-        with open(pdir / name) as fh:
-            text = fh.read()
-        artifact = json.loads(text)
-        assert text == json.dumps(artifact)  # pins the bytes: json.dumps' own format
-        loop = Loop(np.array(artifact["loop"]))
-        fp = FillingPartition.from_dict(artifact["partition"])
-        mesh, area = validate_partition(loop, fp)
-        assert area == int(row["area"])
-        assert mesh <= float(row["mesh"]) + 1e-9
+    assert len(os.listdir(pdir)) == len(rows) == 3
+    jobs = [(scn["generator"], ell) for scn in scenarios for ell in scn["lengths"]]
+    for row, (gen, ell) in zip(rows, jobs):
+        name = f"{row['scenario']}-l{row['length']}-t{row['trial']}.npz"
+        with np.load(pdir / name) as artifact:
+            loop = Loop(artifact["loop"])
+            fp = FillingPartition.from_dict(artifact)
+        assert validate_partition(loop, fp)[1] == int(row["area"])
+        # the same job refilled in this process, at the row's seed and the config's mesh 1
+        _, want_loop, want = fill_hashes.scenario_fill(gen, ell, int(row["seed"]))
+        assert loop.vertices.tobytes() == want_loop.vertices.tobytes()
+        assert fill_hashes.fill_digest(fp) == fill_hashes.fill_digest(want)
 
 
 def test_run_contains_job_failures(tmp_path, capsys):

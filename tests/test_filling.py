@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -536,6 +538,11 @@ def test_oracle_mesh_io_roundtrip(tmp_path):
     ms.save_cycle(lp, b)
     v2, t2 = ms.load_mesh(mp)
     assert fl.brute_force_area(v2, t2, ms.load_cycle(lp)) == 8
+    # a mesh file holds its vertices bit for bit: JSON floats round-trip exactly
+    v, t = ms.octasphere(3)
+    ms.save_mesh(mp, v, t)
+    v2, t2 = ms.load_mesh(mp)
+    assert v2.tobytes() == v.tobytes() and np.array_equal(t2, t)
 
 
 # -- whole fills as the CLI makes them --------------------------------------------------------
@@ -571,8 +578,8 @@ def scenario_loops(draw):
     return sc.custom_trace_loop(trace, ell, 1.0, seed)
 
 
-@given(scenario_loops())
-def test_whole_fills_validate_and_survive_serialization(case):
+@given(case=scenario_loops())
+def test_whole_fills_validate_and_survive_serialization(fill_hashes, case):
     host, loop = case
     if isinstance(host, tr.BusemannTrace):
         fp, census, _ = fl.fill_flat_loop(host, loop, mesh=1.0)
@@ -582,5 +589,10 @@ def test_whole_fills_validate_and_survive_serialization(case):
     mesh, area = validate_partition(loop, fp)
     assert mesh <= 1.0 + DEDUP_TOL  # the mesh that fill_to_mesh accepts
     assert census.flat_bricks + census.wild_bricks == area == fp.area
-    back = FillingPartition.from_dict(fp.to_dict())
+    buf = io.BytesIO()
+    np.savez(buf, **fp.to_dict())  # what `horofill run --keep-partitions` writes
+    buf.seek(0)
+    with np.load(buf) as saved:
+        back = FillingPartition.from_dict(saved)
     assert validate_partition(loop, back)[1] == area
+    assert fill_hashes.fill_digest(back) == fill_hashes.fill_digest(fp)

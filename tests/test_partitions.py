@@ -1,5 +1,3 @@
-import json
-import pickle
 
 import numpy as np
 import pytest
@@ -21,7 +19,6 @@ from horofill.partitions import (
     edge_keys,
     empty_partition,
     fill_to_mesh,
-    round12,
     validate_partition,
 )
 
@@ -364,12 +361,16 @@ def test_fill_to_mesh_accepts_the_first_fit():
 def test_serialization_roundtrip(tmp_path):
     loop = square_loop()
     data = fan_partition(loop).to_dict()
-    back = FillingPartition.from_dict(data)
+    np.savez(tmp_path / "fan.npz", **data)
+    with np.load(tmp_path / "fan.npz") as saved:
+        back = FillingPartition.from_dict(saved)
     validate_partition(loop, back)
     assert back.boundary_anchor.tolist() == [0, 1, 2, 3]
     del data["boundary_anchor"]
-    with pytest.raises(PartitionError, match="no boundary_anchor"):
-        FillingPartition.from_dict(data)
+    np.savez(tmp_path / "no-anchor.npz", **data)
+    with np.load(tmp_path / "no-anchor.npz") as saved:
+        with pytest.raises(PartitionError, match="no boundary_anchor"):
+            FillingPartition.from_dict(saved)
 
 
 def test_empty_partition_mesh_is_zero():
@@ -405,72 +406,6 @@ def test_mesh_matches_the_gathered_norms_on_the_hashed_fills(hashed_fills):
     for name, fp in hashed_fills.items():
         want = reference_mesh(fp.points, fp.triangles)
         assert compute_mesh(fp.points, fp.triangles) == want, name
-
-
-def reference_to_dict(fp):
-    """``FillingPartition.to_dict`` as it was: one Python conversion per entry."""
-    return {
-        "points": [[round(float(c), 12) for c in p] for p in fp.points],
-        "triangles": [[int(i) for i in t] for t in fp.triangles],
-        "boundary": [int(i) for i in fp.boundary],
-        "boundary_anchor": [int(i) for i in fp.boundary_anchor],
-    }
-
-
-def test_to_dict_writes_the_bytes_of_the_per_entry_conversion(hashed_fills):
-    rng = np.random.default_rng(5)
-    pts = rng.standard_normal((40, 3)) * np.logspace(-14, 14, 40)[:, None]
-    pts[0] = [-0.0, 0.0, -1e-13]
-    odd = FillingPartition(pts, rng.integers(0, 40, size=(30, 3)), np.arange(8), list(range(8)))
-    short = [fp for name, fp in hashed_fills.items() if " l=8 " in name]
-    for fp in [odd, hashed_fills["cone_fill"], *short]:
-        got, want = fp.to_dict(), reference_to_dict(fp)
-        assert json.dumps(got) == json.dumps(want)
-        assert pickle.dumps(got) == pickle.dumps(want)
-
-
-def assert_rounds_like_python(x):
-    """``round12`` agrees with ``round(c, 12)`` on every entry, as int64 bit patterns."""
-    x = np.asarray(x, dtype=float)
-    want = np.array([round(c, 12) for c in x.ravel().tolist()], dtype=float)
-    np.testing.assert_array_equal(round12(x).ravel().view(np.int64), want.view(np.int64))
-
-
-def test_round12_on_ties_and_their_neighbours():
-    rng = np.random.default_rng(12)
-    k = np.concatenate([np.arange(-50, 50), rng.integers(-(2**50), 2**50, 20000)])
-    ties = (k + 0.5) * 1e-12
-    odd = (2 * rng.integers(0, 2**30, 5000) + 1) / 2.0**13  # x * 10**12 is a half-integer
-    for x in (ties, odd, -odd):
-        assert_rounds_like_python(x)
-        assert_rounds_like_python(np.nextafter(x, np.inf))
-        assert_rounds_like_python(np.nextafter(x, -np.inf))
-
-
-@pytest.mark.parametrize("limit", [2.0**51, 2.0**52, 2.0**53])
-def test_round12_near_the_fast_range_limit(limit):
-    x = limit / 1e12 * (1 + np.linspace(-1e-9, 1e-9, 4001))
-    for y in (x, -x, np.nextafter(x, 0), np.nextafter(x, np.inf)):
-        assert_rounds_like_python(y)
-
-
-def test_round12_on_signed_zeros_subnormals_and_non_finite_values():
-    tiny = np.array([5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308])
-    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308, 4.9e-13, -4.9e-13]
-    assert_rounds_like_python(np.concatenate([tiny, -tiny, special]))
-
-
-@given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=200))
-def test_round12_matches_python_round(values):
-    assert_rounds_like_python(values)
-
-
-def test_round12_on_random_and_fill_coordinates(hashed_fills):
-    rng = np.random.default_rng(13)
-    assert_rounds_like_python(rng.standard_normal(50000) * np.logspace(-16, 16, 50000))
-    assert_rounds_like_python(rng.uniform(-100, 100, (1000, 3)))
-    for name in ("trace-a3 l=32 seed=0", "tube-square l=64 seed=1", "refine_partition"):
-        assert_rounds_like_python(hashed_fills[name].points)
 
 
 # -- properties of the array path ------------------------------------------------

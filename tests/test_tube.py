@@ -407,7 +407,7 @@ def test_radial_projection_band(frozen, point3, segment3, square3):
                     pts.append(chart.point(t, phi))
             else:
                 s = chart.Lu * 0.5
-                m = rng.uniform(0, chart.M)
+                m = rng.uniform(0, chart.period)
                 for _ in range(30):
                     s = np.clip(s + rng.normal() * 0.05, 0.2 * chart.Lu, 0.8 * chart.Lu)
                     m += rng.normal() * 0.3
@@ -490,15 +490,15 @@ def test_charts_roundtrip(point3, segment3, square3):
                 assert abs((phi - phi2 + np.pi) % (2 * np.pi) - np.pi) < 1e-9
             else:
                 s = rng.uniform(0.1, 0.9) * chart.Lu
-                m = rng.uniform(0, chart.M)
+                m = rng.uniform(0, chart.period)
                 p = chart.point(s, m)
                 (s2,), (m2,) = chart.lift([p])
                 assert abs(s - s2) < 1e-9
-                assert abs((m - m2 + chart.M / 2) % chart.M - chart.M / 2) < 1e-9
+                assert abs((m - m2 + chart.period / 2) % chart.period - chart.period / 2) < 1e-9
             assert abs(tb.tube_distance(P, p) - R) < 1e-9
     # a stadium sequence crossing the m = M seam lifts continuously
     chart = tb.StadiumChart(square3, 1.1)
-    ms = np.linspace(chart.M - 1.0, chart.M + 1.0, 41)
+    ms = np.linspace(chart.period - 1.0, chart.period + 1.0, 41)
     ss, lifted = chart.lift(chart.points(np.full(41, 0.5), ms))
     assert np.allclose(ss, 0.5, atol=1e-9)
     assert np.allclose(lifted, ms, atol=1e-9)
@@ -597,9 +597,9 @@ def test_loop_degree_detection(point3, segment3, square3):
     assert tb.loop_degree(tb.chart_for(segment3, 1.0, wrap3), wrap3) == 3
     # stadium serpentine: sweeps past the seam several times, winds zero
     stadium = tb.StadiumChart(square3, 1.0)
-    serp = stadium.points(np.full(128, 0.5), 0.3 + 2.5 * stadium.M * np.sin(2 * np.pi * t))
+    serp = stadium.points(np.full(128, 0.5), 0.3 + 2.5 * stadium.period * np.sin(2 * np.pi * t))
     assert tb.loop_degree(stadium, serp) == 0
-    assert tb.loop_degree(stadium, stadium.points(np.full(128, 0.5), stadium.M * t)) == 1
+    assert tb.loop_degree(stadium, stadium.points(np.full(128, 0.5), stadium.period * t)) == 1
 
 
 def test_fill_wrapped_and_validate(point3, segment3):
@@ -854,7 +854,7 @@ def test_radial_project_path_matches_the_per_point_loop(name):
     P, rng = CORES[name], np.random.default_rng(9)
     chart = tb.chart_for(P, 2.0, None)
     if isinstance(chart, tb.StadiumChart):
-        path = chart.points(rng.uniform(0.2, 0.8, 25) * chart.Lu, rng.uniform(0, chart.M, 25))
+        path = chart.points(rng.uniform(0.2, 0.8, 25) * chart.Lu, rng.uniform(0, chart.period, 25))
     else:
         path = chart.points(rng.uniform(0.1, 0.9, 25) * chart.T, rng.uniform(0, 6.3, 25))
     inner, rep = tb.radial_project_path(P, 2.0, 0.5, path)

@@ -2,12 +2,14 @@
 
 For each fill it times ``partitions.compute_mesh``,
 ``partitions.validate_partition``, ``filling.brick_census`` (trace fills
-only) and ``FillingPartition.to_dict``, each the minimum of ``--repeats``
-calls.  It also records every ``DiskBuilder.add_ladders`` call made
-while the fill is built (the builder's points and the four stacks) and
-times replays of them all, each into a fresh builder made before the
-clock starts; that stage counts the bricks the replays lay, failed
-tries included.  The fills are those of ``tools/fill_hashes.py`` plus
+only) and serialization (``np.savez`` of the loop and
+``FillingPartition.to_dict`` into memory: the file that ``horofill run
+--keep-partitions`` writes), each the minimum of ``--repeats`` calls.
+It also records every ``DiskBuilder.add_ladders`` call made while the
+fill is built (the builder's points and the four stacks) and times
+replays of them all, each into a fresh builder made before the clock
+starts; that stage counts the bricks the replays lay, failed tries
+included.  The fills are those of ``tools/fill_hashes.py`` plus
 three large ones: tube-segment l=48 seed 1071 (75,028 bricks), trace-a3
 l=64 seed 3 (845,290 bricks) and trace-a3 l=128 seed 4160 (3,093,309
 bricks).  Run from the root of a checkout:
@@ -21,6 +23,7 @@ passes on the same fills.
 
 import argparse
 import contextlib
+import io
 import itertools
 import json
 import sys
@@ -73,7 +76,7 @@ def passes(host, loop, fp):
         "compute_mesh": lambda: pt.compute_mesh(fp.points, fp.triangles),
         "validate_partition": lambda: pt.validate_partition(loop, fp),
         "brick_census": lambda: fl.brick_census(host, fp),
-        "to_dict": fp.to_dict,
+        "serialization": lambda: np.savez(io.BytesIO(), loop=loop.vertices, **fp.to_dict()),
     }
     if not isinstance(host, tr.BusemannTrace):
         del calls["brick_census"]
