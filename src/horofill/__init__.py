@@ -10,7 +10,7 @@ Modules, by machinery:
 ``filling``     loop filling pipelines, exponent fits, the area oracle
 ``bootstrap``   exponent-improvement arithmetic
 ``meshes``      reference surfaces for the oracle
-``scenarios``   deterministic loop generators for the experiments
+``scenarios``   deterministic loop generators for the experiments, and their fills
 ``cli``         experiment harness (CSV + SVG)
 """
 

@@ -20,7 +20,6 @@ from . import filling as fl
 from . import meshes as ms
 from . import scenarios as sc
 from . import trace as tr
-from . import tube as tb
 from .geometry import BOOTSTRAP_TOL
 
 SVG_WIDTH, SVG_HEIGHT = 480, 360
@@ -97,21 +96,11 @@ def _row_seed(base, scenario_idx, length_idx, trial):
     return int(base) + 1009 * scenario_idx + 31 * length_idx + trial
 
 
-def _run_job(scn, scenario_idx, length_idx, ell, trial, base_seed, keep):
-    seed = _row_seed(base_seed, scenario_idx, length_idx, trial)
+def _run_job(scn, ell, trial, seed, keep):
     t0 = time.perf_counter()
-    gen = scn["generator"]
     mesh = float(scn["mesh"])
-    if gen == "custom-trace":
-        host = tr.BusemannTrace.from_dict(scn["trace"])
-        host, loop = sc.custom_trace_loop(host, ell, mesh, seed)
-    else:
-        host, loop = sc.GENERATORS[gen](ell, mesh, seed)
-    if isinstance(host, tr.BusemannTrace):
-        fp, census, info = fl.fill_flat_loop(host, loop, mesh=mesh)
-    else:
-        fp, info = tb.fill_tube_loop(host, sc.TUBE_RADIUS, loop, mesh)
-        census = fp.census or fl.BrickCensus(0, fp.area)
+    host, loop = sc.make_loop(scn["generator"], ell, mesh, seed, scn.get("trace"))
+    fp, census, _ = sc.fill(host, loop, mesh)
     ms_elapsed = (time.perf_counter() - t0) * 1000.0
     row = {
         "scenario": scn["name"],
@@ -138,7 +127,7 @@ def run_command(args):
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "runs.csv")
     jobs = [
-        (scn, s_idx, l_idx, ell, trial)
+        (scn, ell, trial, _row_seed(args.seed, s_idx, l_idx, trial))
         for s_idx, scn in enumerate(config["scenarios"])
         for l_idx, ell in enumerate(scn["lengths"])
         for trial in range(scn["trials"])
@@ -151,11 +140,8 @@ def run_command(args):
     with open(csv_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
-        for (scn, s_idx, l_idx, ell, trial), outcome in _execute(
-            jobs, args.seed, args.jobs, args.keep_partitions
-        ):
+        for (scn, ell, trial, seed), outcome in _execute(jobs, args.jobs, args.keep_partitions):
             if isinstance(outcome, Exception):
-                seed = _row_seed(args.seed, s_idx, l_idx, trial)
                 print(
                     f"job failed: scenario {scn['name']} length {ell} trial {trial} "
                     f"seed {seed}: {type(outcome).__name__}: {outcome}",
@@ -176,19 +162,19 @@ def run_command(args):
     return status
 
 
-def _execute(jobs, base_seed, n_jobs, keep):
+def _execute(jobs, n_jobs, keep):
     """Yield (job, (row, artifact) or the exception it raised) in job order.
 
     A pool takes all jobs at once, longest loops first.
     """
     if n_jobs <= 1:
         for job in jobs:
-            yield job, _outcome(_run_job, *job, base_seed, keep)
+            yield job, _outcome(_run_job, *job, keep)
         return
     with concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs) as pool:
         futs = {}
-        for k in sorted(range(len(jobs)), key=lambda k: -jobs[k][3]):
-            futs[k] = pool.submit(_run_job, *jobs[k], base_seed, keep)
+        for k in sorted(range(len(jobs)), key=lambda k: -jobs[k][1]):
+            futs[k] = pool.submit(_run_job, *jobs[k], keep)
         for k, job in enumerate(jobs):
             yield job, _outcome(futs[k].result)
 

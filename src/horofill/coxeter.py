@@ -355,9 +355,6 @@ class SlopeSearchResult:
     margin: float = 0.0
     resolution: int = 0
 
-    def __bool__(self):
-        return self.found
-
 
 def find_good_slope(rs, theta, delta1):
     """Search the chamber for beta with both margins above delta1.

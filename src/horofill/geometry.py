@@ -159,16 +159,6 @@ def affine_span(points):
     return origin, vt[:rank]
 
 
-def project_affine(x, origin, basis):
-    """Orthogonal projection of x, or of each row of x, onto the affine subspace (origin, basis)."""
-    x = np.asarray(x, dtype=float)
-    if basis.shape[0] == 0:
-        out = np.empty_like(x)
-        out[...] = origin
-        return out
-    return origin + matvec(basis.T, matvec(basis, x - origin))
-
-
 def enumerate_vertices(normals, bounds, tol=HV_TOL):
     """Vertices of {x : normals @ x <= bounds} by brute-force basic solutions.
 
@@ -403,9 +393,9 @@ class VPolytope:
     def contains(self, x):
         """Whether x, or each row of x, lies in the polytope within HV_TOL."""
         x = np.asarray(x, dtype=float)
-        foot = project_affine(x, self.origin, self.basis)
-        inside = ~(row_norms(x - foot) > HV_TOL)
-        inside &= (matvec(self.normals, self.to_span(x)) <= self.bounds + HV_TOL).all(-1)
+        c = self.to_span(x)
+        inside = ~(row_norms(x - self.from_span(c)) > HV_TOL)
+        inside &= (matvec(self.normals, c) <= self.bounds + HV_TOL).all(-1)
         return inside if inside.ndim else bool(inside)
 
     def nearest_point(self, x):
@@ -426,10 +416,11 @@ def segment_hits_polytope(a, b, poly):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    va = a - project_affine(a, poly.origin, poly.basis)
-    vb = b - project_affine(b, poly.origin, poly.basis)
-    ga = matvec(poly.normals, poly.to_span(a)) - poly.bounds
-    dg = matvec(poly.normals, poly.to_span(b)) - poly.bounds - ga
+    ca, cb = poly.to_span(a), poly.to_span(b)
+    va = a - poly.from_span(ca)
+    vb = b - poly.from_span(cb)
+    ga = matvec(poly.normals, ca) - poly.bounds
+    dg = matvec(poly.normals, cb) - poly.bounds - ga
     flat = np.abs(dg) < LENGTH_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
         t = -ga / dg

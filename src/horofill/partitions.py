@@ -12,7 +12,14 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .geometry import DECISION_TOL, DEDUP_TOL, SQUARED_LENGTH_FLOOR, SURFACE_TOL, row_norms
+from .geometry import (
+    DECISION_TOL,
+    DEDUP_TOL,
+    SQUARED_LENGTH_FLOOR,
+    SURFACE_TOL,
+    polyline_length,
+    row_norms,
+)
 
 MESH_ATTEMPTS = 8  # sampling attempts per fill to reach the requested mesh
 LADDER_BLOCK = 1 << 13  # bricks laid per block of ladders; bounds add_ladders' scratch
@@ -35,8 +42,7 @@ class Loop:
 
     @property
     def length(self):
-        v = self.vertices
-        return float(np.sum(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)))
+        return polyline_length(np.vstack([self.vertices, self.vertices[:1]]))
 
     @property
     def is_constant(self):
@@ -117,14 +123,11 @@ class FillingPartition:
     @staticmethod
     def from_dict(data):
         """The partition in a mapping of array-likes, such as an ``np.load`` of a ``.npz``."""
-        if "boundary_anchor" not in data:
-            raise PartitionError("partition has no boundary_anchor")
-        return FillingPartition(
-            data["points"],
-            data["triangles"],
-            data["boundary"],
-            data["boundary_anchor"],
-        )
+        fields = ("points", "triangles", "boundary", "boundary_anchor")
+        for name in fields:
+            if name not in data:
+                raise PartitionError(f"partition has no {name}")
+        return FillingPartition(*(data[name] for name in fields))
 
 
 def _indices(entries, what):

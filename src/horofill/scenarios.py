@@ -1,18 +1,20 @@
-"""Deterministic loop generators for the experiment scenarios.
+"""Deterministic loop generators for the experiment scenarios, and their fills.
 
 Each generator targets a loop length and returns host objects plus a
 loop sampled finely enough for mesh-1 fillings (spacing below mesh/3.5,
 arclength-uniform where the host has corners).  Trials differ by a
-small seeded jitter.
+small seeded jitter.  ``make_loop`` makes one job's host and loop and
+``fill`` fills it, as ``horofill run`` does.
 """
 
 import numpy as np
 
 from . import coxeter as cx
+from . import filling as fl
 from . import trace as tr
 from . import tube as tb
 from .geometry import LENGTH_FLOOR
-from .partitions import Loop
+from .partitions import BrickCensus, Loop
 
 # sin-parametrized serpentines peak at pi/2 times their average speed;
 # wrapped loops run at nearly constant speed.  Sampling budgets carry
@@ -201,7 +203,8 @@ def check_custom_trace(trace):
     hb = tr.horoball_polytope(trace, 0.0)
     if hb.is_empty:
         raise ValueError("custom trace needs a bounded nonempty horoball trace")
-    if trace.apartment_dim != 2 and (trace.apartment_dim, len(ms.polytope.vertices)) != (3, 1):
+    rank = trace.root_system.rank
+    if rank != 2 and (rank, len(ms.polytope.vertices)) != (3, 1):
         raise ValueError("custom traces supported in rank 2, or rank 3 with point min set")
     return ms, hb
 
@@ -217,7 +220,7 @@ def custom_trace_loop(trace, ell, mesh, seed):
     """
     rng = np.random.default_rng(seed)
     ms, hb = check_custom_trace(trace)
-    if trace.apartment_dim == 2:
+    if trace.root_system.rank == 2:
         return trace, _level_serpentine(hb, ell, mesh, rng)
     m = -ms.min_value
     proj = tb.sandwich_project(hb, ms.polytope, m)
@@ -240,3 +243,22 @@ GENERATORS = {
     "trace-a2": trace_a2_serpentine,
     "trace-a3": trace_a3_wrap,
 }
+
+
+def make_loop(generator, ell, mesh, seed, trace=None):
+    """(host, loop) of one job: a generator's, or ``custom_trace_loop``'s on a config's trace."""
+    if generator == "custom-trace":
+        return custom_trace_loop(tr.BusemannTrace.from_dict(trace), ell, mesh, seed)
+    return GENERATORS[generator](ell, mesh, seed)
+
+
+def fill(host, loop, mesh):
+    """(partition, census, info) of the loop's filling at the mesh.
+
+    A trace host takes the flat-loop pipeline; a tube core takes the tube
+    fill at ``TUBE_RADIUS``, where every brick counts as wild.
+    """
+    if isinstance(host, tr.BusemannTrace):
+        return fl.fill_flat_loop(host, loop, mesh=mesh)
+    fp, info = tb.fill_tube_loop(host, TUBE_RADIUS, loop, mesh)
+    return fp, BrickCensus(0, fp.area), info

@@ -72,7 +72,6 @@ class BusemannTrace:
             pieces = facts.pieces[key] = [_orbit_indices(facts.orbit, G), None]
         self.root_system = root_system
         self.theta = theta
-        self.apartment_dim = root_system.rank
         self.orbit = facts.orbit
         self.piece_orbit_indices = pieces[0]
         self.gradients = G
@@ -143,10 +142,10 @@ def _orbit_indices(orbit, G):
     return near.argmax(axis=1).tolist()
 
 
-def symmetric_trace(rs, theta, level=0.0):
-    """Full-orbit envelope with equal offsets (W-invariant)."""
+def symmetric_trace(rs, theta):
+    """Full-orbit envelope with zero offsets (W-invariant)."""
     orbit = slope_facts(rs, theta).orbit
-    return BusemannTrace(rs, theta, orbit, np.full(len(orbit), level))
+    return BusemannTrace(rs, theta, orbit, np.zeros(len(orbit)))
 
 
 # -- sublevel polytopes ------------------------------------------------------
@@ -208,7 +207,7 @@ def _envelope_minimum(trace):
     if not bounded_below:
         trace._min_cache = MinSetResult(False)
         return trace._min_cache
-    r = trace.apartment_dim
+    r = trace.root_system.rank
     m = len(trace.gradients)
     x = linprog(
         np.concatenate([np.zeros(r), [1.0]]),

@@ -22,7 +22,6 @@ from .geometry import (
     angle_between,
     matvec,
     polyline_length,
-    project_affine,
     row_norms,
     segment_hits_polytope,
     segment_params,
@@ -42,14 +41,6 @@ class HypothesisViolated(TubeError):
 # -- shape builders -----------------------------------------------------------
 
 
-def point_polytope(p):
-    return VPolytope([np.asarray(p, dtype=float)])
-
-
-def segment_polytope(a, b):
-    return VPolytope([np.asarray(a, dtype=float), np.asarray(b, dtype=float)])
-
-
 def rectangle_polytope(origin, u, w):
     """Rectangle spanned by edge vectors u and w (must be orthogonal)."""
     origin = np.asarray(origin, dtype=float)
@@ -63,19 +54,14 @@ def rectangle_polytope(origin, u, w):
 def standard_shape(name):
     """Named acceptance shapes in E^3."""
     if name == "point":
-        return point_polytope(np.zeros(3))
+        return VPolytope([np.zeros(3)])
     if name == "segment":
-        return segment_polytope(np.zeros(3), np.array([1.0, 0, 0]))
+        return VPolytope([np.zeros(3), np.array([1.0, 0, 0])])
     if name == "square":
         return rectangle_polytope(
             np.zeros(3), np.array([1.0, 0, 0]), np.array([0, 1.0, 0])
         )
     raise TubeError(f"unknown shape {name!r}")
-
-
-def proper_core(P):
-    """Tube constructions require a proper core: codimension >= 1."""
-    return P.codim >= 1
 
 
 def nearest_point(P, x):
@@ -87,10 +73,6 @@ def nearest_point(P, x):
     x = np.asarray(x, dtype=float)
     x0 = P.nearest_point(x)
     return x0, row_norms(x - x0)
-
-
-def tube_distance(P, x):
-    return nearest_point(P, x)[1]
 
 
 # -- tube points ----------------------------------------------------------------
@@ -123,16 +105,8 @@ def make_tube_point(P, x, R):
     lateral = P.basis.T @ (P.basis @ v) if P.dim else np.zeros_like(v)
     vertical = v - lateral
     alpha = float(np.arctan2(np.linalg.norm(lateral), np.linalg.norm(vertical)))
-    foot = project_affine(x, P.origin, P.basis)
+    foot = P.from_span(P.to_span(x))
     return TubePoint(x, base, foot, alpha, float(R), vertical, lateral)
-
-
-def beta_angle(x, y):
-    """Angle between the vertical components of two tube points."""
-    nx, ny = np.linalg.norm(x.vertical), np.linalg.norm(y.vertical)
-    if nx < DEDUP_TOL or ny < DEDUP_TOL:
-        return 0.0
-    return angle_between(x.vertical, y.vertical)
 
 
 # -- paths on a tube (pairwise construction) -------------------------------------
@@ -216,7 +190,7 @@ def tube_path(P, R, x, y):
     The hypothesis "[x', y'] intersects the core" is checked; violations
     raise HypothesisViolated naming the clause.
     """
-    if not proper_core(P):
+    if P.codim < 1:
         raise TubeError("core must have codimension >= 1")
     if not isinstance(x, TubePoint):
         x = make_tube_point(P, x, R)
@@ -374,7 +348,7 @@ def sandwich_project(body, core, R):
     """
     if body.codim != 0:
         raise SandwichError("sandwich body must be full-dimensional")
-    a = np.max(tube_distance(core, body.vertices)) / R
+    a = np.max(nearest_point(core, body.vertices)[1]) / R
     if a < 1.0 - DECISION_TOL:
         raise SandwichError("body is strictly inside the R-tube")
     directions = body.normals @ body.basis
@@ -753,7 +727,7 @@ def loop_case(P, loop):
     1: some vertex projects into the core; 2: some chord of span
     projections crosses the core; 3: neither.
     """
-    feet = project_affine(loop.vertices, P.origin, P.basis)
+    feet = P.from_span(P.to_span(loop.vertices))
     if np.any(P.contains(feet)):
         return 1
     step = max(1, len(feet) // 64)
@@ -787,7 +761,7 @@ def fill_tube_loop(P, R, loop, mesh):
     strip = classify_strip(P)
     if strip.case == "fails":
         raise TubeError("strip classification failed: core admits no thin strip")
-    if np.any(np.abs(tube_distance(P, loop.vertices) - R) > SURFACE_TOL):
+    if np.any(np.abs(nearest_point(P, loop.vertices)[1] - R) > SURFACE_TOL):
         raise TubeError("loop vertex off the tube surface")
     if loop.is_constant:
         return empty_partition(loop), {"case": 0, "strip": strip}

@@ -268,7 +268,7 @@ def test_brick_census_matches_the_probe_on_random_realizable_traces(fill_hashes,
     by_rank = {}
     for trace, fp in hashed_trace_fills(fill_hashes, hashed_fills):
         if fp.area < 12_000:
-            by_rank.setdefault(trace.apartment_dim, []).append((trace, fp))
+            by_rank.setdefault(trace.root_system.rank, []).append((trace, fp))
     rng = np.random.default_rng(73)
     flat = wild = 0
     for k in range(40):
@@ -550,18 +550,18 @@ def test_oracle_mesh_io_roundtrip(tmp_path):
 
 @st.composite
 def scenario_loops(draw):
-    """A host and loop: a scenario generator's, or a custom A2/A3 trace's.
+    """A host and loop from ``make_loop``: a scenario generator's, or a custom A2/A3 trace's.
 
     Generators draw lengths 4-16 (trace-a3 4-8).  Custom traces are
     realizable: the symmetric trace on a coweight slope, or one pushed
-    into the chamber, shifted down, translated and scaled, with its loop
-    from ``custom_trace_loop`` at length 4-16 (rank 3: 4-8).
+    into the chamber, shifted down, translated and scaled, passed as the
+    dict a config holds, with a loop at length 4-16 (rank 3: 4-8).
     """
     seed = draw(st.integers(0, 2**16))
     if draw(st.booleans()):
         name = draw(st.sampled_from(sorted(sc.GENERATORS)))
         ell = draw(st.integers(4, 8 if name == "trace-a3" else 16))
-        return sc.GENERATORS[name](ell, 1.0, seed)
+        return sc.make_loop(name, ell, 1.0, seed)
     rank = draw(st.sampled_from([2, 3]))
     rs = cx.build_root_system("A", rank=rank)
     rng = np.random.default_rng(seed)
@@ -575,17 +575,13 @@ def scenario_loops(draw):
         .scaled(rng.uniform(0.5, 2.0))
     )
     ell = draw(st.integers(4, 16 if rank == 2 else 8))
-    return sc.custom_trace_loop(trace, ell, 1.0, seed)
+    return sc.make_loop("custom-trace", ell, 1.0, seed, trace.to_dict())
 
 
 @given(case=scenario_loops())
 def test_whole_fills_validate_and_survive_serialization(fill_hashes, case):
     host, loop = case
-    if isinstance(host, tr.BusemannTrace):
-        fp, census, _ = fl.fill_flat_loop(host, loop, mesh=1.0)
-    else:
-        fp = fl.fill_tube_loop(host, sc.TUBE_RADIUS, loop, 1.0)[0]
-        census = fp.census or BrickCensus(0, fp.area)
+    fp, census, _ = sc.fill(host, loop, 1.0)
     mesh, area = validate_partition(loop, fp)
     assert mesh <= 1.0 + DEDUP_TOL  # the mesh that fill_to_mesh accepts
     assert census.flat_bricks + census.wild_bricks == area == fp.area

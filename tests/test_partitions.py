@@ -1,3 +1,4 @@
+import io
 
 import numpy as np
 import pytest
@@ -371,6 +372,17 @@ def test_serialization_roundtrip(tmp_path):
     with np.load(tmp_path / "no-anchor.npz") as saved:
         with pytest.raises(PartitionError, match="no boundary_anchor"):
             FillingPartition.from_dict(saved)
+    # a missing field is named, from a file as from a dict
+    data = fan_partition(loop).to_dict()
+    buf = io.BytesIO()
+    np.savez(buf, **{k: v for k, v in data.items() if k != "points"})
+    buf.seek(0)
+    with np.load(buf) as saved:
+        with pytest.raises(PartitionError, match="partition has no points"):
+            FillingPartition.from_dict(saved)
+    del data["triangles"]
+    with pytest.raises(PartitionError, match="partition has no triangles"):
+        FillingPartition.from_dict(data)
 
 
 def test_empty_partition_mesh_is_zero():

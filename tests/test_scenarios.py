@@ -21,7 +21,7 @@ def test_generators_deterministic(name):
 def test_tube_generators_on_surface(name):
     P, loop = sc.GENERATORS[name](24, 1.0, 0)
     for v in loop.vertices[::7]:
-        assert abs(tb.tube_distance(P, v) - sc.TUBE_RADIUS) < 1e-9
+        assert abs(tb.nearest_point(P, v)[1] - sc.TUBE_RADIUS) < 1e-9
     assert 0.5 * 24 <= loop.length <= 1.6 * 24
 
 

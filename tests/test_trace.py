@@ -340,7 +340,7 @@ EPIGRAPH_SLOPES = ORBIT_SLOPES + [(4, 0), (4, 2), (4, None)]
 
 
 def _epigraph_lp(trace):
-    r, m = trace.apartment_dim, len(trace.gradients)
+    r, m = trace.root_system.rank, len(trace.gradients)
     c = np.concatenate([np.zeros(r), [1.0]])
     return c, np.hstack([trace.gradients, -np.ones((m, 1))]), -trace.offsets
 
@@ -377,6 +377,17 @@ def test_linprog_matches_scipy_on_an_all_zero_column(slab):
 def test_linprog_names_the_status_of_an_unbounded_lp():
     with pytest.raises(tr.TraceError, match="HiGHS model status Unbounded"):
         tr.linprog(np.array([0.0, 1.0]), np.array([[1.0, -1.0]]), np.array([0.0]))
+
+
+@pytest.mark.parametrize(
+    "A, b, status, name",
+    [([[1.0]], [1.0], 3, "Unbounded"), ([[1.0], [-1.0]], [-1.0, -1.0], 2, "Infeasible")],
+)
+def test_linprog_fails_where_scipy_reports_failure(A, b, status, name):
+    res = linprog([1.0], A_ub=A, b_ub=b, bounds=(None, None), method="highs")
+    assert not res.success and res.status == status
+    with pytest.raises(tr.TraceError, match=f"HiGHS model status {name}$"):
+        tr.linprog([1.0], A, b)
 
 
 def test_level_project_single_piece(a1a1):
@@ -594,7 +605,7 @@ def derived_traces(draw):
         rank, k = draw(st.sampled_from(ORBIT_SLOPES))
         rs, theta, orbit = _orbit(rank, k)
         if kind == "symmetric":
-            trace = tr.symmetric_trace(rs, theta, level=draw(st.floats(-2, 2)))
+            trace = tr.symmetric_trace(rs, theta).shifted(draw(st.floats(-2, 2)))
         else:
             mask = draw(st.lists(st.booleans(), min_size=len(orbit), max_size=len(orbit)).filter(any))
             pieces = [i for i in range(len(orbit)) if mask[i]]

@@ -38,7 +38,7 @@ def test_shapes(point3, segment3, square3):
     assert point3.codim == 3
     assert segment3.codim == 2
     assert square3.codim == 1
-    assert tb.proper_core(square3)
+    assert square3.codim >= 1
     with pytest.raises(tb.TubeError):
         tb.standard_shape("pentagon")
     with pytest.raises(tb.TubeError):
@@ -79,7 +79,7 @@ def test_tube_path_square_separating(square3):
     assert res.separating
     # route to the boundary point z (0.5 away), half circle, and back
     assert abs(res.length - (1.0 + np.pi)) < 1e-9
-    dmin = min(tb.tube_distance(square3, p) for p in res.polyline)
+    dmin = min(tb.nearest_point(square3, p)[1] for p in res.polyline)
     assert dmin >= 1.0 - 1e-6
     # x sits over the corner (1, 1), so z is that corner and the half
     # circle swings along the sum of the two edge normals there
@@ -90,7 +90,7 @@ def test_tube_path_square_separating(square3):
     assert res.separating
     alpha_x = np.arctan2(np.sqrt(0.5), 0.5)
     assert abs(res.length - (R * alpha_x + np.pi * R + np.sqrt(0.5))) < 1e-9
-    dmin = min(tb.tube_distance(square3, p) for p in res.polyline)
+    dmin = min(tb.nearest_point(square3, p)[1] for p in res.polyline)
     assert dmin >= R - 1e-6
 
 
@@ -131,7 +131,7 @@ def boundary_cases(draw):
         frame = np.linalg.qr(rng.normal(size=(3, 3)))[0][:2]
         P = tb.VPolytope(rng.normal(size=(draw(st.integers(3, 8)), 2)) @ frame + rng.normal(size=3))
     else:
-        P = tb.segment_polytope(rng.normal(size=2), rng.normal(size=2))
+        P = tb.VPolytope([rng.normal(size=2), rng.normal(size=2)])
     V = P.vertices
     if P.dim == 2:
         c = (V - V.mean(0)) @ P.basis.T
@@ -180,7 +180,15 @@ def test_tube_path_hypothesis_violation(square3):
     y = np.array([3.0, 0.5, -1.0])
     # feet projections sit outside the square and their chord misses it
     with pytest.raises(tb.HypothesisViolated, match="misses the core"):
-        tb.tube_path(square3, tb.tube_distance(square3, x), x, y)
+        tb.tube_path(square3, tb.nearest_point(square3, x)[1], x, y)
+
+
+def beta_angle(x, y):
+    """Angle between the vertical components of two tube points."""
+    nx, ny = np.linalg.norm(x.vertical), np.linalg.norm(y.vertical)
+    if nx < tb.DEDUP_TOL or ny < tb.DEDUP_TOL:
+        return 0.0
+    return tb.angle_between(x.vertical, y.vertical)
 
 
 def test_tube_path_formula_band(frozen, point3, segment3, square3):
@@ -208,12 +216,12 @@ def test_tube_path_formula_band(frozen, point3, segment3, square3):
             )
         else:
             denom = np.linalg.norm(tx.base - ty.base) + R * (
-                tx.alpha + ty.alpha + tb.beta_angle(tx, ty)
+                tx.alpha + ty.alpha + beta_angle(tx, ty)
             )
         if denom < 1e-9:
             continue
         assert lo <= res.length / denom <= hi
-        dmin = min(tb.tube_distance(P, p) for p in res.polyline)
+        dmin = min(tb.nearest_point(P, p)[1] for p in res.polyline)
         assert dmin >= R - 1e-6, "path entered the open tube"
         d = np.linalg.norm(x - y)
         if d > 1e-9:
@@ -245,7 +253,7 @@ def reference_circle_arc(center, v_from, toward, radius, angle):
 
 def reference_tube_path(P, R, x, y):
     """The ``tube_path`` that appends its polyline point by point."""
-    if not tb.proper_core(P):
+    if P.codim < 1:
         raise tb.TubeError("core must have codimension >= 1")
     if not tb.segment_hits_polytope(x.foot, y.foot, P):
         raise tb.HypothesisViolated(
@@ -311,10 +319,10 @@ def random_core(rng):
         frame = np.linalg.qr(rng.normal(size=(3, 3)))[0][:, :2]
         return tb.VPolytope(rng.normal(size=3) + rng.normal(size=(rng.integers(3, 7), 2)) @ frame.T)
     if kind == 3:
-        return tb.point_polytope(rng.normal(size=2))
+        return tb.VPolytope([rng.normal(size=2)])
     n = 2 + kind - 1
     a = rng.normal(size=n)
-    return tb.segment_polytope(a, a + rng.normal(size=n))
+    return tb.VPolytope([a, a + rng.normal(size=n)])
 
 
 def constructed_pairs():
@@ -443,7 +451,7 @@ def test_sandwich_cube_over_ball(point3, segment3):
         [[3.0, 0.5, 0.3], [0.5, 2.0, -1.0], [-2.0, -1.0, 1.5], [0.2, -0.7, -2.0], [3.0, 2.0, 2.0]]
     )
     mapped = np.array([proj.map(x) for x in X])
-    assert all(abs(tb.tube_distance(segment3, p) - 1.0) < 1e-12 for p in mapped)
+    assert all(abs(tb.nearest_point(segment3, p)[1] - 1.0) < 1e-12 for p in mapped)
     assert np.allclose(proj.inverse_batch(mapped), X, atol=1e-9)
 
 
@@ -455,13 +463,24 @@ def test_sandwich_inclusion_failure(point3):
         tb.sandwich_project(small, point3, 1.0)
 
 
+def test_sandwich_safety_checks(point3):
+    cube = tb.VPolytope([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
+    # a core outside the body: the fiber ray from it away from the cube never exits
+    far = tb.SandwichProjection(cube, tb.VPolytope([[5.0, 5.0, 5.0]]), 1.0, 1.0)
+    with pytest.raises(tb.SandwichError, match="a fiber ray does not exit the body"):
+        far.inverse_batch([[6.0, 5.0, 5.0]])
+    proj = tb.sandwich_project(tb.VPolytope(2.0 * cube.vertices - 1.0), point3, 0.5)
+    with pytest.raises(tb.SandwichError, match="point lies inside the inner tube"):
+        proj.map([0.2, 0.0, 0.0])
+
+
 def test_sandwich_requires_full_dim(point3, square3):
     with pytest.raises(tb.SandwichError, match="full-dimensional"):
         tb.sandwich_project(square3, point3, 1.0)
 
 
 def test_classify_strip_cases(point3, segment3, square3):
-    p4 = tb.point_polytope(np.zeros(4))
+    p4 = tb.VPolytope([np.zeros(4)])
     assert tb.classify_strip(p4).case == "codim>=3"
     assert tb.classify_strip(point3).case == "codim>=3"
     seg = tb.classify_strip(segment3)
@@ -471,7 +490,7 @@ def test_classify_strip_cases(point3, segment3, square3):
     assert sq.case == "codim1-in-2strip"
     assert abs(sq.delta - 1.0) < 1e-6
     assert abs(sq.epsilon - np.pi / 2) < 1e-6
-    p2 = tb.point_polytope(np.zeros(2))
+    p2 = tb.VPolytope([np.zeros(2)])
     assert tb.classify_strip(p2).case == "codim2-in-1strip"
     assert tb.classify_strip(p2).delta == 0.0
 
@@ -495,7 +514,7 @@ def test_charts_roundtrip(point3, segment3, square3):
                 (s2,), (m2,) = chart.lift([p])
                 assert abs(s - s2) < 1e-9
                 assert abs((m - m2 + chart.period / 2) % chart.period - chart.period / 2) < 1e-9
-            assert abs(tb.tube_distance(P, p) - R) < 1e-9
+            assert abs(tb.nearest_point(P, p)[1] - R) < 1e-9
     # a stadium sequence crossing the m = M seam lifts continuously
     chart = tb.StadiumChart(square3, 1.1)
     ms = np.linspace(chart.period - 1.0, chart.period + 1.0, 41)
@@ -516,14 +535,14 @@ def charts(draw):
     R = draw(st.floats(0.2, 3.0))
     kind = draw(st.sampled_from(["point", "segment", "circle", "stadium"]))
     if kind == "point":
-        chart = tb.RevolutionChart(tb.point_polytope(rng.normal(size=3)), R, rng.normal(size=3))
+        chart = tb.RevolutionChart(tb.VPolytope([rng.normal(size=3)]), R, rng.normal(size=3))
         return chart, chart.T, rng
     if kind == "segment":
         a = rng.normal(size=3)
-        chart = tb.RevolutionChart(tb.segment_polytope(a, a + rng.normal(size=3)), R)
+        chart = tb.RevolutionChart(tb.VPolytope([a, a + rng.normal(size=3)]), R)
         return chart, chart.T, rng
     if kind == "circle":
-        return tb.PlanarCircleChart(tb.point_polytope(rng.normal(size=2)), R), 0.0, rng
+        return tb.PlanarCircleChart(tb.VPolytope([rng.normal(size=2)]), R), 0.0, rng
     lu, lw = rng.uniform(0.3, 3.0, size=2)
     rect = tb.rectangle_polytope(rng.normal(size=3), [lu, 0.0, 0.0], [0.0, lw, 0.0])
     chart = tb.StadiumChart(rect, R)
@@ -615,7 +634,7 @@ def test_fill_wrapped_and_validate(point3, segment3):
     assert mesh <= 1.0 + 1e-12
     assert info["degree"] == 3
     for p in fp.points:
-        assert tb.tube_distance(point3, p) >= 1.0 - 1e-6
+        assert tb.nearest_point(point3, p)[1] >= 1.0 - 1e-6
 
 
 def test_fill_constant_loop(point3):
@@ -631,7 +650,7 @@ def test_fill_rejects_off_surface(point3):
 
 
 def test_fill_planar_degree_error():
-    p2 = tb.point_polytope(np.zeros(2))
+    p2 = tb.VPolytope([np.zeros(2)])
     t = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     circle = np.stack([np.cos(t), np.sin(t)], axis=1)
     with pytest.raises(tb.TubeError, match="winds"):
@@ -655,7 +674,7 @@ def test_fill_rejects_cores_without_exact_chart(corners):
 
 
 def test_fill_planar_degree_zero_ok():
-    p2 = tb.point_polytope(np.zeros(2))
+    p2 = tb.VPolytope([np.zeros(2)])
     t = np.linspace(0, 1, 256, endpoint=False)
     phi = 1.8 * np.sin(2 * np.pi * t)
     pts = np.stack([np.cos(phi), np.sin(phi)], axis=1)
@@ -689,7 +708,7 @@ CORES = {
     "square": tb.standard_shape("square"),
     "triangle": tb.VPolytope([[0.0, 0, 0], [2.0, 0.5, 0.3], [0.4, 1.5, -0.2]]),
     "segment2": tb.VPolytope([[0.0, 0.0], [1.0, 2.0]]),
-    "point2": tb.point_polytope(np.array([0.5, -1.0])),
+    "point2": tb.VPolytope([np.array([0.5, -1.0])]),
 }
 
 
@@ -779,7 +798,7 @@ def test_fit_axis_matches_the_running_sum():
 
 def reference_loop_case(P, vertices):
     """``loop_case`` with one foot and one containment test per vertex."""
-    feet = [tb.project_affine(v, P.origin, P.basis) for v in vertices]
+    feet = [P.from_span(P.to_span(v)) for v in vertices]
     if any(P.contains(f) for f in feet):
         return 1
     s, step = len(feet), max(1, len(feet) // 64)
@@ -799,8 +818,9 @@ def test_loop_case_and_feet_match_the_per_vertex_loop(name):
         case = tb.loop_case(P, Loop(X))
         assert case == reference_loop_case(P, X)
         seen.add(case)
-        feet = tb.project_affine(X, P.origin, P.basis)
-        want = [tb.project_affine(x, P.origin, P.basis) for x in X]
+        # the feet, each the orthogonal projection of its row onto the span
+        feet = P.from_span(P.to_span(X))
+        want = [P.origin + P.basis.T @ (P.basis @ (x - P.origin)) if P.dim else P.origin for x in X]
         assert [f.tobytes() for f in feet] == [f.tobytes() for f in want]
         assert P.contains(X).tolist() == [P.contains(x) for x in X]
     assert len(seen) > 1 or P.dim == 0  # every foot of a point core is the point
@@ -816,7 +836,6 @@ def test_nearest_point_rows_match_the_per_point_loop(name):
         want = P.nearest_point(x)
         assert base.tobytes() == want.tobytes()
         assert float(dist) == float(np.linalg.norm(x - want))
-    assert tb.tube_distance(P, X).tobytes() == d.tobytes()
     assert tb.nearest_point(P, X[:0])[0].shape == (0, P.ambient_dim)
 
 
@@ -830,7 +849,7 @@ def test_sandwich_map_rows_match_the_per_point_loop(name):
     a = max(float(np.linalg.norm(v - core.nearest_point(v))) for v in box.vertices)
     assert proj.a == max(a, 1.0)
     X = near_points(core, np.random.default_rng(8))
-    X = X[tb.tube_distance(core, X) > 1.0]
+    X = X[tb.nearest_point(core, X)[1] > 1.0]
     got = proj.map(X)
     for x, y in zip(X, got):
         base = core.nearest_point(x)

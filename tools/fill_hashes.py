@@ -15,7 +15,6 @@ import numpy as np
 from horofill import filling as fl
 from horofill import meshes as ms
 from horofill import scenarios as sc
-from horofill import trace as tr
 from horofill.partitions import Loop
 
 SEEDS = (0, 1)
@@ -35,10 +34,8 @@ def digest(points, triangles, boundary=(), anchor=None):
 
 def scenario_fill(gen, ell, seed):
     """(host, loop, partition): one scenario loop and its mesh-1 filling."""
-    host, loop = sc.GENERATORS[gen](ell, 1.0, seed)
-    if isinstance(host, tr.BusemannTrace):
-        return host, loop, fl.fill_flat_loop(host, loop, mesh=1.0)[0]
-    return host, loop, fl.fill_tube_loop(host, sc.TUBE_RADIUS, loop, 1.0)[0]
+    host, loop = sc.make_loop(gen, ell, 1.0, seed)
+    return host, loop, sc.fill(host, loop, 1.0)[0]
 
 
 def fill(gen, ell, seed):
