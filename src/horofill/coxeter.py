@@ -6,8 +6,9 @@ is generated by reflection matrices, and the closed fundamental chamber
 is the cone spanned by the dual (coweight) basis.  Slopes are unit
 directions in that closed chamber.  Each root system keeps what depends
 on a slope alone (the Weyl orbit of its opposition image, its wall-gap
-profile, and per gradient set the orbit indices and boundedness of the
-traces on it) in one memo of plain data, so each is computed once.
+profile, and per gradient set the orbit indices, boundedness and least
+dihedral angle of the traces on it) in one memo of plain data, so each
+is computed once.
 """
 
 import itertools
@@ -232,9 +233,10 @@ class SlopeFacts:
     ``orbit`` is the Weyl orbit of the opposition image as a read-only
     (k, rank) array in ``weyl_orbit`` order.  ``profile`` (the
     ``delta_zero`` data) is filled in on first use.  ``pieces`` maps the
-    bytes of a trace's gradient array to ``[indices, gordan]``: the
-    validated orbit indices of its rows, and the (bounded_below,
-    sublevels_bounded) tuple read off their hull, once it is computed.
+    bytes of a trace's gradient array to ``[indices, gordan, dihedral]``:
+    the validated orbit indices of its rows, then, once computed, the
+    (bounded_below, sublevels_bounded) tuple read off their hull and the
+    least dihedral angle between their piece hyperplanes.
     """
 
     orbit: np.ndarray

@@ -10,7 +10,6 @@ loop and so a lower-bound witness for the constructed fills.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.sparse import coo_matrix, hstack
 
 from .geometry import CENSUS_MARGIN, DECISION_TOL, LOG_FLOOR, SURFACE_TOL, straight_segments
@@ -26,7 +25,7 @@ from .partitions import (
     subdivide,
     validate_partition,
 )
-from .trace import horoball_polytope, level_project, min_set
+from .trace import LPError, horoball_polytope, level_project, linprog, min_set
 from .tube import classify_strip, fill_tube_loop, sandwich_project
 
 __all__ = [
@@ -105,18 +104,11 @@ def convex_region_clear(trace, loop):
     b_ub = -trace.offsets
     A_eq = np.zeros((1, m + 1))
     A_eq[0, :m] = 1.0
-    res = linprog(
-        c_obj,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=[1.0],
-        bounds=[(0, None)] * m + [(None, None)],
-        method="highs",
-    )
-    if res.status != 0:
-        raise FillingError(f"hull LP failed with status {res.status}")
-    return res.fun >= -DECISION_TOL
+    try:
+        _, fun = linprog(c_obj, A_ub, b_ub, A_eq, [1.0], [(0, None)] * m + [(None, None)])
+    except LPError as exc:
+        raise FillingError(f"hull LP failed: {exc}") from exc
+    return fun >= -DECISION_TOL
 
 
 # -- the flat-loop pipeline ---------------------------------------------------------
@@ -391,14 +383,13 @@ def brute_force_area(vertices, triangles, cycle):
         raise FillingError(f"loop edge {(int(k // n), int(k % n))} is not a mesh edge")
     target = np.zeros(len(keys))
     np.add.at(target, np.searchsorted(keys, loop_keys), np.sign(np.roll(cycle, -1) - cycle))
-    res = linprog(
-        np.ones(2 * F), A_eq=hstack([D, -D]), b_eq=target, bounds=(0, None), method="highs"
-    )
-    if res.status == 2:
-        raise FillingError("loop does not bound in this complex")
-    if res.status != 0:
-        raise FillingError(f"oracle LP failed with status {res.status}")
-    area = int(round(res.fun))
-    if abs(res.fun - area) > SURFACE_TOL:
-        raise FillingError(f"oracle LP optimum {res.fun} is not integral")
+    try:
+        _, fun = linprog(np.ones(2 * F), A_eq=hstack([D, -D]), b_eq=target, bounds=(0, None))
+    except LPError as exc:
+        if exc.status == "Infeasible":
+            raise FillingError("loop does not bound in this complex") from exc
+        raise FillingError(f"oracle LP failed: {exc}") from exc
+    area = int(round(fun))
+    if abs(fun - area) > SURFACE_TOL:
+        raise FillingError(f"oracle LP optimum {fun} is not integral")
     return area

@@ -14,7 +14,9 @@ Tolerance policy (documented once, used everywhere):
 ``CENSUS_MARGIN``         1e-8   headroom over a piece's rounding in the brick census's vertex test
 """
 
+import functools
 import itertools
+import math
 
 import numpy as np
 from scipy.spatial import ConvexHull
@@ -163,7 +165,8 @@ def enumerate_vertices(normals, bounds, tol=HV_TOL):
     """Vertices of {x : normals @ x <= bounds} by brute-force basic solutions.
 
     The n-subsets of rows go, VERTEX_BLOCK at a time (every A2 and A3
-    trace system is one block), through one batched ``det``, one
+    trace system is one block, whose index table is made once per
+    (m, n)), through one batched ``det``, one
     batched ``solve`` and one stacked-matmul feasibility test, each
     equal bit for bit to its per-subset call (``X @ A.T`` and
     ``einsum`` are not), so the result is that of a loop over
@@ -177,10 +180,8 @@ def enumerate_vertices(normals, bounds, tol=HV_TOL):
     A = np.asarray(normals, dtype=float)
     b = np.asarray(bounds, dtype=float)
     m, n = A.shape
-    subsets = itertools.combinations(range(m), n)
     verts = np.empty((0, n))
-    while block := list(itertools.islice(subsets, VERTEX_BLOCK)):
-        idx = np.array(block, dtype=np.intp)
+    for idx in _subset_blocks(m, n):
         sub = A[idx]
         regular = np.abs(np.linalg.det(sub)) >= DEDUP_TOL
         idx = idx[regular]
@@ -188,6 +189,24 @@ def enumerate_vertices(normals, bounds, tol=HV_TOL):
         X = X[(matvec(A, X) <= b + tol).all(1)]
         verts = np.reshape(dedup_rows(np.concatenate([verts, X]), tol=HV_TOL), (-1, n))
     return list(verts)
+
+
+def _subset_blocks(m, n):
+    """The n-subsets of range(m) in ``combinations`` order, as index arrays
+    of at most VERTEX_BLOCK rows; a one-block table is made once per (m, n)."""
+    if 0 < math.comb(m, n) <= VERTEX_BLOCK:
+        yield _subset_table(m, n)
+        return
+    subsets = itertools.combinations(range(m), n)
+    while block := list(itertools.islice(subsets, VERTEX_BLOCK)):
+        yield np.array(block, dtype=np.intp)
+
+
+@functools.lru_cache(maxsize=64)
+def _subset_table(m, n):
+    table = np.array(list(itertools.combinations(range(m), n)), dtype=np.intp)
+    table.flags.writeable = False
+    return table
 
 
 class ProjectionError(RuntimeError):

@@ -193,11 +193,15 @@ def trace_a3_wrap(ell, mesh, seed):
 def check_custom_trace(trace):
     """(min set, level-0 polytope) of a trace ``custom_trace_loop`` takes.
 
-    Raises ValueError naming the first condition the trace misses.
+    Raises ValueError naming the first condition the trace misses.  A
+    minimum set whose strip classification fails is refused here, as
+    ``fill_flat_loop`` refuses every loop that leaves the cone route.
     """
     ms = tr.min_set(trace)
     if not ms.bounded_below or not ms.polytope.is_bounded:
         raise ValueError("custom trace needs a bounded minimum set")
+    if tb.classify_strip(ms.polytope).case == "fails":
+        raise ValueError("minimum set admits no thin strip (strip classification fails)")
     if not ms.min_value < 0:
         raise ValueError("min value must be negative (horoball nonempty)")
     hb = tr.horoball_polytope(trace, 0.0)

@@ -6,24 +6,28 @@ Sublevel sets model the horoball trace on the apartment; the argmin
 polytope models the minimum set; level projection and the corner path
 construction live here.
 
-A trace's piece indices and boundedness (of the envelope and of its
-sublevel sets, read off the hull of the gradients) depend on the
-gradients alone.  Both go in the root system's slope memo, keyed by the
-gradient bytes, so every trace with byte-equal gradients on a slope (its
-translated, scaled and shifted copies, the slope's symmetric traces)
-validates and builds that hull once.  The minimum value depends on the
-offsets: one epigraph LP, cached on the trace, which ``linprog`` hands
-straight to HiGHS (the solve of scipy's ``linprog(method="highs")``, bit
-for bit, without its per-call wrapper).  A bounded sublevel
-polytope decides its own emptiness from its vertices; only ``min_set``,
-``level_project``, unbounded systems and cuts within HV_TOL of the
-minimum read the minimum value.  So a trace solves at most one LP, and
-none if it is only cut into bounded sublevel sets away from its minimum.
+What depends on the gradients alone (a trace's piece indices, the
+boundedness of its envelope and sublevel sets read off the hull of the
+gradients, and the least dihedral angle behind the Fetze constant) goes
+in the root system's slope memo, keyed by the gradient bytes, so every
+trace with byte-equal gradients on a slope (its translated, scaled and
+shifted copies, the slope's symmetric traces) computes each once.  The
+minimum value depends on the offsets: one epigraph LP, cached on the
+trace.  ``linprog`` hands it, like every LP of the package, to one
+reused HiGHS solver (the solve of scipy's ``linprog(method="highs")``,
+bit for bit, without its per-call wrapper or a solver built per call).
+The argmin polytope is built from the minimum value on its first read.
+A bounded sublevel polytope decides its own emptiness from its vertices;
+only ``min_set``, ``level_project``, unbounded systems and cuts within
+HV_TOL of the minimum read the minimum value.  So a trace solves at most
+one LP, and none if it is only cut into bounded sublevel sets away from
+its minimum.
 """
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 # HiGHS through the bindings that scipy's ``linprog(method="highs")``
 # calls (``_linprog_highs`` -> ``_highs_wrapper``).  scipy has no public
@@ -31,7 +35,7 @@ import numpy as np
 # is private, so pyproject.toml asks for the scipy it was checked on.
 from scipy.optimize._highspy import _core as highs
 
-from .coxeter import delta_zero, root_system_from_descriptor, slope_facts
+from .coxeter import Slope, delta_zero, root_system_from_descriptor, slope_facts
 from .geometry import (
     CHORD_TOL,
     DECISION_TOL,
@@ -69,14 +73,14 @@ class BusemannTrace:
         key = G.tobytes()
         pieces = facts.pieces.get(key)
         if pieces is None:
-            pieces = facts.pieces[key] = [_orbit_indices(facts.orbit, G), None]
+            pieces = facts.pieces[key] = [_orbit_indices(facts.orbit, G), None, None]
         self.root_system = root_system
         self.theta = theta
         self.orbit = facts.orbit
         self.piece_orbit_indices = pieces[0]
         self.gradients = G
         self.offsets = c
-        self._pieces = pieces  # [indices, _gordan outcome], shared per gradient set
+        self._pieces = pieces  # [indices, _gordan outcome, dihedral angle], shared per gradient set
         self._min_cache = None
 
     # -- evaluation -------------------------------------------------------
@@ -122,8 +126,18 @@ class BusemannTrace:
 
     @staticmethod
     def from_dict(data):
+        """The trace ``to_dict`` wrote, bit for bit.
+
+        A stored direction within HV_TOL of unit length is kept as it is
+        (normalizing a unit vector again can move it by an ulp); one
+        farther from unit is normalized.
+        """
         rs = root_system_from_descriptor(data["root_system"])
-        theta = rs.slope(np.asarray(data["theta"], dtype=float))
+        v = np.asarray(data["theta"], dtype=float)
+        if abs(np.linalg.norm(v) - 1.0) <= HV_TOL:
+            theta = Slope(v, rs.chamber_certificate(v))
+        else:
+            theta = rs.slope(v)
         orbit = slope_facts(rs, theta).orbit
         pieces = [(int(i), float(c)) for i, c in data["pieces"]]
         for i, _ in pieces:
@@ -175,24 +189,37 @@ def horoball_polytope(trace, t):
     return VPolytope.from_halfspaces(G, b, verts, is_empty, bounded)
 
 
-@dataclass
 class MinSetResult:
-    bounded_below: bool
-    min_value: float = None
-    sublevels_bounded: bool = False
-    polytope: VPolytope = None
+    """The envelope's minimum, cached on its trace.
+
+    ``polytope``, the argmin polytope (None when the envelope is
+    unbounded below), is the sublevel polytope at ``min_value``, built on
+    its first read and kept: every reader gets the same object, and a
+    reader of ``min_value`` alone builds none.
+    """
+
+    def __init__(self, trace, bounded_below, min_value=None, sublevels_bounded=False):
+        self._trace = trace
+        self.bounded_below = bounded_below
+        self.min_value = min_value
+        self.sublevels_bounded = sublevels_bounded
+
+    @cached_property
+    def polytope(self):
+        return horoball_polytope(self._trace, self.min_value) if self.bounded_below else None
 
 
 def min_set(trace):
-    """Argmin polytope of the envelope, or an unbounded-below flag."""
-    ms = _envelope_minimum(trace)
-    if ms.bounded_below and ms.polytope is None:
-        ms.polytope = horoball_polytope(trace, ms.min_value)
-    return ms
+    """The envelope's minimum, argmin polytope and boundedness (``MinSetResult``).
+
+    The trace's cached result, the one ``_envelope_minimum`` gives the
+    module's own callers; its polytope is built when first read.
+    """
+    return _envelope_minimum(trace)
 
 
 def _envelope_minimum(trace):
-    """The min-set result without its polytope, cached on the trace.
+    """The min-set result, cached on the trace.
 
     Boundedness comes from the gradient hull (``_gordan_outcome``); the
     epigraph LP min s subject to <x, g_i> + c_i <= s, the one LP a trace
@@ -205,71 +232,101 @@ def _envelope_minimum(trace):
         return trace._min_cache
     bounded_below, sublevels_bounded = _gordan_outcome(trace)
     if not bounded_below:
-        trace._min_cache = MinSetResult(False)
+        trace._min_cache = MinSetResult(trace, False)
         return trace._min_cache
     r = trace.root_system.rank
     m = len(trace.gradients)
-    x = linprog(
+    x, _ = linprog(
         np.concatenate([np.zeros(r), [1.0]]),
         np.hstack([trace.gradients, -np.ones((m, 1))]),
         -trace.offsets,
     )
-    trace._min_cache = MinSetResult(True, float(x[-1]), sublevels_bounded)
+    trace._min_cache = MinSetResult(trace, True, float(x[-1]), sublevels_bounded)
     return trace._min_cache
 
 
-# What ``linprog(method="highs")`` sets at its defaults, checked once here
-# instead of on every solve.
+# What ``linprog(method="highs")`` sets at its defaults, passed once to
+# the one solver every LP of the package runs on.
 _HIGHS_OPTIONS = highs.HighsOptions()
 _HIGHS_OPTIONS.presolve = "on"
 _HIGHS_OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
 _HIGHS_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
 _HIGHS_OPTIONS.output_flag = False
 _HIGHS_OPTIONS.log_to_console = False
+_SOLVER = highs._Highs()
+_SOLVER.passOptions(_HIGHS_OPTIONS)
 
 # scipy's ``_check_result`` tolerance at its default ``tol`` of 1e-9.
-_LP_ROW_TOL = np.sqrt(1e-9) * 10
+_LP_TOL = np.sqrt(1e-9) * 10
 
 
-def linprog(c, A_ub, b_ub):
-    """x minimizing c @ x subject to A_ub @ x <= b_ub, x free.
+class LPError(TraceError):
+    """An LP ``linprog`` did not solve; ``status`` names the HiGHS model status, if that failed."""
 
-    The same HiGHS solve as ``scipy.optimize.linprog(c, A_ub, b_ub,
-    bounds=(None, None), method="highs").x``, bit for bit: the same
-    options and the same column-wise model (zeros dropped, as
-    ``csc_array`` does), on a fresh solver each time, since a reused one
-    warm-starts from its last basis.  Raises ``TraceError`` where that
-    ``linprog`` would report failure: a model status other than optimal,
-    a NaN in x, or a row violated by more than ``_LP_ROW_TOL``.
+    def __init__(self, message, status=None):
+        super().__init__(message)
+        self.status = status
+
+
+def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(None, None)):
+    """(x, objective) minimizing c @ x subject to A_ub @ x <= b_ub, A_eq @ x = b_eq.
+
+    The arguments are those of ``scipy.optimize.linprog``: ``bounds`` is
+    one (lower, upper) pair for every variable or one pair per variable,
+    None for no bound; a sparse ``A_eq`` is taken as it is.  The solve is
+    that ``linprog(..., method="highs")``'s, bit for bit: the same
+    options and the same column-wise model (zeros of a dense matrix
+    dropped, as ``csc_array`` does) on one solver, whose model, basis and
+    solution ``clearModel`` wipes before each solve, so no solve
+    warm-starts from another.  Raises ``LPError`` where that ``linprog``
+    would report failure: a model status other than optimal, a NaN in x,
+    or a row or bound violated by more than ``_LP_TOL``.
     """
-    A = np.asarray(A_ub, dtype=float)
-    b = np.asarray(b_ub, dtype=float)
-    m, n = A.shape
-    nonzero = A.T != 0
+    c = np.asarray(c, dtype=float)
+    n = len(c)
+    blocks = [(A, rhs) for A, rhs in ((A_ub, b_ub), (A_eq, b_eq)) if A is not None]
+    b = np.concatenate([np.asarray(rhs, dtype=float) for _, rhs in blocks])
+    m = len(b)
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n
     lp.num_row_ = lp.a_matrix_.num_row_ = m
     lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
-    lp.a_matrix_.index_ = np.nonzero(nonzero)[1]
-    lp.a_matrix_.value_ = A.T[nonzero]
-    lp.col_cost_ = np.asarray(c, dtype=float)
-    lp.col_lower_ = np.full(n, -highs.kHighsInf)
-    lp.col_upper_ = np.full(n, highs.kHighsInf)
-    lp.row_lower_ = np.full(m, -highs.kHighsInf)
+    if any(sparse.issparse(A) for A, _ in blocks):
+        A = sparse.csc_array(sparse.vstack([sparse.coo_array(A) for A, _ in blocks]))
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
+    else:
+        At = np.vstack([np.asarray(A, dtype=float) for A, _ in blocks]).T
+        nonzero = At != 0
+        lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
+        lp.a_matrix_.index_ = np.nonzero(nonzero)[1]
+        lp.a_matrix_.value_ = At[nonzero]
+    lower, upper = np.array(bounds, dtype=float).reshape(-1, 2).T  # None reads NaN
+    lower = np.broadcast_to(np.where(np.isnan(lower), -np.inf, lower), n)
+    upper = np.broadcast_to(np.where(np.isnan(upper), np.inf, upper), n)
+    m_ub = 0 if A_ub is None else len(b_ub)
+    lp.col_cost_ = c
+    lp.col_lower_, lp.col_upper_ = lower, upper
+    lp.row_lower_ = np.concatenate([np.full(m_ub, -np.inf), b[m_ub:]])
     lp.row_upper_ = b
-    solver = highs._Highs()
-    solver.passOptions(_HIGHS_OPTIONS)
-    solver.passModel(lp)
-    solver.run()
-    status = solver.getModelStatus()
+    _SOLVER.clearModel()
+    _SOLVER.passModel(lp)
+    _SOLVER.run()
+    status = _SOLVER.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
-        raise TraceError(f"LP not solved: HiGHS model status {solver.modelStatusToString(status)}")
-    solution = solver.getSolution()
+        name = _SOLVER.modelStatusToString(status)
+        raise LPError(f"LP not solved: HiGHS model status {name}", name)
+    solution = _SOLVER.getSolution()
     x = np.array(solution.col_value)
-    if np.isnan(x).any() or not np.all(np.array(solution.row_value) - b <= _LP_ROW_TOL):
-        raise TraceError("LP solution violates its rows beyond the solver tolerance")
-    return x
+    fun = _SOLVER.getObjectiveValue()
+    residual = b - np.array(solution.row_value)
+    if not (
+        np.all(residual[:m_ub] >= -_LP_TOL)
+        and np.all(np.abs(residual[m_ub:]) <= _LP_TOL)
+        and np.all((x >= lower - _LP_TOL) & (x <= upper + _LP_TOL))
+        and not np.isnan(fun)
+    ):
+        raise LPError("LP solution violates its rows or bounds beyond the solver tolerance")
+    return x, fun
 
 
 def _gordan_outcome(trace):
@@ -334,9 +391,16 @@ def min_dihedral_angle(trace):
     """Minimal unoriented angle between distinct piece hyperplanes.
 
     Read off one Gram matrix of the unit gradients; parallel pairs carry
-    no corner and are skipped.
+    no corner and are skipped.  It depends on the gradients alone, so it
+    is kept in the slope memo beside the trace's pieces.
     """
-    U = trace.gradients / row_norms(trace.gradients)[:, None]
+    if trace._pieces[2] is None:
+        trace._pieces[2] = _min_dihedral_angle(trace.gradients)
+    return trace._pieces[2]
+
+
+def _min_dihedral_angle(G):
+    U = G / row_norms(G)[:, None]
     phi = np.arccos(np.clip(U @ U.T, -1.0, 1.0))[np.triu_indices(len(U), 1)]
     phi = phi[(phi >= DECISION_TOL) & (np.abs(np.pi - phi) >= DECISION_TOL)]
     return float(np.min(np.minimum(phi, np.pi - phi), initial=np.pi))

@@ -240,19 +240,29 @@ def test_keep_partitions_revalidates(tmp_path, fill_hashes):
         assert fill_hashes.fill_digest(fp) == fill_hashes.fill_digest(want)
 
 
-def test_run_contains_job_failures(tmp_path, capsys):
-    # an A1 x A1 trace with one deeper piece passes the config check, but
-    # its minimum set admits no thin strip: short loops still fill by the
-    # cone route, and its l = 8 and 16 jobs, which need the strip, fail
+def skew_a1a1_trace():
+    """An A1 x A1 trace with one deeper piece: its minimum set admits no thin strip."""
     a1a1 = cx.build_root_system("product", factors=[1, 1])
     th = cx.project_to_chamber(a1a1, a1a1.coweights.sum(axis=0))
-    skew = tr.BusemannTrace(a1a1, th, cx.slope_facts(a1a1, th).orbit, [-1.5, -1, -1, -1])
-    broken = {
-        "name": "skew",
-        "generator": "custom-trace",
-        "trace": skew.to_dict(),
-        "lengths": [8, 16],
-    }
+    return tr.BusemannTrace(a1a1, th, cx.slope_facts(a1a1, th).orbit, [-1.5, -1, -1, -1])
+
+
+def test_config_rejects_a_trace_whose_strip_classification_fails(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "c.json",
+        [{"name": "skew", "generator": "custom-trace", "trace": skew_a1a1_trace().to_dict(),
+          "lengths": [8, 16]}],
+    )
+    assert cli.main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: scenarios[0]: bad trace: minimum set admits no thin strip" in err
+
+
+def test_run_contains_job_failures(tmp_path, capsys):
+    # trace-a3 at lengths below the decision tolerance: the level
+    # tetrahedron of depth ell / 9 is too thin for the sandwich body, so
+    # both jobs fail inside the loop generator, after the config loaded
+    broken = {"name": "tiny", "generator": "trace-a3", "lengths": [1e-12, 1e-9]}
     cfg = write_config(tmp_path / "c9.json", [broken, small_scenario(trials=2)])
     for jobs in ("1", "2"):
         out = tmp_path / f"o9_{jobs}"
@@ -262,11 +272,11 @@ def test_run_contains_job_failures(tmp_path, capsys):
         rows = read_rows(out / "runs.csv")
         assert [(r["scenario"], r["trial"]) for r in rows] == [("mini", "0"), ("mini", "1")] * 2
         assert (out / "mini.svg").exists()
-        for l_idx, ell in enumerate([8, 16]):
+        for l_idx, ell in enumerate([1e-12, 1e-9]):
             seed = cli._row_seed(27, 0, l_idx, 0)
-            assert f"scenario skew length {ell} trial 0 seed {seed}: " in err
+            assert f"scenario tiny length {ell} trial 0 seed {seed}: " in err
         assert err.count("job failed") == 2
-        assert err.count("FillingError: strip classification failed") == 2
+        assert err.count("SandwichError: sandwich body must be full-dimensional") == 2
 
 
 def test_fit_command(tmp_path, capsys):

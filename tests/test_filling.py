@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from horofill import coxeter as cx
 from horofill import filling as fl
@@ -592,3 +593,100 @@ def test_whole_fills_validate_and_survive_serialization(fill_hashes, case):
         back = FillingPartition.from_dict(saved)
     assert validate_partition(loop, back)[1] == area
     assert fill_hashes.fill_digest(back) == fill_hashes.fill_digest(fp)
+
+
+# -- the filling LPs against scipy's linprog -----------------------------------------
+
+# the scenarios and lengths of the benchmark's trace-fill loops
+TRACE_FILL_LOOPS = [("trace-a2", 32, s) for s in range(4)] + [
+    ("trace-a2", 64, 4), ("trace-a2", 64, 5), ("trace-a3", 16, 6), ("trace-a3", 16, 7)
+]
+
+
+def frozen_oracle_instances(frozen):
+    """(vertices, triangles, cycle, frozen area) of the four oracle instances of criterion 7."""
+    v, t = ms.octasphere(3)
+    v2, t2, rings = ms.capped_cylinder(n_around=12, n_along=4, n_cap=3)
+    rect = (
+        rings[2][0:7]
+        + [rings[k][6] for k in range(3, 7)]
+        + rings[7][6::-1]
+        + [rings[k][0] for k in range(6, 2, -1)]
+    )
+    v3, t3, b3 = ms.grid_square(2)
+    banded = frozen["sandwich_instances"]
+    return [
+        (v, t, ms.equator_cycle(v), frozen["oracle"]["octasphere_l3_equator"]),
+        (v2, t2, rings[len(rings) // 2], banded["capped_cylinder_waist"]["oracle"]),
+        (v2, t2, rect, banded["capped_cylinder_rect"]["oracle"]),
+        (v3, t3, b3, banded["grid2_boundary"]["oracle"]),
+    ]
+
+
+def recorded_lps(monkeypatch):
+    """The (kwargs, result) of every LP solved through ``filling.linprog`` from now on."""
+    calls = []
+    solve = fl.linprog
+    names = ("c", "A_ub", "b_ub", "A_eq", "b_eq", "bounds")
+
+    def recorded(*args, **kwargs):
+        calls.append((dict(zip(names, args), **kwargs), solve(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(fl, "linprog", recorded)
+    return calls
+
+
+def same_as_scipy(lp, x, fun):
+    """Whether x and the objective are byte-equal to a fresh scipy HiGHS solve's."""
+    res = linprog(**lp, method="highs")
+    return (
+        res.status == 0
+        and x.tobytes() == res.x.tobytes()
+        and np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
+    )
+
+
+def test_hull_and_oracle_lps_match_scipy_bit_for_bit(monkeypatch, frozen):
+    """Each LP of ``convex_region_clear`` and ``brute_force_area`` returns
+    the x and objective of a fresh ``scipy.optimize.linprog(method="highs")``."""
+    calls = recorded_lps(monkeypatch)
+    for gen, ell, seed in TRACE_FILL_LOOPS:
+        fl.convex_region_clear(*sc.make_loop(gen, ell, 1.0, seed))
+    for v, t, cycle, area in frozen_oracle_instances(frozen):
+        assert fl.brute_force_area(v, t, cycle) == area
+    assert len(calls) == len(TRACE_FILL_LOOPS) + 4
+    for lp, (x, fun) in calls:
+        assert same_as_scipy(lp, x, fun)
+
+
+def _epigraph_lp(rank, k):
+    """The epigraph LP of a shifted symmetric A-rank trace (k: coweight, None: regular)."""
+    rs = cx.build_root_system("A", rank=rank)
+    slope = rs.coweights.sum(axis=0) if k is None else rs.coweights[k]
+    trace = tr.symmetric_trace(rs, cx.project_to_chamber(rs, slope)).shifted(-1.0)
+    G = trace.gradients
+    return {
+        "c": np.concatenate([np.zeros(rank), [1.0]]),
+        "A_ub": np.hstack([G, -np.ones((len(G), 1))]),
+        "b_ub": -trace.offsets,
+        "bounds": (None, None),
+    }
+
+
+def test_one_reused_solver_solves_a_mixed_sequence_as_fresh_scipy_solves(monkeypatch, frozen):
+    """Epigraph, hull and oracle LPs, each after an LP that raised, in two orders."""
+    calls = recorded_lps(monkeypatch)
+    fl.convex_region_clear(*sc.make_loop("trace-a3", 16, 1.0, 6))
+    v, t, cycle, _ = frozen_oracle_instances(frozen)[1]
+    fl.brute_force_area(v, t, cycle)
+    lps = [_epigraph_lp(2, 0), _epigraph_lp(3, None), _epigraph_lp(4, None)]
+    lps += [lp for lp, _ in calls]
+    unbounded = {"c": [1.0], "A_ub": [[1.0]], "b_ub": [1.0]}
+    infeasible = {"c": [1.0], "A_ub": [[1.0], [-1.0]], "b_ub": [-1.0, -1.0]}
+    for order in (lps, lps[::-1]):
+        for k, lp in enumerate(order):
+            bad, status = [(unbounded, "Unbounded"), (infeasible, "Infeasible")][k % 2]
+            with pytest.raises(tr.LPError, match=f"HiGHS model status {status}$"):
+                tr.linprog(**bad)
+            assert same_as_scipy(lp, *tr.linprog(**lp))

@@ -4,6 +4,7 @@ import pytest
 from horofill import scenarios as sc
 from horofill import trace as tr
 from horofill import tube as tb
+from horofill.partitions import Loop
 
 
 @pytest.mark.parametrize("name", sorted(sc.GENERATORS))
@@ -66,6 +67,27 @@ def test_custom_trace_loop_rejects_unbounded():
     )
     with pytest.raises(ValueError, match="bounded"):
         sc.custom_trace_loop(slab, 16, 1.0, 0)
+
+
+def test_check_custom_trace_rejects_a_minimum_set_with_no_thin_strip():
+    """A1 x A1 with one deeper piece: the check refuses what every sandwich fill refuses."""
+    import horofill.coxeter as cx
+    from horofill import filling as fl
+
+    a1a1 = cx.build_root_system("product", factors=[1, 1])
+    th = cx.project_to_chamber(a1a1, a1a1.coweights.sum(axis=0))
+    skew = tr.BusemannTrace(a1a1, th, cx.slope_facts(a1a1, th).orbit, [-1.5, -1, -1, -1])
+    assert tb.classify_strip(tr.min_set(skew).polytope).case == "fails"
+    with pytest.raises(ValueError, match="no thin strip"):
+        sc.check_custom_trace(skew)
+    with pytest.raises(ValueError, match="no thin strip"):
+        sc.make_loop("custom-trace", 8, 1.0, 0, skew.to_dict())
+    # a loop around the whole level set leaves the cone route and fails the fill
+    hb = tr.horoball_polytope(skew, 0.0)
+    walk, total = sc._polygon_walker(hb.vertices)
+    loop = Loop(walk(np.linspace(0.0, total, 64, endpoint=False)))
+    with pytest.raises(fl.FillingError, match="strip classification failed"):
+        fl.fill_flat_loop(skew, loop)
 
 
 def test_polygon_walker_matches_per_arclength_blend():

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 
@@ -206,6 +207,29 @@ def test_independent_traces_on_equal_gradients_share_the_gradient_hull(monkeypat
     assert (len(calls), len(hulls)) == (2, 1)
 
 
+def test_min_set_builds_its_polytope_on_first_read(a3, monkeypatch):
+    """The minimum value alone builds no polytope; every read gets the one built."""
+    builds = counting_calls(monkeypatch, "horoball_polytope")
+    theta = cx.project_to_chamber(a3, unit(a3.coweights.sum(axis=0)))
+    trace = tr.symmetric_trace(a3, theta).shifted(-1.0).translated([0.3, -0.2, 0.5])
+    ms = tr.min_set(trace)
+    assert ms.min_value < 0 and not builds
+    core = ms.polytope
+    assert tr.min_set(trace).polytope is core and len(builds) == 1
+    assert core.vertices.tobytes() == tr.horoball_polytope(trace, ms.min_value).vertices.tobytes()
+
+
+def test_dihedral_angle_is_measured_once_per_gradient_set(monkeypatch):
+    angles = counting_calls(monkeypatch, "_min_dihedral_angle")
+    rs = cx.build_root_system("A", rank=3)  # an empty slope memo
+    theta = cx.project_to_chamber(rs, unit(rs.coweights.sum(axis=0)))
+    base = tr.symmetric_trace(rs, theta).shifted(-1.0)
+    C = tr.fetze_constant(base)
+    for trace in (base, base.translated([0.3, -0.2, 0.5]), base.scaled(1.7)):
+        assert tr.fetze_constant(trace) == C
+    assert len(angles) == 1
+
+
 def test_bounded_sublevel_polytopes_solve_no_lp(monkeypatch):
     """A derived trace cut into bounded sublevel sets solves no LP until min_set."""
     calls = counting_calls(monkeypatch, "linprog")
@@ -345,8 +369,11 @@ def _epigraph_lp(trace):
     return c, np.hstack([trace.gradients, -np.ones((m, 1))]), -trace.offsets
 
 
-def _scipy_x(c, A, b):
-    return linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * len(c), method="highs").x
+def _same_solve(c, A, b):
+    """Whether ``tr.linprog`` returns scipy's x and objective, byte for byte."""
+    res = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * len(c), method="highs")
+    x, fun = tr.linprog(c, A, b)
+    return x.tobytes() == res.x.tobytes() and _same_float(fun, res.fun)
 
 
 @pytest.mark.parametrize("rank,k", EPIGRAPH_SLOPES)
@@ -364,14 +391,14 @@ def test_linprog_matches_scipy_bit_for_bit(rank, k):
         skew = tr.BusemannTrace(rs, theta, G, -rng.uniform(0.0, 2.0, size=len(G)))
         for trace in (realizable, skew):
             c, A, b = _epigraph_lp(trace)
-            assert tr.linprog(c, A, b).tobytes() == _scipy_x(c, A, b).tobytes()
+            assert _same_solve(c, A, b)
 
 
 def test_linprog_matches_scipy_on_an_all_zero_column(slab):
     """The slab's epigraph LP leaves x2 out of every row: an empty column."""
     c, A, b = _epigraph_lp(slab.translated([0.7, 0.0]))
     assert not A[:, 1].any()
-    assert tr.linprog(c, A, b).tobytes() == _scipy_x(c, A, b).tobytes()
+    assert _same_solve(c, A, b)
 
 
 def test_linprog_names_the_status_of_an_unbounded_lp():
@@ -562,6 +589,35 @@ def test_serialization_roundtrip(tri):
     for _ in range(20):
         x = rng.normal(size=2) * 3
         assert abs(back.value(x) - tri.value(x)) < 1e-9
+
+
+def test_from_dict_round_trips_realizable_traces_bit_for_bit(a2, a3):
+    """200 A2/A3 traces, on coweight slopes and slopes pushed into the chamber,
+    come back with byte-equal direction, gradients and offsets (seed 10 on
+    A2 and seed 0 on A3 once moved the direction by an ulp)."""
+    for seed in range(100):
+        for rs in (a2, a3):
+            rng = np.random.default_rng(seed)
+            slope = rs.coweights[seed % rs.rank]
+            if seed % 4 != 3:
+                slope = slope + rng.uniform(0.0, 0.5, rs.rank) @ rs.coweights
+            trace = (
+                tr.symmetric_trace(rs, cx.project_to_chamber(rs, slope))
+                .shifted(-rng.uniform(0.5, 2.0))
+                .translated(rng.normal(size=rs.rank) * 3.0)
+                .scaled(rng.uniform(0.5, 2.0))
+            )
+            back = tr.BusemannTrace.from_dict(json.loads(json.dumps(trace.to_dict())))
+            assert back.theta.direction.tobytes() == trace.theta.direction.tobytes()
+            assert back.gradients.tobytes() == trace.gradients.tobytes()
+            assert back.offsets.tobytes() == trace.offsets.tobytes()
+
+
+def test_from_dict_normalizes_a_direction_off_unit_length(tri):
+    data = tri.to_dict()
+    data["theta"] = [2.0 * v for v in data["theta"]]
+    back = tr.BusemannTrace.from_dict(data)
+    assert back.theta.direction.tobytes() == unit(np.array(data["theta"])).tobytes()
 
 
 @pytest.mark.parametrize("bad", [3, -1])
@@ -762,3 +818,59 @@ def test_face_pair_path_matches_two_pass_walk(a2, a3):
         want = _face_pair_path_loop(trace, 0.0, x, y)
         assert path.shape == want.shape and path.tobytes() == want.tobytes()
         checked += 1
+
+
+# The trace layer's bits: one digest over min values, argmin polytopes,
+# level projections, corner paths and Fetze constants.
+
+TRACE_DIGEST = "9ec538b2d6cbf5f6"
+
+
+def _polytope_bytes(P):
+    arrays = (P.origin, P.basis, P.vertices, P.normals, P.bounds)
+    return b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays) + bytes(
+        [P.is_empty, P.is_bounded]
+    )
+
+
+def test_trace_queries_are_pinned_bit_for_bit(a2, a3):
+    """200 seeded realizable A2/A3 traces hash to the recorded digest.
+
+    Each trace contributes its min value and argmin polytope, the level
+    projections of a batch and of one point, the level-0 polytope, the
+    Fetze constant and up to four corner paths between facet points.
+    """
+    systems = [
+        (rs, cx.project_to_chamber(rs, d))
+        for rs, d in [
+            (a2, a2.coweights[0]),
+            (a2, a2.coweights.sum(axis=0)),
+            (a3, a3.coweights[0]),
+            (a3, a3.coweights.sum(axis=0)),
+        ]
+    ]
+    h = hashlib.sha256()
+    for k in range(200):
+        rs, theta = systems[k % len(systems)]
+        rng = np.random.default_rng([28, k])
+        trace = _random_realizable_trace(rng, rs, theta)
+        ms = tr.min_set(trace)
+        h.update(np.float64(ms.min_value).tobytes())
+        h.update(_polytope_bytes(ms.polytope))
+        X = rng.normal(size=(8, rs.rank)) * 6
+        t = ms.min_value + rng.uniform(0.05, 1.0)
+        h.update(tr.level_project(trace, X, t).tobytes())
+        h.update(tr.level_project(trace, X[0], t).tobytes())
+        poly = tr.horoball_polytope(trace, 0.0)
+        h.update(_polytope_bytes(poly))
+        h.update(np.float64(tr.fetze_constant(trace)).tobytes())
+        G = trace.gradients
+        for i, j in rng.choice(len(G), size=(4, 2)):
+            if i == j or abs(G[i] @ G[j]) >= 1.0 - 1e-9:
+                continue
+            x, y = (_facet_point(rng, trace, poly, f) for f in (i, j))
+            try:
+                h.update(tr.face_pair_path(trace, 0.0, x, y).tobytes())
+            except tr.FacetsParallel:
+                h.update(b"parallel")
+    assert h.hexdigest()[:16] == TRACE_DIGEST
