@@ -272,11 +272,15 @@ def _write_svg(path, pts, slope, title):
 
 def fit_command(args):
     by_scenario = {}
-    with open(args.csv) as fh:
-        for row in csv.DictReader(fh):
-            by_scenario.setdefault(row["scenario"], {}).setdefault(
-                float(row["length"]), []
-            ).append(float(row["area"]))
+    try:
+        with open(args.csv) as fh:
+            for row in csv.DictReader(fh):
+                by_scenario.setdefault(row["scenario"], {}).setdefault(
+                    float(row["length"]), []
+                ).append(float(row["area"]))
+    except (OSError, LookupError, ValueError) as e:
+        print(f"fit error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
     if not by_scenario:
         print("no rows", file=sys.stderr)
         return 1

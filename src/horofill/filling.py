@@ -35,6 +35,7 @@ __all__ = [
     "validate_partition",
     "cone_fill",
     "fill_flat_loop",
+    "sandwich_route",
     "refine_partition",
     "dehn_exponent",
     "brute_force_area",
@@ -162,6 +163,26 @@ def brick_census(trace, fp):
     return BrickCensus(flat_bricks=flat, wild_bricks=fp.area - flat)
 
 
+def sandwich_route(trace):
+    """(projection, strip class) of the level-0 polytope onto the -min_value tube of the min set.
+
+    Raises FillingError naming the first condition the trace misses: bounded
+    below, a bounded minimum set, a negative minimum value, a strip class
+    other than "fails".
+    """
+    ms = min_set(trace)
+    if not ms.bounded_below:
+        raise FillingError("envelope unbounded below: no bounded horoball trace")
+    if not ms.polytope.is_bounded:
+        raise FillingError("minimum set unbounded: the apartment-change remedy is out of scope")
+    if not ms.min_value < 0:
+        raise FillingError("min value must be negative: the horoball has empty interior")
+    strip_class = classify_strip(ms.polytope)
+    if strip_class.case == "fails":
+        raise FillingError("minimum set admits no thin strip (strip classification failed)")
+    return sandwich_project(horoball_polytope(trace, 0.0), ms.polytope, -ms.min_value), strip_class
+
+
 def fill_flat_loop(trace, loop, mesh=1.0):
     """Fill a loop in an apartment outside the open horoball.
 
@@ -181,24 +202,7 @@ def fill_flat_loop(trace, loop, mesh=1.0):
     if convex_region_clear(trace, loop):
         fp = cone_fill(loop, mesh)
         return fp, fp.census, {"route": "cone"}
-    ms = min_set(trace)
-    if not ms.bounded_below:
-        raise FillingError("envelope unbounded below: no bounded horoball trace")
-    if not ms.polytope.is_bounded:
-        raise FillingError(
-            "minimum set unbounded: the apartment-change remedy is out of scope"
-        )
-    m = -ms.min_value
-    if m <= 0:
-        raise FillingError("horoball has empty interior along this apartment")
-    hb = horoball_polytope(trace, 0.0)
-    core = ms.polytope
-    strip_class = classify_strip(core)
-    if strip_class.case == "fails":
-        raise FillingError(
-            "strip classification failed; the apartment-change remedy is out of scope"
-        )
-    proj = sandwich_project(hb, core, m)
+    proj, strip_class = sandwich_route(trace)
     # the loop side is the same on every attempt: resample it at mesh/3,
     # project it to the level set and map that ring onto the tube once
     spacing = mesh / 3.0
@@ -215,7 +219,7 @@ def fill_flat_loop(trace, loop, mesh=1.0):
     # fiber pullback actually stretches bricks
     fp, info, _ = fill_to_mesh(
         lambda tube_mesh: _flat_pipeline(
-            V, orig_pos, level_pts, tube_loop, proj, core, m, spacing, tube_mesh
+            V, orig_pos, level_pts, tube_loop, proj, spacing, tube_mesh
         ),
         mesh / 1.4,
         mesh,
@@ -228,14 +232,14 @@ def fill_flat_loop(trace, loop, mesh=1.0):
     return fp, fp.census, info
 
 
-def _flat_pipeline(V, orig_pos, level_pts, tube_loop, proj, core, m, spacing, tube_mesh):
+def _flat_pipeline(V, orig_pos, level_pts, tube_loop, proj, spacing, tube_mesh):
     """One attempt: fill the tube loop at ``tube_mesh`` and pull it back.
 
     ``V`` is the resampled loop, ``level_pts`` its level projections and
     ``tube_loop`` their sandwich images; the census is left to the caller.
     """
     s = len(V)
-    disk, tube_info = fill_tube_loop(core, m, tube_loop, tube_mesh)
+    disk, tube_info = fill_tube_loop(proj.core, proj.radius, tube_loop, tube_mesh)
     ring_positions = disk.boundary_anchor  # boundary position of ring vertex k
     builder = DiskBuilder(V.shape[1])
     outer_idx = builder.add_chain(V)
@@ -319,7 +323,7 @@ def dehn_exponent(lengths, areas):
     ``areas`` maps each length to one or more observed areas; the
     per-length minimum enters the fit.  Only the top half of the length
     range is used (at least three points), suppressing additive
-    constants.
+    constants; their least areas must be positive.
     """
     lengths = np.asarray(sorted(lengths), dtype=float)
     if len(lengths) < 4:
@@ -339,6 +343,8 @@ def dehn_exponent(lengths, areas):
             degenerate=True,
         )
     start = min(len(lengths) // 2 - len(lengths) % 2, len(lengths) - 3)
+    if not np.all(mins[start:] > 0):
+        raise FillingError("areas must be positive to fit")
     L = np.log(lengths[start:])
     A = np.log(mins[start:])
     coef, cov = np.polyfit(L, A, 1, cov=True)

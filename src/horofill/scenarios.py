@@ -3,8 +3,11 @@
 Each generator targets a loop length and returns host objects plus a
 loop sampled finely enough for mesh-1 fillings (spacing below mesh/3.5,
 arclength-uniform where the host has corners).  Trials differ by a
-small seeded jitter.  ``make_loop`` makes one job's host and loop and
-``fill`` fills it, as ``horofill run`` does.
+small seeded jitter.  The rank-2 and custom trace generators walk the
+sandwich projection that ``filling.sandwich_route`` returns, the one
+route check ``fill_flat_loop`` makes too; ``check_custom_trace`` is that
+check plus the generators' rank rule.  ``make_loop`` makes one job's
+host and loop and ``fill`` fills it, as ``horofill run`` does.
 """
 
 import numpy as np
@@ -58,20 +61,14 @@ def tube_segment_wrap(ell, mesh, seed):
     """
     rng = np.random.default_rng(seed)
     P = tb.standard_shape("segment")
-    a, b = P.vertices[0], P.vertices[-1]
-    axis = (b - a) / np.linalg.norm(b - a)
-    L = float(np.linalg.norm(b - a))
-    e1 = np.array([0.0, 1.0, 0.0])
-    e1 = e1 - np.dot(e1, axis) * axis
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
+    chart = tb.RevolutionChart(P, TUBE_RADIUS)
     k = max(1, int(round(ell / (2 * np.pi * TUBE_RADIUS))))
     t = _loop_params(ell, mesh, WRAP_SAFETY)
     drift = 0.25 + 0.05 * rng.uniform(-1, 1)
-    s = L * (0.5 + drift * np.sin(2 * np.pi * t + rng.uniform(0, 2 * np.pi)))
+    s = chart.L * (0.5 + drift * np.sin(2 * np.pi * t + rng.uniform(0, 2 * np.pi)))
     phi = 2 * np.pi * k * t
-    ring = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
-    return P, Loop(a + s[:, None] * axis + TUBE_RADIUS * ring)
+    ring = np.cos(phi)[:, None] * chart.e1 + np.sin(phi)[:, None] * chart.e2
+    return P, Loop(chart.c + s[:, None] * chart.axis + TUBE_RADIUS * ring)
 
 
 def tube_square_serpentine(ell, mesh, seed):
@@ -126,15 +123,12 @@ def trace_a2_serpentine(ell, mesh, seed):
     """Degree-0 serpentine on the level triangle of a scaled A2 trace.
 
     The trace depth scales with the target length (the similarity
-    family); the loop walks the level polygon by arclength, oscillating
-    back and forth with amplitude about a quarter of the length.
+    family): ``custom_trace_loop`` on the symmetric A2 trace shifted
+    to -ell / 9.
     """
-    rng = np.random.default_rng(seed)
     rs = cx.build_root_system("A", rank=2)
-    theta = cx.project_to_chamber(rs, rs.coweights[0])
-    m = ell / 9.0
-    trace = tr.symmetric_trace(rs, theta).shifted(-m)
-    return trace, _level_serpentine(tr.horoball_polytope(trace, 0.0), ell, mesh, rng)
+    trace = tr.symmetric_trace(rs, cx.project_to_chamber(rs, rs.coweights[0]))
+    return custom_trace_loop(trace.shifted(-ell / 9.0), ell, mesh, seed)
 
 
 def _refined_pullback(pulled, t, max_edge):
@@ -172,6 +166,7 @@ def trace_a3_wrap(ell, mesh, seed):
     trace = tr.symmetric_trace(rs, theta).shifted(-m)
     core = tr.min_set(trace).polytope
     core_pt = core.vertices[0]
+    # radius ell / 9, not the route's -min_value, which differs in the last bit at some lengths
     proj = tb.sandwich_project(tr.horoball_polytope(trace, 0.0), core, m)
     wobble = 0.25 + 0.05 * rng.uniform(-1, 1)
     phase = rng.uniform(0, 2 * np.pi)
@@ -191,50 +186,41 @@ def trace_a3_wrap(ell, mesh, seed):
 
 
 def check_custom_trace(trace):
-    """(min set, level-0 polytope) of a trace ``custom_trace_loop`` takes.
+    """The sandwich projection of a trace ``custom_trace_loop`` takes.
 
-    Raises ValueError naming the first condition the trace misses.  A
-    minimum set whose strip classification fails is refused here, as
-    ``fill_flat_loop`` refuses every loop that leaves the cone route.
+    The trace must pass ``filling.sandwich_route``, the check every
+    sandwich fill makes, and be of rank 2, or of rank 3 with a point
+    minimum set.  Raises ValueError naming the first condition it misses.
     """
-    ms = tr.min_set(trace)
-    if not ms.bounded_below or not ms.polytope.is_bounded:
-        raise ValueError("custom trace needs a bounded minimum set")
-    if tb.classify_strip(ms.polytope).case == "fails":
-        raise ValueError("minimum set admits no thin strip (strip classification fails)")
-    if not ms.min_value < 0:
-        raise ValueError("min value must be negative (horoball nonempty)")
-    hb = tr.horoball_polytope(trace, 0.0)
-    if hb.is_empty:
-        raise ValueError("custom trace needs a bounded nonempty horoball trace")
+    proj, _ = fl.sandwich_route(trace)
     rank = trace.root_system.rank
-    if rank != 2 and (rank, len(ms.polytope.vertices)) != (3, 1):
+    if rank != 2 and (rank, len(proj.core.vertices)) != (3, 1):
         raise ValueError("custom traces supported in rank 2, or rank 3 with point min set")
-    return ms, hb
+    return proj
 
 
 def custom_trace_loop(trace, ell, mesh, seed):
     """Serpentine loop on the level set of a user-supplied trace.
 
-    Rank-2 traces walk the level polygon by arclength; rank-3 traces
-    with a point minimum set go through the sandwich sphere.  Other
-    hosts are rejected by ``check_custom_trace`` (fill them directly).
-    The rank-3 swing amplitude is min(ell / (4m), 8) * 0.9 radians on the
-    sphere of radius m, so those loops stop growing once ell / (4m) passes 8.
+    Rank-2 traces walk the level polygon (the sandwich body) by
+    arclength; rank-3 traces with a point minimum set go through the
+    sandwich sphere.  Other hosts are rejected by ``check_custom_trace``
+    (fill them directly).  The rank-3 swing amplitude is
+    min(ell / (4m), 8) * 0.9 radians on the sphere of radius m, so those
+    loops stop growing once ell / (4m) passes 8.
     """
     rng = np.random.default_rng(seed)
-    ms, hb = check_custom_trace(trace)
+    proj = check_custom_trace(trace)
     if trace.root_system.rank == 2:
-        return trace, _level_serpentine(hb, ell, mesh, rng)
-    m = -ms.min_value
-    proj = tb.sandwich_project(hb, ms.polytope, m)
+        return trace, _level_serpentine(proj.body, ell, mesh, rng)
+    m = proj.radius
     amp = min(ell / (4.0 * m), 8.0) * 0.9
     phase = rng.uniform(0, 2 * np.pi)
 
     def pulled(tvals):
         phi = amp * np.sin(2 * np.pi * tvals)
         psi = np.pi / 2 + 0.25 * np.cos(2 * np.pi * tvals + phase)
-        return proj.inverse_batch(ms.polytope.vertices[0] + m * _sphere(psi, phi))
+        return proj.inverse_batch(proj.core.vertices[0] + m * _sphere(psi, phi))
 
     t = _loop_params(ell, mesh, SERPENTINE_SAFETY)
     return trace, Loop(_refined_pullback(pulled, t, lambda p: mesh / 3.15))

@@ -104,7 +104,7 @@ def test_config_validation_errors(tmp_path, capsys):
     }
     for k, (trace, message) in enumerate(
         [
-            (slab, "custom trace needs a bounded minimum set"),
+            (slab, "minimum set unbounded"),
             (a4_trace, "custom traces supported in rank 2, or rank 3 with point min set"),
         ]
     ):
@@ -300,6 +300,24 @@ def test_fit_command(tmp_path, capsys):
     assert "fitme: slope" in text
     slope = float(text.split("slope")[1].split("+-")[0])
     assert 1.8 <= slope <= 2.2
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (None, "FileNotFoundError"),
+        ("name,length,ms\nx,8,1.0\n", "KeyError: 'scenario'"),
+        ("scenario,length,area\nx,8,many\n", "ValueError"),
+    ],
+)
+def test_fit_command_reports_bad_input(tmp_path, capsys, text, error):
+    path = tmp_path / "runs.csv"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["fit", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"fit error: {error}")
+    assert captured.out == ""
 
 
 def test_oracle_command(tmp_path, capsys):

@@ -439,6 +439,14 @@ def test_dehn_exponent_degenerate_flag():
     assert fit.degenerate
 
 
+def test_dehn_exponent_refuses_a_zero_area_in_the_fitted_half():
+    # the top half starts at l = 2, whose least area 0 has no logarithm
+    with pytest.raises(fl.FillingError, match="areas must be positive to fit"):
+        fl.dehn_exponent([1, 2, 5, 10, 20], [0, 0, 4, 9, 30])
+    # all-equal zero areas stay the degenerate fit
+    assert fl.dehn_exponent([1, 2, 5, 10, 20], [0] * 5).degenerate
+
+
 def test_dehn_exponent_input_validation():
     with pytest.raises(fl.FillingError, match="4 lengths"):
         fl.dehn_exponent([8, 16, 32], {8: [1], 16: [1], 32: [1]})

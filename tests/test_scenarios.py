@@ -90,6 +90,47 @@ def test_check_custom_trace_rejects_a_minimum_set_with_no_thin_strip():
         fl.fill_flat_loop(skew, loop)
 
 
+def _a2_wall_trace(pieces):
+    return tr.BusemannTrace.from_dict(
+        {
+            "root_system": {"family": "A", "rank": 2},
+            "theta": [0.8660254037844387, 0.5],  # the A2 wall slope: a 3-point orbit
+            "pieces": pieces,
+        }
+    )
+
+
+def _a1a1_trace(direction, offsets):
+    """A1 x A1 trace with one piece per orbit point of the slope, at these offsets."""
+    import horofill.coxeter as cx
+
+    a1a1 = cx.build_root_system("product", factors=[1, 1])
+    th = cx.project_to_chamber(a1a1, direction)
+    return tr.BusemannTrace(a1a1, th, cx.slope_facts(a1a1, th).orbit, offsets)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: _a2_wall_trace([[0, -1.0]]), "envelope unbounded below"),
+        (lambda: _a1a1_trace([1.0, 0.0], [-1.0, -1.0]), "minimum set unbounded"),
+        (lambda: _a2_wall_trace([[0, 0.0], [1, 0.0], [2, 0.0]]), "min value must be negative"),
+        (lambda: _a1a1_trace([1.0, 1.0], [-1.5, -1, -1, -1]), "minimum set admits no thin strip"),
+    ],
+    ids=["one-piece-a2", "a1a1-slab", "a2-wall-at-zero", "a1a1-skew"],
+)
+def test_config_check_and_fill_refuse_a_trace_with_one_message(make, message):
+    """The config check refuses by the route the flat fill takes, in the same words."""
+    from horofill import filling as fl
+
+    trace = make()
+    with pytest.raises(fl.FillingError, match=message) as by_route:
+        fl.sandwich_route(trace)
+    with pytest.raises(ValueError, match=message) as by_check:
+        sc.check_custom_trace(trace)
+    assert str(by_check.value) == str(by_route.value)
+
+
 def test_polygon_walker_matches_per_arclength_blend():
     """One array call gives the rows of the per-arclength blend, a repeated vertex too."""
     V = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 0.0], [1.0, 1.5]])
