@@ -232,11 +232,9 @@ class SlopeFacts:
 
     ``orbit`` is the Weyl orbit of the opposition image as a read-only
     (k, rank) array in ``weyl_orbit`` order.  ``profile`` (the
-    ``delta_zero`` data) is filled in on first use.  ``pieces`` maps the
-    bytes of a trace's gradient array to ``[indices, gordan, dihedral]``:
-    the validated orbit indices of its rows, then, once computed, the
-    (bounded_below, sublevels_bounded) tuple read off their hull and the
-    least dihedral angle between their piece hyperplanes.
+    ``delta_zero`` data) is filled in on first use.  ``pieces`` is the
+    memo ``trace`` keeps of what a gradient set alone decides, keyed by
+    the bytes of the gradient array.
     """
 
     orbit: np.ndarray

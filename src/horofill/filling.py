@@ -158,7 +158,7 @@ def brick_census(trace, fp):
         ]
         ok = np.ones(len(pts), dtype=bool)
         for q in probes:
-            ok &= trace.values(q) >= -SURFACE_TOL
+            ok &= trace.value(q) >= -SURFACE_TOL
         flat += len(block) - len(pts) + int(np.sum(ok))
     return BrickCensus(flat_bricks=flat, wild_bricks=fp.area - flat)
 
@@ -192,8 +192,7 @@ def fill_flat_loop(trace, loop, mesh=1.0):
     set, fill there, and pull the disk back fiber by fiber.  Returns
     (partition, census, info).
     """
-    vals = trace.values(loop.vertices)
-    if np.any(vals < -SURFACE_TOL):
+    if np.any(trace.value(loop.vertices) < -SURFACE_TOL):
         raise FillingError("loop enters the open horoball")
     if loop.is_constant:
         fp = empty_partition(loop)
@@ -208,7 +207,7 @@ def fill_flat_loop(trace, loop, mesh=1.0):
     spacing = mesh / 3.0
     res, orig_pos = loop.resampled(spacing)
     V = res.vertices
-    if np.any(trace.values(V) < -SURFACE_TOL):
+    if np.any(trace.value(V) < -SURFACE_TOL):
         raise FillingError(
             "resampling the loop chordwise dips into the open horoball; "
             "sample the loop on its host at spacing <= mesh/3 first"
@@ -320,17 +319,18 @@ class ExponentFit:
 def dehn_exponent(lengths, areas):
     """Least-squares slope of log(min area) against log(length).
 
-    ``areas`` maps each length to one or more observed areas; the
-    per-length minimum enters the fit.  Only the top half of the length
-    range is used (at least three points), suppressing additive
-    constants; their least areas must be positive.
+    ``areas`` maps each length to one or more observed areas, or lists
+    them in the order of ``lengths``; the per-length minimum enters the
+    fit.  Only the top half of the length range is used (at least three
+    points), suppressing additive constants; their least areas must be
+    positive.
     """
+    per = areas if isinstance(areas, dict) else dict(zip(lengths, areas))
     lengths = np.asarray(sorted(lengths), dtype=float)
     if len(lengths) < 4:
         raise FillingError("need at least 4 lengths")
     if lengths[-1] / lengths[0] < 10.0:
         raise FillingError("lengths must span at least one decade")
-    per = areas if isinstance(areas, dict) else dict(zip(lengths, areas))
     mins = np.array([float(np.min(per[l])) for l in lengths])
     if np.allclose(mins, mins[0]):
         return ExponentFit(

@@ -3,11 +3,11 @@
 Each generator targets a loop length and returns host objects plus a
 loop sampled finely enough for mesh-1 fillings (spacing below mesh/3.5,
 arclength-uniform where the host has corners).  Trials differ by a
-small seeded jitter.  The rank-2 and custom trace generators walk the
-sandwich projection that ``filling.sandwich_route`` returns, the one
-route check ``fill_flat_loop`` makes too; ``check_custom_trace`` is that
-check plus the generators' rank rule.  ``make_loop`` makes one job's
-host and loop and ``fill`` fills it, as ``horofill run`` does.
+small seeded jitter.  The trace generators (rank 2, rank 3 and custom)
+walk the sandwich projection that ``filling.sandwich_route`` returns,
+the one route check ``fill_flat_loop`` makes too; ``check_custom_trace``
+is that check plus the generators' rank rule.  ``make_loop`` makes one
+job's host and loop and ``fill`` fills it, as ``horofill run`` does.
 """
 
 import numpy as np
@@ -164,10 +164,10 @@ def trace_a3_wrap(ell, mesh, seed):
     theta = cx.project_to_chamber(rs, rs.coweights[0])
     m = ell / 9.0
     trace = tr.symmetric_trace(rs, theta).shifted(-m)
-    core = tr.min_set(trace).polytope
-    core_pt = core.vertices[0]
-    # radius ell / 9, not the route's -min_value, which differs in the last bit at some lengths
-    proj = tb.sandwich_project(tr.horoball_polytope(trace, 0.0), core, m)
+    proj = check_custom_trace(trace)
+    core_pt = proj.core.vertices[0]
+    # the sphere keeps radius ell / 9, not the route's -min_value, which differs
+    # in the last bit at some lengths; inverse_batch reads only the core and the body
     wobble = 0.25 + 0.05 * rng.uniform(-1, 1)
     phase = rng.uniform(0, 2 * np.pi)
 

@@ -6,16 +6,19 @@ Sublevel sets model the horoball trace on the apartment; the argmin
 polytope models the minimum set; level projection and the corner path
 construction live here.
 
-What depends on the gradients alone (a trace's piece indices, the
-boundedness of its envelope and sublevel sets read off the hull of the
-gradients, and the least dihedral angle behind the Fetze constant) goes
-in the root system's slope memo, keyed by the gradient bytes, so every
-trace with byte-equal gradients on a slope (its translated, scaled and
-shifted copies, the slope's symmetric traces) computes each once.  The
-minimum value depends on the offsets: one epigraph LP, cached on the
-trace.  ``linprog`` hands it, like every LP of the package, to one
-reused HiGHS solver (the solve of scipy's ``linprog(method="highs")``,
-bit for bit, without its per-call wrapper or a solver built per call).
+A trace is evaluated by ``value``, at one point or at each row of an
+array, the same bits either way.  What depends on the gradients alone
+(a trace's piece indices, the boundedness of its envelope and sublevel
+sets read off the hull of the gradients, and the least dihedral angle
+behind the Fetze constant) is one record in the root system's slope
+memo, keyed by the gradient bytes and built when a trace first brings
+those gradients, so every trace with byte-equal gradients on a slope
+(its translated, scaled and shifted copies, the slope's symmetric
+traces) computes each once.  The minimum value depends on the offsets:
+one epigraph LP in ``min_set``, cached on the trace.  ``linprog`` hands
+it, like every LP of the package, to one reused HiGHS solver (the solve
+of scipy's ``linprog(method="highs")``, bit for bit, without its
+per-call wrapper or a solver built per call).
 The argmin polytope is built from the minimum value on its first read.
 A bounded sublevel polytope decides its own emptiness from its vertices;
 only ``min_set``, ``level_project``, unbounded systems and cuts within
@@ -71,27 +74,32 @@ class BusemannTrace:
             raise TraceError(f"piece count {len(G)} outside [1, {root_system.order}]")
         facts = slope_facts(root_system, theta)
         key = G.tobytes()
-        pieces = facts.pieces.get(key)
-        if pieces is None:
-            pieces = facts.pieces[key] = [_orbit_indices(facts.orbit, G), None, None]
+        record = facts.pieces.get(key)
+        if record is None:
+            record = facts.pieces[key] = (
+                _orbit_indices(facts.orbit, G),
+                _gordan(G),
+                _min_dihedral_angle(G),
+            )
         self.root_system = root_system
         self.theta = theta
         self.orbit = facts.orbit
-        self.piece_orbit_indices = pieces[0]
         self.gradients = G
         self.offsets = c
-        self._pieces = pieces  # [indices, _gordan outcome, dihedral angle], shared per gradient set
-        self._min_cache = None
+        # shared by every trace on these gradients: see the module docstring
+        self.piece_orbit_indices, gordan, self._dihedral = record
+        self._bounded_below, self._sublevels_bounded = gordan
+        self._min_set = None
 
     # -- evaluation -------------------------------------------------------
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(np.max(self.gradients @ x + self.offsets))
+        """The envelope at the point x (a float), or at each row of x (an array).
 
-    def values(self, X):
-        X = np.asarray(X, dtype=float)
-        return np.max(X @ self.gradients.T + self.offsets, axis=1)
+        Each row's value is that of the row alone, bit for bit (``matvec``).
+        """
+        v = np.max(matvec(self.gradients, np.asarray(x, dtype=float)) + self.offsets, axis=-1)
+        return float(v) if v.ndim == 0 else v
 
     # -- transforms -------------------------------------------------------
 
@@ -168,7 +176,7 @@ def symmetric_trace(rs, theta):
 def horoball_polytope(trace, t):
     """Sublevel set {value <= t} as a polytope, from the cached trace facts.
 
-    A bounded sublevel set (the cached ``_gordan`` outcome says so) is decided
+    A bounded sublevel set (the gradients' ``_gordan`` outcome says so) is decided
     empty or not by its own vertices, with no LP: no vertex means empty,
     and a vertex centroid inside every halfspace by HV_TOL*max(1, |t|)
     means nonempty.  Cuts within that margin of the minimum (among them
@@ -177,14 +185,14 @@ def horoball_polytope(trace, t):
     """
     G, b = trace.gradients, t - trace.offsets
     verts = enumerate_vertices(G, b)
-    bounded = _gordan_outcome(trace)[1]
+    bounded = trace._sublevels_bounded
     margin = HV_TOL * max(1.0, abs(t))
     if bounded and not verts:
         is_empty = True
     elif bounded and np.all(b - G @ np.mean(verts, axis=0) >= margin):
         is_empty = False
     else:
-        ms = _envelope_minimum(trace)
+        ms = min_set(trace)
         is_empty = ms.bounded_below and t < ms.min_value
     return VPolytope.from_halfspaces(G, b, verts, is_empty, bounded)
 
@@ -212,37 +220,25 @@ class MinSetResult:
 def min_set(trace):
     """The envelope's minimum, argmin polytope and boundedness (``MinSetResult``).
 
-    The trace's cached result, the one ``_envelope_minimum`` gives the
-    module's own callers; its polytope is built when first read.
-    """
-    return _envelope_minimum(trace)
-
-
-def _envelope_minimum(trace):
-    """The min-set result, cached on the trace.
-
-    Boundedness comes from the gradient hull (``_gordan_outcome``); the
-    epigraph LP min s subject to <x, g_i> + c_i <= s, the one LP a trace
-    solves (through ``linprog``), gives the minimum value.
-    ``min_set``, ``level_project`` and the sublevel sets that
+    Cached on the trace.  Boundedness comes from the gradient hull
+    (``_gordan``); the epigraph LP min s subject to <x, g_i> + c_i <= s,
+    the one LP a trace solves (through ``linprog``), gives the minimum
+    value.  ``level_project`` and the sublevel sets that
     ``horoball_polytope`` cannot decide from their vertices (unbounded
-    ones, and bounded ones within HV_TOL of the minimum) ask for it.
+    ones, and bounded ones within HV_TOL of the minimum) ask for it too.
     """
-    if trace._min_cache is not None:
-        return trace._min_cache
-    bounded_below, sublevels_bounded = _gordan_outcome(trace)
-    if not bounded_below:
-        trace._min_cache = MinSetResult(trace, False)
-        return trace._min_cache
-    r = trace.root_system.rank
-    m = len(trace.gradients)
-    x, _ = linprog(
-        np.concatenate([np.zeros(r), [1.0]]),
-        np.hstack([trace.gradients, -np.ones((m, 1))]),
-        -trace.offsets,
-    )
-    trace._min_cache = MinSetResult(trace, True, float(x[-1]), sublevels_bounded)
-    return trace._min_cache
+    if trace._min_set is None:
+        if not trace._bounded_below:
+            trace._min_set = MinSetResult(trace, False)
+        else:
+            m = len(trace.gradients)
+            x, _ = linprog(
+                np.concatenate([np.zeros(trace.root_system.rank), [1.0]]),
+                np.hstack([trace.gradients, -np.ones((m, 1))]),
+                -trace.offsets,
+            )
+            trace._min_set = MinSetResult(trace, True, float(x[-1]), trace._sublevels_bounded)
+    return trace._min_set
 
 
 # What ``linprog(method="highs")`` sets at its defaults, passed once to
@@ -329,13 +325,6 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(None, None)):
     return x, fun
 
 
-def _gordan_outcome(trace):
-    """``_gordan`` of the trace's gradients, kept in the slope memo beside its pieces."""
-    if trace._pieces[1] is None:
-        trace._pieces[1] = _gordan(trace.gradients)
-    return trace._pieces[1]
-
-
 def _gordan(G):
     """(bounded_below, sublevels_bounded) of any envelope with gradients G.
 
@@ -363,9 +352,9 @@ def level_project(trace, x, t):
     x = np.asarray(x, dtype=float)
     X = x.reshape(-1, x.shape[-1])
     out = X.copy()
-    far = ~(np.max(matvec(trace.gradients, X) + trace.offsets, axis=1) <= t + DECISION_TOL)
+    far = ~(trace.value(X) <= t + DECISION_TOL)
     if far.any():
-        ms = _envelope_minimum(trace)
+        ms = min_set(trace)
         if ms.bounded_below and t < ms.min_value:
             raise ProjectionError(f"sublevel set at t={t} is empty")
         out[far] = project_to_polytope(trace.gradients, t - trace.offsets, X[far])
@@ -388,18 +377,12 @@ class FacetsParallel(ValueError):
 
 
 def min_dihedral_angle(trace):
-    """Minimal unoriented angle between distinct piece hyperplanes.
-
-    Read off one Gram matrix of the unit gradients; parallel pairs carry
-    no corner and are skipped.  It depends on the gradients alone, so it
-    is kept in the slope memo beside the trace's pieces.
-    """
-    if trace._pieces[2] is None:
-        trace._pieces[2] = _min_dihedral_angle(trace.gradients)
-    return trace._pieces[2]
+    """Minimal unoriented angle between distinct piece hyperplanes, from the slope memo."""
+    return trace._dihedral
 
 
 def _min_dihedral_angle(G):
+    """Read off one Gram matrix of the unit gradients; parallel pairs have no corner."""
     U = G / row_norms(G)[:, None]
     phi = np.arccos(np.clip(U @ U.T, -1.0, 1.0))[np.triu_indices(len(U), 1)]
     phi = phi[(phi >= DECISION_TOL) & (np.abs(np.pi - phi) >= DECISION_TOL)]

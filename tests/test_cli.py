@@ -216,6 +216,36 @@ def test_run_parallel_jobs_match_serial(tmp_path):
     assert strip(read_rows(serial / "runs.csv")) == strip(read_rows(par / "runs.csv"))
 
 
+def test_run_fills_custom_traces_as_the_in_process_fill(tmp_path):
+    """Custom traces of rank 2 and rank 3 (a point minimum set) through ``horofill run``.
+
+    Serial and pooled runs write the same rows, and each row's area is
+    that of the job's loop filled in this process.
+    """
+    from horofill import scenarios as sc
+
+    scenarios = []
+    for rank in (2, 3):
+        rs = cx.build_root_system("A", rank=rank)
+        trace = tr.symmetric_trace(rs, cx.project_to_chamber(rs, rs.coweights[0])).shifted(-1.0)
+        scenarios.append(
+            {"name": f"a{rank}", "generator": "custom-trace", "trace": trace.to_dict(),
+             "lengths": [4, 8], "mesh": 1.0, "trials": 1}
+        )
+    cfg = write_config(tmp_path / "c.json", scenarios)
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"o{jobs}"
+        assert cli.main(["run", cfg, "--seed", "5", "--jobs", jobs, "--out-dir", str(out)]) == 0
+        outs.append([{k: v for k, v in r.items() if k != "ms"} for r in read_rows(out / "runs.csv")])
+    assert outs[0] == outs[1]
+    jobs = [(scn, ell) for scn in scenarios for ell in scn["lengths"]]
+    assert [(r["scenario"], r["trial"]) for r in outs[0]] == [(scn["name"], "0") for scn, _ in jobs]
+    for row, (scn, ell) in zip(outs[0], jobs):
+        host_and_loop = sc.make_loop("custom-trace", ell, 1.0, int(row["seed"]), scn["trace"])
+        assert int(row["area"]) == sc.fill(*host_and_loop, 1.0)[0].area > 0
+
+
 def test_keep_partitions_revalidates(tmp_path, fill_hashes):
     """Each kept .npz reloads to the disk its job built, bit for bit."""
     scenarios = [small_scenario("kept"), {"name": "flat", "generator": "trace-a2", "lengths": [8]}]

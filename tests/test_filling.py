@@ -107,7 +107,7 @@ def test_fill_flat_loop_sandwich_route(a2):
     mesh, area = validate_partition(loop, fp)
     assert mesh <= 1.0 + 1e-12
     assert census.flat_bricks + census.wild_bricks == area
-    assert float(np.min(trace.values(fp.points))) >= -1e-6
+    assert float(np.min(trace.value(fp.points))) >= -1e-6
 
 
 def test_fill_flat_loop_a3_needs_more_pipeline_attempts():
@@ -239,7 +239,7 @@ def reference_brick_census(trace, fp):
         ]
         ok = np.ones(len(pts), dtype=bool)
         for q in probes:
-            ok &= trace.values(q) >= -SURFACE_TOL
+            ok &= trace.value(q) >= -SURFACE_TOL
         flat += int(np.sum(ok))
     return BrickCensus(flat_bricks=flat, wild_bricks=fp.area - flat)
 
@@ -309,14 +309,14 @@ def test_brick_census_probes_a_brick_with_a_vertex_inside_the_margin(tri_trace, 
 
     in_margin = -SURFACE_TOL + 0.5 * CENSUS_MARGIN
     pts = np.array(brick(in_margin) + brick(0.05) + brick(-2 * SURFACE_TOL))
-    vals = tri_trace.values(pts)
+    vals = tri_trace.value(pts)
     assert -SURFACE_TOL <= vals[0] < -SURFACE_TOL + CENSUS_MARGIN and vals[6] < -SURFACE_TOL
     assert np.all(vals[[1, 2, 3, 4, 5, 7, 8]] > 0)
     fp = FillingPartition(pts, np.arange(9).reshape(3, 3), [], [])
     want = reference_brick_census(tri_trace, fp)
     probed = []
-    values = tri_trace.values
-    monkeypatch.setattr(tri_trace, "values", lambda X: probed.append(len(X)) or values(X))
+    value = tri_trace.value
+    monkeypatch.setattr(tri_trace, "value", lambda X: probed.append(len(X)) or value(X))
     assert fl.brick_census(tri_trace, fp) == want == BrickCensus(2, 1)
     assert probed == [2] * 7
 
@@ -424,6 +424,16 @@ def test_dehn_exponent_exact_quadratic():
         fit = fl.dehn_exponent(lengths, areas)
         assert abs(fit.slope - 2.0) < 1e-9
         assert not fit.degenerate
+
+
+def test_dehn_exponent_pairs_listed_areas_with_their_lengths():
+    """Areas listed beside unsorted lengths stay with their lengths (a dict already did)."""
+    lengths = [128, 64, 32, 16, 8]
+    fit = fl.dehn_exponent(lengths, [4 * l**2 for l in lengths])
+    assert abs(fit.slope - 2.0) < 1e-9
+    assert fit.lengths.tolist() == [8, 16, 32, 64, 128]
+    assert fit.areas.tolist() == [4 * l**2 for l in (8, 16, 32, 64, 128)]
+    assert fl.dehn_exponent(lengths, {l: [4 * l**2] for l in lengths}).slope == fit.slope
 
 
 def test_dehn_exponent_uses_min_per_length():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -29,9 +31,23 @@ def test_tube_generators_on_surface(name):
 @pytest.mark.parametrize("name", ["trace-a2", "trace-a3"])
 def test_trace_generators_on_level_set(name):
     trace, loop = sc.GENERATORS[name](24, 1.0, 0)
-    vals = trace.values(loop.vertices)
+    vals = trace.value(loop.vertices)
     assert float(np.max(np.abs(vals))) < 1e-6
     assert 0.5 * 24 <= loop.length <= 1.6 * 24
+
+
+def test_trace_a3_wrap_loop_is_pinned():
+    """The loop's bytes at l = 12, where the route's radius -min_value is not ell / 9 bit for bit.
+
+    The sphere keeps radius ell / 9; a sphere of the route's radius moves this digest.
+    """
+    import horofill.coxeter as cx
+
+    rs = cx.build_root_system("A", rank=3)
+    unscaled = tr.symmetric_trace(rs, cx.project_to_chamber(rs, rs.coweights[0])).shifted(-12 / 9.0)
+    assert -tr.min_set(unscaled).min_value != 12 / 9.0
+    _, loop = sc.trace_a3_wrap(12, 1.0, 0)
+    assert hashlib.sha256(loop.vertices.tobytes()).hexdigest()[:16] == "92dab1f89683c97d"
 
 
 def test_square_serpentine_degree_zero():
@@ -53,7 +69,7 @@ def test_custom_trace_loop_a2():
     theta = cx.project_to_chamber(rs, rs.coweights[0])
     trace = tr.symmetric_trace(rs, theta).shifted(-2.0)
     trace2, loop = sc.custom_trace_loop(trace, 16, 1.0, 0)
-    vals = trace2.values(loop.vertices)
+    vals = trace2.value(loop.vertices)
     assert float(np.max(np.abs(vals))) < 1e-6
 
 

@@ -874,3 +874,24 @@ def test_trace_queries_are_pinned_bit_for_bit(a2, a3):
             except tr.FacetsParallel:
                 h.update(b"parallel")
     assert h.hexdigest()[:16] == TRACE_DIGEST
+
+
+def test_value_of_rows_is_the_value_of_each_row(a2, a3):
+    """Each row of ``value(X)`` is the one-point ``value`` of that row, bit for bit.
+
+    The one-point value is the float ``max(G @ x + c)``, so the rows of
+    a batch carry the bits a probe of one point reads.
+    """
+    systems = [(a2, a2.coweights[0]), (a2, a2.coweights.sum(axis=0))]
+    systems += [(a3, a3.coweights[0]), (a3, a3.coweights.sum(axis=0))]
+    for k, (rs, d) in enumerate(systems):
+        rng = np.random.default_rng([30, k])
+        trace = _random_realizable_trace(rng, rs, cx.project_to_chamber(rs, d))
+        X = rng.normal(size=(100, rs.rank)) * 6
+        rows = trace.value(X)
+        assert rows.shape == (100,)
+        for x, v in zip(X, rows):
+            one = trace.value(x)
+            assert type(one) is float
+            assert np.float64(one).tobytes() == v.tobytes()
+            assert one == np.max(trace.gradients @ x + trace.offsets)
