@@ -165,7 +165,11 @@ def run_command(args):
 def _execute(jobs, n_jobs, keep):
     """Yield (job, (row, artifact) or the exception it raised) in job order.
 
-    A pool takes all jobs at once, longest loops first.
+    ``n_jobs <= 1`` runs the jobs in this process.  Otherwise a pool takes
+    all jobs at once, longest loops first.  A dying worker breaks the
+    pool and every job without a result; each such job runs again alone,
+    in a one-worker pool, so only a job whose own process dies is
+    reported (as ``BrokenProcessPool``).
     """
     if n_jobs <= 1:
         for job in jobs:
@@ -176,7 +180,11 @@ def _execute(jobs, n_jobs, keep):
         for k in sorted(range(len(jobs)), key=lambda k: -jobs[k][1]):
             futs[k] = pool.submit(_run_job, *jobs[k], keep)
         for k, job in enumerate(jobs):
-            yield job, _outcome(futs[k].result)
+            outcome = _outcome(futs[k].result)
+            if isinstance(outcome, concurrent.futures.process.BrokenProcessPool):
+                with concurrent.futures.ProcessPoolExecutor(max_workers=1) as alone:
+                    outcome = _outcome(alone.submit(_run_job, *job, keep).result)
+            yield job, outcome
 
 
 def _outcome(call, *args):

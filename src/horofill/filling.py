@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import coo_matrix, hstack
 
-from .geometry import CENSUS_MARGIN, DECISION_TOL, LOG_FLOOR, SURFACE_TOL, straight_segments
+from .geometry import CENSUS_MARGIN, DECISION_TOL, SURFACE_TOL, straight_segments
 from .partitions import (
     BrickCensus,
     DiskBuilder,
@@ -183,7 +183,7 @@ def sandwich_route(trace):
     return sandwich_project(horoball_polytope(trace, 0.0), ms.polytope, -ms.min_value), strip_class
 
 
-def fill_flat_loop(trace, loop, mesh=1.0):
+def fill_flat_loop(trace, loop, mesh):
     """Fill a loop in an apartment outside the open horoball.
 
     Pipeline: cone fill when the loop's hull clears the horoball;
@@ -196,7 +196,6 @@ def fill_flat_loop(trace, loop, mesh=1.0):
         raise FillingError("loop enters the open horoball")
     if loop.is_constant:
         fp = empty_partition(loop)
-        fp.census = BrickCensus(0, 0)
         return fp, fp.census, {"route": "constant"}
     if convex_region_clear(trace, loop):
         fp = cone_fill(loop, mesh)
@@ -271,18 +270,18 @@ def _flat_pipeline(V, orig_pos, level_pts, tube_loop, proj, spacing, tube_mesh):
 # -- refinement ------------------------------------------------------------------------
 
 
-def refine_partition(fp, lam, allow_wild=False):
+def refine_partition(fp, lam):
     """Uniform 4-way subdivision until the mesh is at most lam.
 
-    Requires an all-flat census (midpoint placements stay in the flat
-    pieces) unless the caller explicitly accepts refining wild bricks.
+    A partition with a census must be all flat (midpoint placements stay
+    in the flat pieces); tube fills, whose bricks are all wild, are refused.
     """
     if lam <= 0:
         raise FillingError("target mesh must be positive")
-    if fp.census is not None and fp.census.wild_bricks > 0 and not allow_wild:
+    if fp.census is not None and fp.census.wild_bricks > 0:
         raise FillingError(
             f"partition has {fp.census.wild_bricks} wild bricks; refinement "
-            "needs flat bricks (pass allow_wild to subdivide anyway)"
+            "needs flat bricks"
         )
     if fp.mesh <= lam:
         return fp
@@ -308,7 +307,6 @@ def refine_partition(fp, lam, allow_wild=False):
 @dataclass
 class ExponentFit:
     slope: float
-    intercept: float
     stderr: float
     residuals: np.ndarray
     lengths: np.ndarray
@@ -333,15 +331,7 @@ def dehn_exponent(lengths, areas):
         raise FillingError("lengths must span at least one decade")
     mins = np.array([float(np.min(per[l])) for l in lengths])
     if np.allclose(mins, mins[0]):
-        return ExponentFit(
-            0.0,
-            float(np.log(max(mins[0], LOG_FLOOR))),
-            0.0,
-            np.zeros(len(mins)),
-            lengths,
-            mins,
-            degenerate=True,
-        )
+        return ExponentFit(0.0, 0.0, np.zeros(len(mins)), lengths, mins, degenerate=True)
     start = min(len(lengths) // 2 - len(lengths) % 2, len(lengths) - 3)
     if not np.all(mins[start:] > 0):
         raise FillingError("areas must be positive to fit")
@@ -349,14 +339,7 @@ def dehn_exponent(lengths, areas):
     A = np.log(mins[start:])
     coef, cov = np.polyfit(L, A, 1, cov=True)
     resid = A - np.polyval(coef, L)
-    return ExponentFit(
-        float(coef[0]),
-        float(coef[1]),
-        float(np.sqrt(max(cov[0, 0], 0.0))),
-        resid,
-        lengths,
-        mins,
-    )
+    return ExponentFit(float(coef[0]), float(np.sqrt(max(cov[0, 0], 0.0))), resid, lengths, mins)
 
 
 # -- the area oracle -------------------------------------------------------------------------

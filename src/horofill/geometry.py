@@ -9,7 +9,6 @@ Tolerance policy (documented once, used everywhere):
 ``LENGTH_FLOOR``          1e-15  zero-length guard on a length or a change of slack
 ``SQUARED_LENGTH_FLOOR``  1e-18  zero-length guard on a squared length
 ``CHORD_TOL``             1e-10  a corner on the chord of a level-polygon walk
-``LOG_FLOOR``             1e-300 positive floor under a logarithm's argument
 ``BOOTSTRAP_TOL``         1e-6   default stopping excess of ``horofill bootstrap``
 ``CENSUS_MARGIN``         1e-8   headroom over a piece's rounding in the brick census's vertex test
 """
@@ -28,7 +27,6 @@ HV_TOL = 1e-7
 LENGTH_FLOOR = 1e-15
 SQUARED_LENGTH_FLOOR = 1e-18
 CHORD_TOL = 1e-10
-LOG_FLOOR = 1e-300
 BOOTSTRAP_TOL = 1e-6
 CENSUS_MARGIN = 1e-8
 """Margin by which ``filling.brick_census`` settles a brick from its vertices.
@@ -119,7 +117,7 @@ def straight_segments(starts, stops, spacing):
     return starts[seg] + t * delta[seg], counts
 
 
-def dedup_rows(rows, tol=DEDUP_TOL):
+def dedup_rows(rows, tol):
     """Keep one representative per cluster of rows equal within tol.
 
     A row is kept when it is farther than tol from every row kept

@@ -491,8 +491,10 @@ def fill_to_mesh(build, knob, mesh, what):
 
 
 def empty_partition(loop):
-    """The area-zero filling of a constant loop."""
+    """The area-zero filling of a constant loop, with its census of no bricks."""
     if not loop.is_constant:
         raise PartitionError("only constant loops admit an empty filling")
     none = np.zeros(0, dtype=int)
-    return FillingPartition(loop.vertices[:1].copy(), none.reshape(0, 3), none, none)
+    return FillingPartition(
+        loop.vertices[:1].copy(), none.reshape(0, 3), none, none, census=BrickCensus(0, 0)
+    )

@@ -17,7 +17,7 @@ from . import filling as fl
 from . import trace as tr
 from . import tube as tb
 from .geometry import LENGTH_FLOOR
-from .partitions import BrickCensus, Loop
+from .partitions import Loop
 
 # sin-parametrized serpentines peak at pi/2 times their average speed;
 # wrapped loops run at nearly constant speed.  Sampling budgets carry
@@ -246,9 +246,9 @@ def fill(host, loop, mesh):
     """(partition, census, info) of the loop's filling at the mesh.
 
     A trace host takes the flat-loop pipeline; a tube core takes the tube
-    fill at ``TUBE_RADIUS``, where every brick counts as wild.
+    fill at ``TUBE_RADIUS``, whose census the tube fill sets.
     """
     if isinstance(host, tr.BusemannTrace):
-        return fl.fill_flat_loop(host, loop, mesh=mesh)
+        return fl.fill_flat_loop(host, loop, mesh)
     fp, info = tb.fill_tube_loop(host, TUBE_RADIUS, loop, mesh)
-    return fp, BrickCensus(0, fp.area), info
+    return fp, fp.census, info

@@ -347,18 +347,14 @@ def level_project(trace, x, t):
     The returned point y is the nearest point of the sublevel polytope;
     the open segment (y, x] stays outside the sublevel set, and
     d(x, y) <= (s - t)/sin(delta0) for horoball-realizable traces.
-    Each row's value is ``trace.value`` of that row, bit for bit.
+    An empty sublevel set (t below the cached minimum) raises
+    ProjectionError; ``project_to_polytope`` returns every row inside
+    within HV_TOL as it is, and each row as a one-row call gives it.
     """
-    x = np.asarray(x, dtype=float)
-    X = x.reshape(-1, x.shape[-1])
-    out = X.copy()
-    far = ~(trace.value(X) <= t + DECISION_TOL)
-    if far.any():
-        ms = min_set(trace)
-        if ms.bounded_below and t < ms.min_value:
-            raise ProjectionError(f"sublevel set at t={t} is empty")
-        out[far] = project_to_polytope(trace.gradients, t - trace.offsets, X[far])
-    return out.reshape(x.shape)
+    ms = min_set(trace)
+    if ms.bounded_below and t < ms.min_value:
+        raise ProjectionError(f"sublevel set at t={t} is empty")
+    return project_to_polytope(trace.gradients, t - trace.offsets, x)
 
 
 def projection_bound(trace, s, t):

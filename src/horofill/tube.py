@@ -27,7 +27,14 @@ from .geometry import (
     segment_params,
     unit,
 )
-from .partitions import DiskBuilder, consecutive_ladders, cyclic_ladders, empty_partition, fill_to_mesh
+from .partitions import (
+    BrickCensus,
+    DiskBuilder,
+    consecutive_ladders,
+    cyclic_ladders,
+    empty_partition,
+    fill_to_mesh,
+)
 
 
 class TubeError(ValueError):
@@ -754,7 +761,8 @@ def fill_tube_loop(P, R, loop, mesh):
     produces invalid partitions).  Spoke sweeps grow with the loop's
     spread around the core, which is what prices the quadratic area in
     the degenerate scenarios.  The mesh is recomputed and the spokes
-    densified until the request is met.  Returns (partition, info).
+    densified until the request is met.  Every brick counts as wild:
+    the partition's census is (0, area).  Returns (partition, info).
     """
     if mesh <= 0:
         raise TubeError("mesh must be positive")
@@ -785,6 +793,7 @@ def fill_tube_loop(P, R, loop, mesh):
         mesh,
         "tube fan",
     )
+    fp.census = BrickCensus(0, fp.area)
     return fp, {"case": case, "strip": strip, "spacing": spacing, "degree": degree}
 
 

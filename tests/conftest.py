@@ -37,6 +37,12 @@ def fill_hashes():
 
 
 @pytest.fixture(scope="session")
+def criterion2_sweep():
+    """The ``tools/criterion2_sweep.py`` module, loaded from its file."""
+    return load_tool("criterion2_sweep")
+
+
+@pytest.fixture(scope="session")
 def tracing():
     """The benchmark's ``perfbench/tracing.py`` module, loaded from its file."""
     return load_tool("tracing", folder="perfbench")

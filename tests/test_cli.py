@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -307,6 +308,40 @@ def test_run_contains_job_failures(tmp_path, capsys):
             assert f"scenario tiny length {ell} trial 0 seed {seed}: " in err
         assert err.count("job failed") == 2
         assert err.count("SandwichError: sandwich body must be full-dimensional") == 2
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched generator reaches the workers only through fork",
+)
+def test_run_contains_a_dying_worker(tmp_path, capsys, monkeypatch):
+    """A worker that dies fails its own job only; the other jobs write their rows."""
+    from horofill import scenarios as sc
+
+    dies = {"name": "dies", "generator": "tube-square", "lengths": [4, 8, 16]}
+    scenarios = [small_scenario(trials=2), dies]
+    cfg = write_config(tmp_path / "c.json", scenarios)
+    strip = lambda rows: [{k: v for k, v in r.items() if k != "ms"} for r in rows]
+    assert cli.main(["run", cfg, "--seed", "4", "--out-dir", str(tmp_path / "ok")]) == 0
+    want = strip(read_rows(tmp_path / "ok" / "runs.csv"))
+    # the l=16 job is submitted first and kills its worker, standing in
+    # for an out-of-memory kill; never in this process (--jobs 1 would)
+    real, pytest_pid = sc.GENERATORS["tube-square"], os.getpid()
+
+    def dies_at_16(ell, mesh, seed):
+        if ell == 16 and os.getpid() != pytest_pid:
+            os._exit(1)
+        return real(ell, mesh, seed)
+
+    monkeypatch.setitem(sc.GENERATORS, "tube-square", dies_at_16)
+    capsys.readouterr()
+    out = tmp_path / "dead"
+    assert cli.main(["run", cfg, "--seed", "4", "--jobs", "2", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    seed = cli._row_seed(4, 1, 2, 0)
+    assert strip(read_rows(out / "runs.csv")) == [r for r in want if r["seed"] != str(seed)]
+    assert err.count("job failed") == 1
+    assert f"job failed: scenario dies length 16 trial 0 seed {seed}: BrokenProcessPool: " in err
 
 
 def test_fit_command(tmp_path, capsys):

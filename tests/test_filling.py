@@ -405,8 +405,16 @@ def test_refine_partition_wild_rejected():
     fp.census = fl.BrickCensus(flat_bricks=fp.area - 1, wild_bricks=1)
     with pytest.raises(fl.FillingError, match="1 wild brick"):
         fl.refine_partition(fp, 0.5)
-    out = fl.refine_partition(fp, fp.mesh / 2, allow_wild=True)
-    assert out.area == 4 * fp.area
+
+
+def test_refine_partition_refuses_a_tube_fill():
+    """The tube fill sets its own all-wild census, so refinement refuses it."""
+    host, loop = sc.GENERATORS["tube-point"](8, 1.0, 0)
+    fp, census, _ = sc.fill(host, loop, 1.0)
+    assert census is fp.census
+    assert census == BrickCensus(0, fp.area) and fp.area > 0
+    with pytest.raises(fl.FillingError, match=f"{fp.area} wild bricks"):
+        fl.refine_partition(fp, fp.mesh / 2)
 
 
 def test_refine_noop_when_fine_enough():

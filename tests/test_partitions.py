@@ -11,6 +11,7 @@ from horofill.filling import cone_fill, fill_flat_loop, refine_partition
 from horofill.geometry import DECISION_TOL, SQUARED_LENGTH_FLOOR, SURFACE_TOL, straight_segments
 from horofill.partitions import (
     MESH_ATTEMPTS,
+    BrickCensus,
     DiskBuilder,
     FillingPartition,
     Loop,
@@ -50,6 +51,7 @@ def test_constant_loop_and_empty_partition():
     fp = empty_partition(c)
     mesh, area = validate_partition(c, fp)
     assert mesh == 0.0 and area == 0
+    assert fp.census == BrickCensus(0, 0)
     with pytest.raises(PartitionError):
         empty_partition(square_loop())
 

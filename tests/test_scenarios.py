@@ -103,7 +103,7 @@ def test_check_custom_trace_rejects_a_minimum_set_with_no_thin_strip():
     walk, total = sc._polygon_walker(hb.vertices)
     loop = Loop(walk(np.linspace(0.0, total, 64, endpoint=False)))
     with pytest.raises(fl.FillingError, match="strip classification failed"):
-        fl.fill_flat_loop(skew, loop)
+        fl.fill_flat_loop(skew, loop, 1.0)
 
 
 def _a2_wall_trace(pieces):

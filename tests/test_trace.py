@@ -498,6 +498,12 @@ def test_level_project_builds_no_min_set_polytope(a3, monkeypatch):
     assert abs(trace.value(y)) < 1e-9
     with pytest.raises(tr.ProjectionError, match="is empty"):
         tr.level_project(trace.translated([1.0, 0.0, 0.0]), x, -5.0)
+    # t just below the minimum is empty too, even at a row within DECISION_TOL of it
+    argmin = np.array([0.3, -0.2, 0.5])
+    below = tr.min_set(trace).min_value - 5e-10
+    assert trace.value(argmin) <= below + 1e-9
+    with pytest.raises(tr.ProjectionError, match="is empty"):
+        tr.level_project(trace, argmin, below)
 
 
 def test_level_project_segment_stays_outside(tri):
