@@ -165,26 +165,46 @@ def run_command(args):
 def _execute(jobs, n_jobs, keep):
     """Yield (job, (row, artifact) or the exception it raised) in job order.
 
-    ``n_jobs <= 1`` runs the jobs in this process.  Otherwise a pool takes
-    all jobs at once, longest loops first.  A dying worker breaks the
-    pool and every job without a result; each such job runs again alone,
-    in a one-worker pool, so only a job whose own process dies is
-    reported (as ``BrokenProcessPool``).
+    ``n_jobs <= 1`` runs the jobs in this process.  Otherwise a pool of
+    ``n_jobs`` workers takes all jobs at once (see ``_pooled``), and a
+    job is reported as ``BrokenProcessPool`` only when it dies in a
+    worker that runs it alone.
     """
     if n_jobs <= 1:
         for job in jobs:
             yield job, _outcome(_run_job, *job, keep)
         return
-    with concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        futs = {}
-        for k in sorted(range(len(jobs)), key=lambda k: -jobs[k][1]):
-            futs[k] = pool.submit(_run_job, *jobs[k], keep)
-        for k, job in enumerate(jobs):
+    for k, outcome in _pooled(jobs, range(len(jobs)), n_jobs, keep, rerun=True):
+        yield jobs[k], outcome
+
+
+def _pooled(jobs, ks, n_workers, keep, rerun):
+    """Yield (k, outcome) for the job indices ks, in order, from one pool of n_workers.
+
+    The jobs go in longest loops first.  A dying worker breaks the pool
+    and every job still without a result.  Those jobs run again: with
+    ``rerun``, together in one fresh pool of n_workers; otherwise each
+    alone, in a pool of one worker, whose break is the job's outcome.
+    """
+    broken = concurrent.futures.BrokenExecutor  # a BrokenProcessPool here
+    ks, rest = list(ks), {}
+    with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
+        longest_first = sorted(ks, key=lambda k: -jobs[k][1])
+        futs = {k: pool.submit(_run_job, *jobs[k], keep) for k in longest_first}
+        for i, k in enumerate(ks):
             outcome = _outcome(futs[k].result)
-            if isinstance(outcome, concurrent.futures.process.BrokenProcessPool):
-                with concurrent.futures.ProcessPoolExecutor(max_workers=1) as alone:
-                    outcome = _outcome(alone.submit(_run_job, *job, keep).result)
-            yield job, outcome
+            if isinstance(outcome, broken) and n_workers > 1:
+                # a broken pool has settled every future: the rest have their outcomes
+                rest = {j: _outcome(futs[j].result) for j in ks[i:]}
+                break
+            yield k, outcome
+    lost = [k for k, outcome in rest.items() if isinstance(outcome, broken)]
+    if rerun:
+        again = _pooled(jobs, lost, n_workers, keep, rerun=False)
+    else:
+        again = (pair for k in lost for pair in _pooled(jobs, [k], 1, keep, rerun=False))
+    for k, outcome in rest.items():
+        yield next(again) if isinstance(outcome, broken) else (k, outcome)
 
 
 def _outcome(call, *args):

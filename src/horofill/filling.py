@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import coo_matrix, hstack
 
-from .geometry import CENSUS_MARGIN, DECISION_TOL, SURFACE_TOL, straight_segments
+from .geometry import CENSUS_MARGIN, DECISION_TOL, SURFACE_TOL, row_blocks, straight_segments
 from .partitions import (
     BrickCensus,
     DiskBuilder,
@@ -40,9 +40,6 @@ __all__ = [
     "dehn_exponent",
     "brute_force_area",
 ]
-
-
-CENSUS_BLOCK = 16384  # points or bricks per block of brick_census
 
 
 class FillingError(ValueError):
@@ -127,19 +124,18 @@ def brick_census(trace, fp):
     its vertices is at least -SURFACE_TOL + CENSUS_MARGIN at all three
     vertices, because the piece is affine, so at least that at every
     probe, and the envelope is at least the piece.  Only the other bricks
-    are probed.  Points and bricks go in blocks of CENSUS_BLOCK, so
-    temporaries stay bounded however large the fill.
+    are probed.  Points and bricks go in ``row_blocks``, so temporaries
+    stay bounded however large the fill.
     """
     G, c = trace.gradients, trace.offsets
     best = np.empty(len(fp.points), dtype=int)
-    for lo in range(0, len(best), CENSUS_BLOCK):
-        vals = fp.points[lo : lo + CENSUS_BLOCK] @ G.T + c
-        best[lo : lo + CENSUS_BLOCK] = np.argmax(vals, axis=1)
+    for rows in row_blocks(len(best)):
+        best[rows] = np.argmax(fp.points[rows] @ G.T + c, axis=1)
     cols = fp.points.T
     floor = -SURFACE_TOL + CENSUS_MARGIN
     flat = 0
-    for lo in range(0, fp.area, CENSUS_BLOCK):
-        block = fp.triangles[lo : lo + CENSUS_BLOCK]
+    for rows in row_blocks(fp.area):
+        block = fp.triangles[rows]
         tris = block.T.copy()  # (3, block)
         for k in range(3):
             # vertex k's best piece at all three vertices; keep the bricks it does not settle
@@ -249,9 +245,11 @@ def _flat_pipeline(V, orig_pos, level_pts, tube_loop, proj, spacing, tube_mesh):
     rest = np.flatnonzero(lookup < 0)
     if len(rest):
         lookup[rest] = builder.add_chain(proj.inverse_batch(disk.points[rest]))
-    builder.add_triangles(lookup[disk.triangles])
-    # radial chains from each loop vertex down to its level projection
+    for rows in row_blocks(disk.area):
+        builder.add_triangles(lookup[disk.triangles[rows]])
     rim = lookup[disk.boundary]
+    del disk, lookup, rest  # remapped: release the tube disk before the ladders
+    # radial chains from each loop vertex down to its level projection
     rows, counts = straight_segments(V, level_pts, spacing)
     radial = builder.add_segments(rows, counts, outer_idx, rim[ring_positions])
     # between radial chains k and k + 1 the ladder runs along the pulled

@@ -39,8 +39,18 @@ least ``-SURFACE_TOL + CENSUS_MARGIN`` at a brick's vertices is at least
 """
 
 MAX_PIECES_FOR_PROJECTION = 40
-VERTEX_BLOCK = 1 << 14  # n-subsets per batched solve; bounds memory on large systems
+BLOCK = 1 << 14  # rows per block of a per-row pass; bounds its temporaries however many rows
 DEDUP_BLOCK = 256  # rows per distance matrix in dedup_rows, with the rows kept so far
+
+
+def row_blocks(n):
+    """Slices of range(n) in order, BLOCK rows each but the last.
+
+    A per-row pass that runs block by block keeps temporaries of BLOCK
+    rows, not of n, and gives the same bits as one pass over all rows
+    wherever each row's result depends on that row alone.
+    """
+    return (slice(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK))
 
 
 def unit(v):
@@ -162,7 +172,7 @@ def affine_span(points):
 def enumerate_vertices(normals, bounds, tol=HV_TOL):
     """Vertices of {x : normals @ x <= bounds} by brute-force basic solutions.
 
-    The n-subsets of rows go, VERTEX_BLOCK at a time (every A2 and A3
+    The n-subsets of rows go, BLOCK at a time (every A2 and A3
     trace system is one block, whose index table is made once per
     (m, n)), through one batched ``det``, one
     batched ``solve`` and one stacked-matmul feasibility test, each
@@ -191,12 +201,12 @@ def enumerate_vertices(normals, bounds, tol=HV_TOL):
 
 def _subset_blocks(m, n):
     """The n-subsets of range(m) in ``combinations`` order, as index arrays
-    of at most VERTEX_BLOCK rows; a one-block table is made once per (m, n)."""
-    if 0 < math.comb(m, n) <= VERTEX_BLOCK:
+    of at most BLOCK rows; a one-block table is made once per (m, n)."""
+    if 0 < math.comb(m, n) <= BLOCK:
         yield _subset_table(m, n)
         return
     subsets = itertools.combinations(range(m), n)
-    while block := list(itertools.islice(subsets, VERTEX_BLOCK)):
+    while block := list(itertools.islice(subsets, BLOCK)):
         yield np.array(block, dtype=np.intp)
 
 

@@ -18,11 +18,11 @@ from .geometry import (
     SQUARED_LENGTH_FLOOR,
     SURFACE_TOL,
     polyline_length,
+    row_blocks,
     row_norms,
 )
 
 MESH_ATTEMPTS = 8  # sampling attempts per fill to reach the requested mesh
-LADDER_BLOCK = 1 << 13  # bricks laid per block of ladders; bounds add_ladders' scratch
 
 
 class PartitionError(ValueError):
@@ -110,15 +110,19 @@ class FillingPartition:
     def to_dict(self):
         """The four arrays that define the disk, by field name, as held (not copied).
 
+        A set census goes too, as ``census``: the array [flat, wild].
         ``np.savez(path, **fp.to_dict())`` writes them at full precision
         and ``from_dict(np.load(path))`` reads them back bit for bit.
         """
-        return {
+        out = {
             "points": self.points,
             "triangles": self.triangles,
             "boundary": self.boundary,
             "boundary_anchor": self.boundary_anchor,
         }
+        if self.census is not None:
+            out["census"] = np.array([self.census.flat_bricks, self.census.wild_bricks])
+        return out
 
     @staticmethod
     def from_dict(data):
@@ -127,7 +131,13 @@ class FillingPartition:
         for name in fields:
             if name not in data:
                 raise PartitionError(f"partition has no {name}")
-        return FillingPartition(*(data[name] for name in fields))
+        fp = FillingPartition(*(data[name] for name in fields))
+        if "census" in data:
+            census = _indices(data["census"], "census")
+            if census.shape != (2,) or np.any(census < 0) or census.sum() != fp.area:
+                raise PartitionError("census must be two brick counts that add up to the area")
+            fp.census = BrickCensus(*map(int, census))
+        return fp
 
 
 def _indices(entries, what):
@@ -139,7 +149,7 @@ def _indices(entries, what):
 
 
 def compute_mesh(points, triangles):
-    """Largest brick perimeter, one coordinate column at a time.
+    """Largest brick perimeter, bricks in blocks and one coordinate column at a time.
 
     Each edge's squared length is summed column by column from the
     gathered coordinates, square-rooted, and the three edges are added in
@@ -147,25 +157,39 @@ def compute_mesh(points, triangles):
     ``norm(P[:, i] - P[:, j], axis=1)`` sums over the gathered ``(T, 3, n)``
     array bit for bit only because numpy sums such short rows in
     sequence, first coordinate first, as the columns are added here.
+    The bricks go in ``row_blocks``, and the largest of the blocks'
+    maxima is the maximum, exactly.
     """
-    if len(triangles) == 0:
-        return 0.0
     T = np.asarray(triangles, dtype=int)
+    cols = np.asarray(points, dtype=float).T
+    return float(np.max([_block_mesh(cols, T[rows]) for rows in row_blocks(len(T))], initial=0.0))
+
+
+def _block_mesh(cols, T):
     corners = [T[:, k].copy() for k in range(3)]
     sq = np.zeros((3, len(T)))
-    for col in np.asarray(points, dtype=float).T:
+    for col in cols:
         g = [col[c] for c in corners]
         for s, (i, j) in zip(sq, ((0, 1), (1, 2), (2, 0))):
             d = g[i] - g[j]
             d *= d
             s += d
     e0, e1, e2 = np.sqrt(sq, out=sq)
-    return float(np.max(e0 + e1 + e2))
+    return np.max(e0 + e1 + e2)
 
 
 def edge_keys(a, b, n):
-    """One integer per undirected edge {a, b} of a complex on n vertices."""
-    return np.minimum(a, b) * n + np.maximum(a, b)
+    """One integer per undirected edge {a, b} of a complex on n vertices.
+
+    The key is min * n + max, built in one new array as
+    min * (n - 1) + a + b, so no temporary of the inputs' size is made
+    and the inputs are left as they are.
+    """
+    k = np.minimum(a, b)
+    k *= n - 1
+    k += a
+    k += b
+    return k
 
 
 def _component_labels(keys, n):
@@ -198,7 +222,10 @@ def validate_partition(loop, fp):
     a, b, c = tris.T
     if np.any((a == b) | (b == c) | (c == a)):
         raise PartitionError("degenerate triangle (repeated vertex)")
-    sides = edge_keys(np.concatenate([a, b, c]), np.concatenate([b, c, a]), n)
+    # the sides (a, b), (b, c), (c, a) of every brick, as edge keys
+    corners = tris.T.reshape(-1)
+    sides = edge_keys(corners, np.roll(corners, -len(tris)), n)
+    del corners
     sides.sort()
     if np.any(sides[2:] == sides[:-2]):
         raise PartitionError("edge manifoldness violated: an edge lies in >2 bricks")
@@ -285,7 +312,7 @@ class DiskBuilder:
     def __init__(self, dim):
         self.dim = dim
         self._pts, self._n = np.empty((0, dim)), 0
-        self._tris = []
+        self._tris, self._m = np.empty((0, 3), dtype=int), 0
 
     @property
     def points(self):
@@ -293,7 +320,7 @@ class DiskBuilder:
 
     @property
     def triangles(self):
-        return np.concatenate(self._tris) if self._tris else np.zeros((0, 3), dtype=int)
+        return self._tris[: self._m]
 
     def add_chain(self, pts):
         """Append points in order; returns the array of their indices."""
@@ -303,8 +330,7 @@ class DiskBuilder:
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise PartitionError(f"points of shape {pts.shape} in builder of dim {self.dim}")
         first, self._n = self._n, self._n + len(pts)
-        if self._n > len(self._pts):  # at least double the capacity; rows past _n are scratch
-            self._pts = np.resize(self._pts, (max(self._n, 2 * len(self._pts)), self.dim))
+        self._pts = _room(self._pts, first, self._n)
         self._pts[first : self._n] = pts
         return np.arange(first, self._n)
 
@@ -333,7 +359,11 @@ class DiskBuilder:
         """Append index rows, dropping degenerate ones (chains sharing an end)."""
         T = np.asarray(tris, dtype=int).reshape(-1, 3)
         keep = (T[:, 0] != T[:, 1]) & (T[:, 1] != T[:, 2]) & (T[:, 2] != T[:, 0])
-        self._tris.append(T[keep])
+        if not keep.all():
+            T = T[keep]
+        first, self._m = self._m, self._m + len(T)
+        self._tris = _room(self._tris, first, self._m)
+        self._tris[first : self._m] = T
 
     def add_ladder(self, chain_a, chain_b):
         """The ladder between one pair of index chains (see ``add_ladders``)."""
@@ -397,20 +427,20 @@ class DiskBuilder:
             bits[pos[:k] + r] = adv
             gk[0] += adv
             gk[1] += ~adv
-        # lay the bricks a block of whole ladders at a time, so the
-        # per-brick scratch stays near LADDER_BLOCK bricks however large the fill
+        # lay the bricks in row blocks of steps, so the per-brick scratch
+        # stays BLOCK bricks however large the fill.  Every ladder uses up
+        # both its chains, so a step's places in the stacks are the steps
+        # along each chain before it plus one point for each ladder before it
         ends = np.cumsum(steps)
-        lo = 0
-        while lo < len(na):
-            hi = max(lo + 1, int(np.searchsorted(ends, first[lo] + LADDER_BLOCK, side="right")))
-            block = bits[first[lo] : ends[hi - 1]]
-            # every ladder uses up both its chains, so a step's places in the
-            # stacks are the block's first ones plus the steps along each
-            # chain before it plus one point for each ladder before it
-            before = np.repeat(np.arange(hi - lo), steps[lo:hi])  # ladders
-            i = np.cumsum(block) - block  # steps along a
-            ia = off_a[lo] + before + i
-            jb = off_b[lo] + before + np.arange(len(block)) - i
+        along_a = 0  # steps along a before the block
+        for rows in row_blocks(len(bits)):
+            block = bits[rows]
+            k = np.arange(rows.start, rows.stop)
+            ladder = np.searchsorted(ends, k, side="right")
+            i = along_a + np.cumsum(block) - block  # steps along a
+            along_a = int(i[-1] + block[-1])
+            ia = ladder + i
+            jb = ladder + k - i
             # a step reads only the next point of the chain it goes along;
             # clipping keeps the unread ones past the last chain in range
             tris = np.empty((len(block), 3), dtype=int)
@@ -418,10 +448,31 @@ class DiskBuilder:
             tris[:, 1] = np.where(block, flat_a.take(ia + 1, mode="clip"), flat_b[jb])
             tris[:, 2] = np.where(block, flat_b[jb], flat_b.take(jb + 1, mode="clip"))
             self.add_triangles(tris)
-            lo = hi
 
     def build(self, boundary, anchor):
-        return FillingPartition(self.points.copy(), self.triangles, boundary, anchor)
+        """The partition on the builder's own arrays, trimmed in place: no copy.
+
+        The builder keeps them, full, so a later add copies them first.
+        """
+        pts, tris = self._pts, self._tris
+        del self._pts, self._tris  # the locals are then the arrays' only holders, as resize needs
+        pts.resize((self._n, self.dim))
+        tris.resize((self._m, 3))
+        self._pts, self._tris = pts, tris
+        return FillingPartition(pts, tris, boundary, anchor)
+
+
+def _room(a, used, need):
+    """``a``, or a copy of its first ``used`` rows with room for at least twice as many.
+
+    The copy has room for ``need`` rows at least and leaves its rows past
+    ``used`` unwritten, so memory that no row reaches is never touched.
+    """
+    if need <= len(a):
+        return a
+    out = np.empty((max(need, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
+    out[:used] = a[:used]
+    return out
 
 
 def consecutive_ladders(chains, lens):
@@ -482,11 +533,13 @@ def fill_to_mesh(build, knob, mesh, what):
     """
     for _ in range(MESH_ATTEMPTS):
         fp, info = build(knob)
-        if fp.mesh <= mesh + DEDUP_TOL:
+        achieved = fp.mesh
+        if achieved <= mesh + DEDUP_TOL:
             return fp, info, knob
-        knob *= 0.9 * mesh / fp.mesh
+        del fp, info  # release the missed partition before the next try
+        knob *= 0.9 * mesh / achieved
     raise PartitionError(
-        f"{what} missed the mesh after {MESH_ATTEMPTS} attempts: {fp.mesh} > {mesh}"
+        f"{what} missed the mesh after {MESH_ATTEMPTS} attempts: {achieved} > {mesh}"
     )
 
 

@@ -22,6 +22,7 @@ from .geometry import (
     angle_between,
     matvec,
     polyline_length,
+    row_blocks,
     row_norms,
     segment_hits_polytope,
     segment_params,
@@ -325,9 +326,17 @@ class SandwichProjection:
 
         Each fiber leaves its base, the nearest core point, along the ray
         through x and ends where that ray exits the body.  A point core
-        is the one shared base.
+        is the one shared base.  The rows go in ``row_blocks``, so the
+        (facets, points) products stay BLOCK points wide; each row's
+        fiber point depends on that row alone.
         """
         X = np.asarray(X, dtype=float)
+        out = np.empty_like(X)
+        for rows in row_blocks(len(X)):
+            out[rows] = self._fiber_ends(X[rows])
+        return out
+
+    def _fiber_ends(self, X):
         if self.core.dim == 0:  # one base row: the facet products below stay one column
             bases = self.core.vertices[:1]
         else:

@@ -43,6 +43,12 @@ def criterion2_sweep():
 
 
 @pytest.fixture(scope="session")
+def job_peaks():
+    """The ``tools/job_peaks.py`` module, loaded from its file."""
+    return load_tool("job_peaks")
+
+
+@pytest.fixture(scope="session")
 def tracing():
     """The benchmark's ``perfbench/tracing.py`` module, loaded from its file."""
     return load_tool("tracing", folder="perfbench")

@@ -344,6 +344,46 @@ def test_run_contains_a_dying_worker(tmp_path, capsys, monkeypatch):
     assert f"job failed: scenario dies length 16 trial 0 seed {seed}: BrokenProcessPool: " in err
 
 
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched generator reaches the workers only through fork",
+)
+def test_jobs_lost_to_a_dying_worker_rerun_in_one_pool(tmp_path, monkeypatch):
+    """The jobs a broken pool loses run again together, in one pool of --jobs workers."""
+    import concurrent.futures
+
+    from horofill import scenarios as sc
+
+    dies = {"name": "dies", "generator": "tube-square", "lengths": [4, 8, 16]}
+    cfg = write_config(tmp_path / "c.json", [small_scenario(trials=2), dies])
+    strip = lambda rows: [{k: v for k, v in r.items() if k != "ms"} for r in rows]
+    assert cli.main(["run", cfg, "--seed", "4", "--out-dir", str(tmp_path / "ok")]) == 0
+    want = strip(read_rows(tmp_path / "ok" / "runs.csv"))
+    # the l=16 job, submitted first, kills its worker the first time it runs
+    real, pytest_pid, died = sc.GENERATORS["tube-square"], os.getpid(), tmp_path / "died"
+
+    def dies_once_at_16(ell, mesh, seed):
+        if ell == 16 and os.getpid() != pytest_pid and not died.exists():
+            died.touch()
+            os._exit(1)
+        return real(ell, mesh, seed)
+
+    workers = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setitem(sc.GENERATORS, "tube-square", dies_once_at_16)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    out = tmp_path / "rerun"
+    assert cli.main(["run", cfg, "--seed", "4", "--jobs", "2", "--out-dir", str(out)]) == 0
+    assert died.exists()
+    assert workers == [2, 2]  # the first pool, then one for every job it lost
+    assert strip(read_rows(out / "runs.csv")) == want
+
+
 def test_fit_command(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "c10.json",

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,19 @@ from scipy.optimize import linprog
 
 from horofill import coxeter as cx
 from horofill import filling as fl
+from horofill import geometry as geo
 from horofill import meshes as ms
 from horofill import scenarios as sc
 from horofill import trace as tr
 from horofill.geometry import CENSUS_MARGIN, DEDUP_TOL, SURFACE_TOL
-from horofill.partitions import BrickCensus, FillingPartition, Loop, validate_partition
+from horofill.partitions import (
+    BrickCensus,
+    FillingPartition,
+    Loop,
+    PartitionError,
+    compute_mesh,
+    validate_partition,
+)
 
 
 @pytest.fixture(scope="module")
@@ -215,19 +224,59 @@ def test_brick_census_in_blocks_matches_one_block(monkeypatch):
 
     trace, loop = sc.trace_a3_wrap(8, 1.0, 0)
     fp, census, info = fl.fill_flat_loop(trace, loop, mesh=1.0)
-    monkeypatch.setattr(fl, "CENSUS_BLOCK", fp.area)
+    monkeypatch.setattr(geo, "BLOCK", fp.area)
     whole = fl.brick_census(trace, fp)
-    monkeypatch.setattr(fl, "CENSUS_BLOCK", 997)
+    monkeypatch.setattr(geo, "BLOCK", 997)
     assert fp.area > 10 * 997
     assert fl.brick_census(trace, fp) == whole == census
     assert whole.flat_bricks > 0 and whole.wild_bricks > 0
 
 
+@pytest.mark.parametrize("gen, ell", [("trace-a2", 32), ("trace-a3", 8)])
+def test_blocked_passes_match_one_block(monkeypatch, fill_hashes, gen, ell):
+    """``compute_mesh``, ``inverse_batch``, ``validate_partition`` and the
+    whole fill in blocks of 997 rows give the bits of one block."""
+    trace, loop = sc.make_loop(gen, ell, 1.0, 0)
+    proj, _ = fl.sandwich_route(trace)
+    fp = sc.fill(trace, loop, 1.0)[0]
+    on_tube = proj.map(fp.points)
+
+    def passes():
+        return (
+            compute_mesh(fp.points, fp.triangles),
+            proj.inverse_batch(on_tube).tobytes(),
+            validate_partition(loop, fp),
+            fill_hashes.fill_digest(sc.fill(trace, loop, 1.0)[0]),
+        )
+
+    monkeypatch.setattr(geo, "BLOCK", 10 * fp.area)
+    whole = passes()
+    monkeypatch.setattr(geo, "BLOCK", 997)
+    assert fp.area > 10 * 997 and len(on_tube) > 5 * 997
+    assert passes() == whole
+    assert whole[3] == fill_hashes.fill_digest(fp)
+
+
+def test_a_fill_peaks_within_four_times_its_kept_arrays():
+    """tracemalloc's peak over a tube-segment l=48 fill stays within 4x the
+    bytes of the points and triangles it keeps (3.2x; 5.4x before the
+    per-brick passes went in blocks and the builder handed its arrays over)."""
+    host, loop = sc.make_loop("tube-segment", 48, 1.0, 1071)
+    tracemalloc.start()
+    try:
+        fp = sc.fill(host, loop, 1.0)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fp.area == 75028
+    assert peak <= 4 * (fp.points.nbytes + fp.triangles.nbytes)
+
+
 def reference_brick_census(trace, fp):
     """``brick_census`` as it was: the 7-point probe on every brick."""
     flat = 0
-    for lo in range(0, fp.area, fl.CENSUS_BLOCK):
-        pts = fp.points[fp.triangles[lo : lo + fl.CENSUS_BLOCK]]
+    for rows in geo.row_blocks(fp.area):
+        pts = fp.points[fp.triangles[rows]]
         probes = [
             pts[:, 0],
             pts[:, 1],
@@ -415,6 +464,25 @@ def test_refine_partition_refuses_a_tube_fill():
     assert census == BrickCensus(0, fp.area) and fp.area > 0
     with pytest.raises(fl.FillingError, match=f"{fp.area} wild bricks"):
         fl.refine_partition(fp, fp.mesh / 2)
+
+
+def test_kept_partition_keeps_its_census(tmp_path):
+    """A fill written with ``np.savez`` and read with ``np.load`` keeps its census,
+    so refinement still refuses a reloaded tube fill."""
+    back = {}
+    for gen in ("tube-point", "trace-a2"):
+        host, loop = sc.make_loop(gen, 8, 1.0, 0)
+        fp, census, _ = sc.fill(host, loop, 1.0)
+        np.savez(tmp_path / f"{gen}.npz", **fp.to_dict())
+        with np.load(tmp_path / f"{gen}.npz") as saved:
+            assert saved["census"].tolist() == [census.flat_bricks, census.wild_bricks]
+            back[gen] = FillingPartition.from_dict(saved)
+        assert back[gen].census == census and back[gen].area == fp.area
+    tube = back["tube-point"]
+    with pytest.raises(fl.FillingError, match=f"{tube.area} wild bricks"):
+        fl.refine_partition(tube, tube.mesh / 2)
+    with pytest.raises(PartitionError, match="add up to the area"):
+        FillingPartition.from_dict({**tube.to_dict(), "census": [tube.area, 1]})
 
 
 def test_refine_noop_when_fine_enough():

@@ -10,12 +10,12 @@ from horofill import coxeter as cx
 from horofill import trace as tr
 from horofill import geometry as geo
 from horofill.geometry import (
+    BLOCK,
     DECISION_TOL,
     DEDUP_TOL,
     HV_TOL,
     MAX_PIECES_FOR_PROJECTION,
     SURFACE_TOL,
-    VERTEX_BLOCK,
     ProjectionError,
     VPolytope,
     affine_span,
@@ -185,7 +185,7 @@ def test_enumerate_vertices_matches_the_per_subset_loop(system):
 def test_enumerate_vertices_across_subset_blocks():
     rng = np.random.default_rng(5)
     A, b = rng.normal(size=(48, 3)), rng.uniform(0.5, 1.5, size=48)
-    assert len(list(itertools.combinations(range(48), 3))) > VERTEX_BLOCK
+    assert len(list(itertools.combinations(range(48), 3))) > BLOCK
     got, want = enumerate_vertices(A, b), reference_vertices(A, b)
     assert len(got) == len(want) > 0
     assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))

@@ -72,6 +72,28 @@ def test_validate_triangle_single_brick():
     assert abs(mesh - (2 + np.sqrt(2))) < 1e-12
 
 
+def test_validate_leaves_a_one_brick_partition_untouched():
+    """One brick's ``triangles.T.reshape(-1)`` is a view: validation must not write to it."""
+    loop = Loop(np.array([[0.0, 0], [1, 0], [0, 1]]))
+    fp = FillingPartition(loop.vertices, np.array([[0, 1, 2]]), [0, 1, 2], [0, 1, 2])
+    arrays = {name: a.copy() for name, a in fp.to_dict().items()}
+    validate_partition(loop, fp)
+    for name, a in fp.to_dict().items():
+        assert a.tobytes() == arrays[name].tobytes(), name
+
+
+def test_edge_keys_are_min_times_n_plus_max_and_leave_their_inputs():
+    rng = np.random.default_rng(5)
+    n = 1000
+    a, b = rng.integers(0, n, size=(2, 500))
+    a0, b0 = a.copy(), b.copy()
+    keys = edge_keys(a, b, n)
+    assert keys.dtype == np.int64
+    assert np.array_equal(keys, np.minimum(a0, b0) * n + np.maximum(a0, b0))
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+    assert np.array_equal(edge_keys(b, a, n), keys)
+
+
 def test_validate_rejects_extra_triangle():
     loop = square_loop()
     fp = fan_partition(loop)

@@ -9,7 +9,7 @@ per generator and target length, area / l^2 of each seed in seed order,
 their minimum, median and maximum, and the seeds above L'.  The last
 line counts the seeds above L' at target lengths up to COUNTED_UP_TO;
 longer lengths are reported only (one trace-a3 l=128 fill takes a few
-seconds and close to 1 GB).  The fills run one at a time in this
+seconds and about 0.3 GB above import).  The fills run one at a time in this
 process; the whole sweep took 89 s on a 2-core x86 machine (Python
 3.11, numpy 2.4.6).  Run from the root of a checkout:
 
